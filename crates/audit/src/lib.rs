@@ -2,7 +2,7 @@
 //!
 //! Every PR since the seed has staked correctness on one invariant:
 //! byte-identical `RunMetrics` across `SerialExecutor`/`ThreadPoolExecutor`
-//! and `EventStepper`/`ReferenceStepper`. Nothing enforced that *statically*:
+//! and `CalendarStepper`/`ReferenceStepper`. Nothing enforced that *statically*:
 //! a `HashMap` iteration or a wall-clock read deep in the simulator silently
 //! breaks reproducibility, and the failure only surfaces (if ever) as a flaky
 //! equivalence test. This crate makes the determinism contract a checked,

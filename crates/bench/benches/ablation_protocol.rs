@@ -9,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::bench_config;
 use palermo_controller::{ControllerConfig, SchedulePolicy};
-use palermo_sim::runner::{run_with_configs, run_workload};
+use palermo_sim::experiment::{CustomProtocol, RunSpec};
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
@@ -26,12 +27,20 @@ fn bench(c: &mut Criterion) {
         pe_columns: cfg.pe_columns,
         issue_width: 16,
     };
-    let ring_on_mesh =
-        run_with_configs(Scheme::RingOram, ring_cfg, mesh, Workload::Random, &cfg, 1)
-            .expect("ring on mesh");
-    let ring_serial = run_workload(Scheme::RingOram, Workload::Random, &cfg).expect("ring");
-    let palermo_sw = run_workload(Scheme::PalermoSw, Workload::Random, &cfg).expect("sw");
-    let palermo = run_workload(Scheme::Palermo, Workload::Random, &cfg).expect("palermo");
+    let ring_on_mesh = RunSpec::new(Scheme::RingOram, Workload::Random, cfg.clone())
+        .with_custom(CustomProtocol {
+            hierarchy: ring_cfg,
+            controller: mesh,
+            prefetch_length: 1,
+        })
+        .execute()
+        .expect("ring on mesh");
+    let ring_serial =
+        run_workload_spec(Scheme::RingOram, &Workload::Random.into(), &cfg).expect("ring");
+    let palermo_sw =
+        run_workload_spec(Scheme::PalermoSw, &Workload::Random.into(), &cfg).expect("sw");
+    let palermo =
+        run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).expect("palermo");
     let base = ring_serial.requests_per_cycle();
     println!("== Ablation (random workload, speedup over serial RingORAM) ==");
     println!("RingORAM protocol + serial controller : 1.00x");
@@ -56,7 +65,7 @@ fn bench(c: &mut Criterion) {
         ("palermo_codesign", Scheme::Palermo),
     ] {
         group.bench_with_input(BenchmarkId::new("random", name), &scheme, |b, &scheme| {
-            b.iter(|| run_workload(scheme, Workload::Random, &cfg).expect("run"));
+            b.iter(|| run_workload_spec(scheme, &Workload::Random.into(), &cfg).expect("run"));
         });
     }
     group.finish();

@@ -2,23 +2,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use palermo_bench::{bench_config, report_config};
+use palermo_sim::experiment::SerialExecutor;
 use palermo_sim::figures::fig03;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig03::run(&report_config()).expect("fig03 run");
+    let rows = fig03::run(&report_config(), &SerialExecutor).expect("fig03 run");
     println!("{}", fig03::table(&rows).to_text());
 
     let cfg = bench_config();
     let mut group = c.benchmark_group("fig03_ring_baseline");
     group.sample_size(10);
     group.bench_function("ringoram_mcf", |b| {
-        b.iter(|| run_workload(Scheme::RingOram, Workload::Mcf, &cfg).expect("run"));
+        b.iter(|| run_workload_spec(Scheme::RingOram, &Workload::Mcf.into(), &cfg).expect("run"));
     });
     group.bench_function("ringoram_random", |b| {
-        b.iter(|| run_workload(Scheme::RingOram, Workload::Random, &cfg).expect("run"));
+        b.iter(|| {
+            run_workload_spec(Scheme::RingOram, &Workload::Random.into(), &cfg).expect("run")
+        });
     });
     // Identical simulation with per-tenant attribution disabled: the CI
     // perf-baseline step compares this against `ringoram_mcf` to assert
@@ -30,7 +33,9 @@ fn bench(c: &mut Criterion) {
     let mut untagged_cfg = cfg;
     untagged_cfg.collect_per_tenant = false;
     group.bench_function("ringoram_mcf_untagged", |b| {
-        b.iter(|| run_workload(Scheme::RingOram, Workload::Mcf, &untagged_cfg).expect("run"));
+        b.iter(|| {
+            run_workload_spec(Scheme::RingOram, &Workload::Mcf.into(), &untagged_cfg).expect("run")
+        });
     });
     group.finish();
 }

@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::{bench_config, report_config};
+use palermo_sim::experiment::SerialExecutor;
 use palermo_sim::figures::fig10;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
@@ -21,6 +22,7 @@ fn bench(c: &mut Criterion) {
             Workload::Random,
         ],
         &Scheme::ALL,
+        &SerialExecutor,
     )
     .expect("fig10 run");
     println!("{}", fig10::table(&report).to_text());
@@ -33,7 +35,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("random", scheme.name()),
             &scheme,
             |b, &scheme| {
-                b.iter(|| run_workload(scheme, Workload::Random, &cfg).expect("run"));
+                b.iter(|| run_workload_spec(scheme, &Workload::Random.into(), &cfg).expect("run"));
             },
         );
     }

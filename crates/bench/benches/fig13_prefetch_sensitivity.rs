@@ -2,13 +2,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::{bench_config, report_config};
+use palermo_sim::experiment::SerialExecutor;
 use palermo_sim::figures::fig13;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig13::run(&report_config(), &[1, 2, 4, 8]).expect("fig13 run");
+    let rows = fig13::run(&report_config(), &[1, 2, 4, 8], &SerialExecutor).expect("fig13 run");
     println!("{}", fig13::table(&rows).to_text());
 
     let mut group = c.benchmark_group("fig13_prefetch_sensitivity");
@@ -22,7 +23,7 @@ fn bench(c: &mut Criterion) {
             Scheme::PalermoPrefetch
         };
         group.bench_with_input(BenchmarkId::new("palermo_llm_pf", pf), &pf, move |b, _| {
-            b.iter(|| run_workload(scheme, Workload::Llm, &cfg).expect("run"));
+            b.iter(|| run_workload_spec(scheme, &Workload::Llm.into(), &cfg).expect("run"));
         });
     }
     group.finish();

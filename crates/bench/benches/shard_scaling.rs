@@ -21,6 +21,7 @@ fn bench(c: &mut Criterion) {
         &inner,
         &[1, 2, 4],
         &[Scheme::RingOram, Scheme::Palermo],
+        &SerialShardStepper,
     )
     .expect("shard_scaling run");
     println!("{}", shard_scaling::table(&inner, &rows).to_text());

@@ -3,7 +3,7 @@
 //! The paper's evaluation is a large grid of *independent* (scheme ×
 //! workload × configuration) simulations. This module replaces the
 //! hand-rolled nested loops the figure runners used to build around
-//! [`run_workload`](crate::runner::run_workload) with three pieces:
+//! [`run_workload_spec`] with three pieces:
 //!
 //! * [`RunSpec`] — a fully-resolved description of one simulation run
 //!   (scheme, workload, per-run [`SystemConfig`], label);
@@ -44,7 +44,7 @@ pub mod results;
 pub use executor::{Executor, SerialExecutor, ThreadPoolExecutor};
 pub use results::{ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
 
-use crate::runner::{run_with_configs_spec, run_workload_spec, RunMetrics};
+use crate::runner::{run_protocol, run_workload_spec, CalendarStepper, RunMetrics};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_controller::ControllerConfig;
@@ -135,13 +135,12 @@ impl RunSpec {
     /// [`OramError::WorkloadStalled`]: palermo_oram::error::OramError::WorkloadStalled
     pub fn execute(&self) -> OramResult<RunMetrics> {
         match &self.custom {
-            Some(custom) => run_with_configs_spec(
+            Some(custom) => run_protocol(
                 self.scheme,
-                custom.hierarchy.clone(),
-                custom.controller,
+                custom.clone(),
                 &self.workload,
                 &self.config,
-                custom.prefetch_length,
+                &CalendarStepper,
             ),
             None => run_workload_spec(self.scheme, &self.workload, &self.config),
         }
@@ -499,12 +498,37 @@ mod tests {
     }
 
     #[test]
-    fn spec_executes_like_run_workload() {
+    fn spec_executes_like_run_workload_spec() {
         let cfg = tiny();
         let spec = RunSpec::new(Scheme::Palermo, Workload::Random, cfg.clone());
-        let direct = crate::runner::run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+        let direct = run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).unwrap();
         let via_spec = spec.execute().unwrap();
-        assert_eq!(via_spec.cycles, direct.cycles);
-        assert_eq!(via_spec.latencies, direct.latencies);
+        assert_eq!(via_spec, direct);
+    }
+
+    #[test]
+    fn custom_protocols_reject_sharded_specs() {
+        let cfg = tiny();
+        let custom = CustomProtocol {
+            hierarchy: Scheme::Palermo
+                .hierarchy_config(
+                    cfg.hierarchy_params().unwrap(),
+                    cfg.seed,
+                    1,
+                    cfg.stash_capacity,
+                )
+                .unwrap(),
+            controller: Scheme::Palermo.controller_config(cfg.pe_columns),
+            prefetch_length: 1,
+        };
+        let sharded = WorkloadSpec::from_name("shard:2:hash:random").unwrap();
+        let err = RunSpec::with_workload_spec(Scheme::Palermo, sharded, cfg)
+            .with_custom(custom)
+            .execute()
+            .unwrap_err();
+        assert!(
+            matches!(&err, palermo_oram::error::OramError::InvalidParams { reason } if reason.contains("sharded")),
+            "unexpected error: {err}"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! bandwidth utilisation under ~30 % and spends ~72 % of its memory cycles
 //! in ORAM-sync stalls, split roughly evenly between the three sub-ORAMs.
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -29,21 +29,12 @@ pub struct Fig03Row {
     pub avg_queue_occupancy: f64,
 }
 
-/// Runs the Fig. 3 experiment serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig) -> OramResult<Vec<Fig03Row>> {
-    run_with(config, &SerialExecutor)
-}
-
 /// Runs the Fig. 3 experiment on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig03Row>> {
+pub fn run(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig03Row>> {
     let results = Experiment::new(config.clone())
         .schemes([Scheme::RingOram])
         .workloads(
@@ -52,7 +43,7 @@ pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Ve
                 .chain(std::iter::once(Workload::Random)),
         )
         .run(executor)?;
-    Ok(results
+    results
         .iter()
         .map(|record| {
             let m = &record.metrics;
@@ -64,19 +55,16 @@ pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Ve
                     m.sync_stall_by_level[i] as f64 / level_total as f64
                 }
             };
-            Fig03Row {
-                workload: record
-                    .workload
-                    .as_table2()
-                    .expect("the Fig. 3 grid is built from Table II workloads"),
+            Ok(Fig03Row {
+                workload: super::table2_workload(record)?,
                 bandwidth_utilization: m.dram.bandwidth_utilization(),
                 sync_fraction: m.sync_stall_cycles as f64 / m.cycles.max(1) as f64,
                 sync_share_by_level: [share(0), share(1), share(2)],
                 row_hit_rate: m.dram.row_hit_rate(),
                 avg_queue_occupancy: m.dram.avg_queue_occupancy(),
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the rows as a text table.
@@ -112,12 +100,13 @@ pub fn table(rows: &[Fig03Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn ring_baseline_underutilises_bandwidth() {
         let mut cfg = super::super::smoke_config();
         cfg.measured_requests = 25;
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(

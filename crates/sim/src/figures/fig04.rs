@@ -5,7 +5,7 @@
 //! the forced same-leaf mapping inflates the dummy-request ratio and caps
 //! the achievable speedup (≈3.2× for LAORAM at pf=4).
 
-use crate::experiment::{CustomProtocol, Executor, Experiment, RunSpec, SerialExecutor};
+use crate::experiment::{CustomProtocol, Executor, Experiment, RunSpec};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, speedup, Table};
@@ -56,15 +56,6 @@ fn point_spec(config: &SystemConfig, prefetch_length: u32, fat_tree: bool) -> Or
     )
 }
 
-/// Runs the Fig. 4 sweep serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig, prefetch_lengths: &[u32]) -> OramResult<Vec<Fig04Row>> {
-    run_with(config, prefetch_lengths, &SerialExecutor)
-}
-
 /// Runs the Fig. 4 sweep over the given prefetch lengths on the given
 /// executor. All configuration points (both tree shapes, every length,
 /// plus the no-prefetch normalisation baseline) run independently.
@@ -72,7 +63,7 @@ pub fn run(config: &SystemConfig, prefetch_lengths: &[u32]) -> OramResult<Vec<Fi
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     prefetch_lengths: &[u32],
     executor: &dyn Executor,
@@ -93,19 +84,13 @@ pub fn run_with(
         }
     }
     let results = experiment.run(executor)?;
-    let baseline_perf = results
-        .by_label(&baseline_label)
-        .expect("baseline spec always present")
-        .metrics
+    let baseline_perf = super::labelled(&results, &baseline_label)?
         .accesses_per_cycle()
         .max(f64::MIN_POSITIVE);
     let mut rows = Vec::new();
     for &fat_tree in &[false, true] {
         for &pf in prefetch_lengths {
-            let m = &results
-                .by_label(&point_label(pf, fat_tree))
-                .expect("every sweep point was queued")
-                .metrics;
+            let m = super::labelled(&results, &point_label(pf, fat_tree))?;
             rows.push(Fig04Row {
                 prefetch_length: pf,
                 fat_tree,
@@ -144,13 +129,14 @@ pub fn table(rows: &[Fig04Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn grouping_increases_stash_pressure_and_dummy_ratio() {
         let mut cfg = super::super::smoke_config();
         cfg.measured_requests = 60;
         cfg.warmup_requests = 10;
-        let rows = run(&cfg, &[1, 8]).unwrap();
+        let rows = run(&cfg, &[1, 8], &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 4);
         let slim_pf1 = &rows[0];
         let slim_pf8 = &rows[1];

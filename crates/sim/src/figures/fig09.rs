@@ -7,7 +7,7 @@
 //! of zero and near-identical DRAM row-hit / bank-conflict statistics
 //! across workloads.
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::mutual_info::estimate_from_samples;
@@ -33,26 +33,17 @@ pub struct Fig09Row {
     pub latency_std: f64,
 }
 
-/// Runs the Fig. 9 experiment serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig) -> OramResult<Vec<Fig09Row>> {
-    run_with(config, &SerialExecutor)
-}
-
 /// Runs the Fig. 9 experiment on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig09Row>> {
+pub fn run(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig09Row>> {
     let results = Experiment::new(config.clone())
         .schemes([Scheme::Palermo])
         .workloads(super::DEEP_DIVE_WORKLOADS)
         .run(executor)?;
-    Ok(results
+    results
         .iter()
         .map(|record| {
             let m = &record.metrics;
@@ -66,19 +57,16 @@ pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Ve
                 .unwrap_or(0.0);
             let mut latency = Summary::new();
             latency.extend(m.latencies.iter().map(|&l| l as f64));
-            Fig09Row {
-                workload: record
-                    .workload
-                    .as_table2()
-                    .expect("the Fig. 9 grid is built from Table II workloads"),
+            Ok(Fig09Row {
+                workload: super::table2_workload(record)?,
                 row_hit_rate: m.dram.row_hit_rate(),
                 bank_conflict_rate: m.dram.bank_conflict_rate(),
                 mutual_information,
                 mean_latency: latency.mean(),
                 latency_std: latency.std_dev(),
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the rows as a text table.
@@ -110,12 +98,13 @@ pub fn table(rows: &[Fig09Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn timing_channel_leaks_little_and_dram_stats_are_uniform() {
         let mut cfg = super::super::smoke_config();
         cfg.measured_requests = 60;
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(

@@ -3,7 +3,7 @@
 //! (geo-mean: RingORAM 1.1×, PageORAM 1.2×, PrORAM 1.7×, IR-ORAM 1.1×,
 //! Palermo-SW 1.2×, Palermo 2.4×, Palermo+Prefetch 3.1×).
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::runner::RunMetrics;
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
@@ -37,15 +37,6 @@ impl Fig10 {
     }
 }
 
-/// Runs the Fig. 10 experiment serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig, workloads: &[Workload], schemes: &[Scheme]) -> OramResult<Fig10> {
-    run_with(config, workloads, schemes, &SerialExecutor)
-}
-
 /// Runs the Fig. 10 experiment over the given workloads and schemes on the
 /// given executor. The PathORAM normalisation baseline is added to the grid
 /// when it is not among `schemes`.
@@ -53,7 +44,7 @@ pub fn run(config: &SystemConfig, workloads: &[Workload], schemes: &[Scheme]) ->
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     workloads: &[Workload],
     schemes: &[Scheme],
@@ -91,10 +82,10 @@ pub fn run_with(
         .into_iter()
         .map(|row| {
             row.into_iter()
-                .map(|m| m.expect("every grid cell was executed"))
+                .map(|m| m.ok_or_else(|| super::missing_run("a Fig. 10 grid cell")))
                 .collect()
         })
-        .collect();
+        .collect::<OramResult<_>>()?;
     Ok(Fig10 {
         workloads: workloads.to_vec(),
         schemes: schemes.to_vec(),
@@ -123,6 +114,7 @@ pub fn table(fig: &Fig10) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn palermo_wins_the_comparison_on_random_traffic() {
@@ -131,6 +123,7 @@ mod tests {
             &cfg,
             &[Workload::Random],
             &[Scheme::PathOram, Scheme::RingOram, Scheme::Palermo],
+            &SerialExecutor,
         )
         .unwrap();
         let path = fig.speedup[0][0];

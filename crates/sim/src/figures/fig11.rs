@@ -2,7 +2,7 @@
 //! RingORAM vs Palermo (both without prefetch). The paper reports ≈2.8×
 //! more outstanding requests and ≈2.2× higher utilisation for Palermo.
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -44,45 +44,30 @@ impl Fig11Row {
     }
 }
 
-/// Runs the Fig. 11 experiment serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig) -> OramResult<Vec<Fig11Row>> {
-    run_with(config, &SerialExecutor)
-}
-
 /// Runs the Fig. 11 experiment on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig11Row>> {
+pub fn run(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig11Row>> {
     let results = Experiment::new(config.clone())
         .schemes([Scheme::RingOram, Scheme::Palermo])
         .workloads(super::DEEP_DIVE_WORKLOADS)
         .run(executor)?;
-    Ok(super::DEEP_DIVE_WORKLOADS
+    super::DEEP_DIVE_WORKLOADS
         .into_iter()
         .map(|workload| {
-            let cell = |scheme| {
-                &results
-                    .get(scheme, workload)
-                    .expect("every grid cell was executed")
-                    .metrics
-            };
-            let ring = cell(Scheme::RingOram);
-            let palermo = cell(Scheme::Palermo);
-            Fig11Row {
+            let ring = super::cell(&results, Scheme::RingOram, workload)?;
+            let palermo = super::cell(&results, Scheme::Palermo, workload)?;
+            Ok(Fig11Row {
                 workload,
                 ring_utilization: ring.dram.bandwidth_utilization(),
                 palermo_utilization: palermo.dram.bandwidth_utilization(),
                 ring_outstanding: ring.dram.avg_queue_occupancy(),
                 palermo_outstanding: palermo.dram.avg_queue_occupancy(),
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the rows as a text table.
@@ -116,11 +101,12 @@ pub fn table(rows: &[Fig11Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn palermo_increases_mlp_and_utilisation() {
         let cfg = super::super::smoke_config();
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(

@@ -4,7 +4,7 @@
 //! data stash bounded well below the 256-entry hardware capacity (the paper
 //! observes maxima of 228–237 across the deep-dive workloads).
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::Table;
@@ -24,37 +24,27 @@ pub struct Fig12Row {
     pub capacity: usize,
 }
 
-/// Runs the Fig. 12 experiment serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig) -> OramResult<Vec<Fig12Row>> {
-    run_with(config, &SerialExecutor)
-}
-
 /// Runs the Fig. 12 experiment on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig12Row>> {
+pub fn run(config: &SystemConfig, executor: &dyn Executor) -> OramResult<Vec<Fig12Row>> {
     let results = Experiment::new(config.clone())
         .schemes([Scheme::Palermo])
         .workloads(super::DEEP_DIVE_WORKLOADS)
         .run(executor)?;
-    Ok(results
+    results
         .iter()
-        .map(|record| Fig12Row {
-            workload: record
-                .workload
-                .as_table2()
-                .expect("the Fig. 12 grid is built from Table II workloads"),
-            samples: record.metrics.stash_samples.clone(),
-            high_water: record.metrics.stash_high_water,
-            capacity: config.stash_capacity,
+        .map(|record| {
+            Ok(Fig12Row {
+                workload: super::table2_workload(record)?,
+                samples: record.metrics.stash_samples.clone(),
+                high_water: record.metrics.stash_high_water,
+                capacity: config.stash_capacity,
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the high-water summary as a text table.
@@ -82,11 +72,12 @@ pub fn table(rows: &[Fig12Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn stash_stays_bounded_for_all_workloads() {
         let cfg = super::super::smoke_config();
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(

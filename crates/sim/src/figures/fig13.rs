@@ -6,7 +6,7 @@
 //! PathORAM — unlike PrORAM, the scheme is not critically dependent on
 //! choosing the best length.
 
-use crate::experiment::{Executor, Experiment, RunSpec, SerialExecutor};
+use crate::experiment::{Executor, Experiment, RunSpec};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{speedup, Table};
@@ -23,22 +23,13 @@ pub struct Fig13Row {
     pub points: Vec<(u32, f64)>,
 }
 
-/// Runs the Fig. 13 sweep serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run(config: &SystemConfig, prefetch_lengths: &[u32]) -> OramResult<Vec<Fig13Row>> {
-    run_with(config, prefetch_lengths, &SerialExecutor)
-}
-
 /// Runs the Fig. 13 sweep on the given executor. Every (workload, length)
 /// point — and each workload's PathORAM baseline — is an independent run.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     prefetch_lengths: &[u32],
     executor: &dyn Executor,
@@ -64,28 +55,22 @@ pub fn run_with(
         }
     }
     let results = experiment.run(executor)?;
-    Ok(super::DEEP_DIVE_WORKLOADS
+    super::DEEP_DIVE_WORKLOADS
         .into_iter()
         .map(|workload| {
-            let baseline_perf = results
-                .by_label(&format!("base/{workload}"))
-                .expect("baseline run was queued")
-                .metrics
+            let baseline_perf = super::labelled(&results, &format!("base/{workload}"))?
                 .accesses_per_cycle()
                 .max(f64::MIN_POSITIVE);
             let points = prefetch_lengths
                 .iter()
                 .map(|&pf| {
-                    let m = &results
-                        .by_label(&format!("{workload}/pf={pf}"))
-                        .expect("every sweep point was queued")
-                        .metrics;
-                    (pf, m.accesses_per_cycle() / baseline_perf)
+                    let m = super::labelled(&results, &format!("{workload}/pf={pf}"))?;
+                    Ok((pf, m.accesses_per_cycle() / baseline_perf))
                 })
-                .collect();
-            Fig13Row { workload, points }
+                .collect::<OramResult<_>>()?;
+            Ok(Fig13Row { workload, points })
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the rows as a text table.
@@ -110,11 +95,12 @@ pub fn table(rows: &[Fig13Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn palermo_stays_ahead_of_pathoram_across_lengths() {
         let cfg = super::super::smoke_config();
-        let rows = run(&cfg, &[1, 4]).unwrap();
+        let rows = run(&cfg, &[1, 4], &SerialExecutor).unwrap();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.points.len(), 2);

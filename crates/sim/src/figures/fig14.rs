@@ -5,7 +5,7 @@
 //! requests, and more PE columns remove structural hazards until the memory
 //! bandwidth saturates (the paper sees ≈2.2× from 3×1 to 3×8).
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::Table;
@@ -50,21 +50,12 @@ pub fn zsa_for(z: u16) -> (u16, u32) {
     }
 }
 
-/// Runs the Fig. 14a Z sweep serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run_z_sweep(config: &SystemConfig, zs: &[u16]) -> OramResult<Vec<ZSweepPoint>> {
-    run_z_sweep_with(config, zs, &SerialExecutor)
-}
-
 /// Runs the Fig. 14a Z sweep on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_z_sweep_with(
+pub fn run_z_sweep(
     config: &SystemConfig,
     zs: &[u16],
     executor: &dyn Executor,
@@ -109,21 +100,12 @@ pub fn run_z_sweep_with(
     Ok(points)
 }
 
-/// Runs the Fig. 14b PE-column sweep serially.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the protocol layer.
-pub fn run_pe_sweep(config: &SystemConfig, columns: &[usize]) -> OramResult<Vec<PeSweepPoint>> {
-    run_pe_sweep_with(config, columns, &SerialExecutor)
-}
-
 /// Runs the Fig. 14b PE-column sweep on the given executor.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors from the protocol layer.
-pub fn run_pe_sweep_with(
+pub fn run_pe_sweep(
     config: &SystemConfig,
     columns: &[usize],
     executor: &dyn Executor,
@@ -196,11 +178,12 @@ pub fn tables(z_points: &[ZSweepPoint], pe_points: &[PeSweepPoint]) -> (Table, T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn more_pe_columns_do_not_hurt() {
         let cfg = super::super::smoke_config();
-        let points = run_pe_sweep(&cfg, &[1, 8]).unwrap();
+        let points = run_pe_sweep(&cfg, &[1, 8], &SerialExecutor).unwrap();
         assert_eq!(points.len(), 2);
         assert!(
             points[1].speedup_vs_one > 1.0,
@@ -212,11 +195,11 @@ mod tests {
     #[test]
     fn z_sweep_produces_points_for_valid_configs() {
         let cfg = super::super::smoke_config();
-        let points = run_z_sweep(&cfg, &[4, 8]).unwrap();
+        let points = run_z_sweep(&cfg, &[4, 8], &SerialExecutor).unwrap();
         assert_eq!(points.len(), 2);
         assert!((points[0].speedup_vs_smallest - 1.0).abs() < 1e-9);
         assert!(points.iter().all(|p| p.throughput > 0.0));
-        let (zt, pt) = tables(&points, &run_pe_sweep(&cfg, &[1]).unwrap());
+        let (zt, pt) = tables(&points, &run_pe_sweep(&cfg, &[1], &SerialExecutor).unwrap());
         assert_eq!(zt.len(), 2);
         assert_eq!(pt.len(), 1);
     }

@@ -15,7 +15,7 @@
 //! sits — a scheme with higher closed-loop throughput saturates at a
 //! proportionally higher offered rate.
 
-use crate::experiment::{Executor, Experiment, ResultSet, SerialExecutor};
+use crate::experiment::{Executor, Experiment, ResultSet};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -57,20 +57,6 @@ fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Runs the sweep serially.
-///
-/// # Errors
-///
-/// Propagates configuration and workload-spec build errors.
-pub fn run(
-    config: &SystemConfig,
-    inner: &WorkloadSpec,
-    rates: &[f64],
-    schemes: &[Scheme],
-) -> OramResult<Vec<LoadCurveRow>> {
-    run_with(config, inner, rates, schemes, &SerialExecutor)
-}
-
 /// Runs the sweep on the given executor, returning one row per
 /// (scheme, rate) in scheme-major order with rates in sweep order.
 ///
@@ -79,7 +65,7 @@ pub fn run(
 /// Propagates configuration and workload-spec build errors, and rejects an
 /// empty rate grid or an `inner` spec that is already open-loop (the sweep
 /// supplies the arrival process).
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     inner: &WorkloadSpec,
     rates: &[f64],
@@ -107,7 +93,7 @@ pub fn run_with(
 }
 
 /// Maps already-executed results into load-curve rows, one per
-/// (scheme, rate) in scheme-major order — use this instead of [`run_with`]
+/// (scheme, rate) in scheme-major order — use this instead of [`run`]
 /// when the grid has been run elsewhere (no simulation is repeated).
 /// (scheme, rate) points missing from the set are skipped.
 pub fn rows(
@@ -194,6 +180,7 @@ pub fn table(inner: &WorkloadSpec, rows: &[LoadCurveRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
     use palermo_workloads::Workload;
 
     /// A low rate the small test system comfortably keeps up with and a
@@ -206,7 +193,7 @@ mod tests {
         let cfg = super::super::smoke_config();
         let inner = WorkloadSpec::Table2(Workload::Random);
         let schemes = [Scheme::RingOram, Scheme::Palermo];
-        let rows = run(&cfg, &inner, &SMOKE_RATES, &schemes).unwrap();
+        let rows = run(&cfg, &inner, &SMOKE_RATES, &schemes, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), schemes.len() * SMOKE_RATES.len());
         for &scheme in &schemes {
             let per: Vec<&LoadCurveRow> = rows.iter().filter(|r| r.scheme == scheme).collect();
@@ -240,10 +227,10 @@ mod tests {
     fn empty_grids_and_open_inners_are_rejected() {
         let cfg = super::super::smoke_config();
         let inner = WorkloadSpec::Table2(Workload::Random);
-        let err = run(&cfg, &inner, &[], &[Scheme::Palermo]).unwrap_err();
+        let err = run(&cfg, &inner, &[], &[Scheme::Palermo], &SerialExecutor).unwrap_err();
         assert!(err.to_string().contains("at least one"), "{err}");
         let open = WorkloadSpec::from_name("open:poisson:0.1:random").unwrap();
-        let err = run(&cfg, &open, &[0.1], &[Scheme::Palermo]).unwrap_err();
+        let err = run(&cfg, &open, &[0.1], &[Scheme::Palermo], &SerialExecutor).unwrap_err();
         assert!(err.to_string().contains("inner"), "{err}");
     }
 }

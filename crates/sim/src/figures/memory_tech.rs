@@ -11,7 +11,7 @@
 //! the integer determinism-contract counters, so rows are byte-identical
 //! across both executors and both steppers.
 
-use crate::experiment::{Executor, Experiment, ResultSet, SerialExecutor};
+use crate::experiment::{Executor, Experiment, ResultSet};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -61,20 +61,6 @@ pub struct MemoryTechTenantRow {
     pub energy_j: f64,
 }
 
-/// Runs the comparison serially.
-///
-/// # Errors
-///
-/// Propagates configuration and workload-spec build errors.
-pub fn run(
-    config: &SystemConfig,
-    spec: &WorkloadSpec,
-    schemes: &[Scheme],
-    profiles: &[HardwareProfile],
-) -> OramResult<ResultSet> {
-    run_with(config, spec, schemes, profiles, &SerialExecutor)
-}
-
 /// Runs the scheme x profile grid on the given executor and returns the
 /// raw result set (derive the tables with [`rows`] and [`tenant_rows`]).
 ///
@@ -83,7 +69,7 @@ pub fn run(
 /// Propagates configuration and workload-spec build errors, rejects an
 /// empty profile list, and rejects a configuration with per-tenant
 /// attribution disabled (the per-tenant energy split needs it).
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     spec: &WorkloadSpec,
     schemes: &[Scheme],
@@ -245,6 +231,7 @@ pub fn tenant_table(spec: &WorkloadSpec, rows: &[MemoryTechTenantRow]) -> Table 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
     use palermo_workloads::{MixSpec, Workload};
 
     fn mix() -> WorkloadSpec {
@@ -261,7 +248,7 @@ mod tests {
         let spec = mix();
         let schemes = [Scheme::RingOram, Scheme::Palermo];
         let profiles = HardwareProfile::builtins();
-        let results = run(&cfg, &spec, &schemes, &profiles).unwrap();
+        let results = run(&cfg, &spec, &schemes, &profiles, &SerialExecutor).unwrap();
         let rows = rows(&results, &schemes, &profiles);
         assert_eq!(rows.len(), schemes.len() * profiles.len());
         for r in &rows {
@@ -296,7 +283,7 @@ mod tests {
     #[test]
     fn empty_profile_list_and_disabled_attribution_are_rejected() {
         let cfg = super::super::smoke_config();
-        let err = run(&cfg, &mix(), &[Scheme::Palermo], &[]).unwrap_err();
+        let err = run(&cfg, &mix(), &[Scheme::Palermo], &[], &SerialExecutor).unwrap_err();
         assert!(err.to_string().contains("profile"), "{err}");
         let mut cfg = super::super::smoke_config();
         cfg.collect_per_tenant = false;
@@ -305,6 +292,7 @@ mod tests {
             &mix(),
             &[Scheme::Palermo],
             &HardwareProfile::builtins(),
+            &SerialExecutor,
         )
         .unwrap_err();
         assert!(err.to_string().contains("collect_per_tenant"), "{err}");

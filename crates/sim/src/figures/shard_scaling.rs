@@ -16,7 +16,7 @@
 
 use crate::runner::CalendarStepper;
 use crate::schemes::Scheme;
-use crate::shard::{SerialShardStepper, ShardStepper, ShardedSystem};
+use crate::shard::{ShardStepper, ShardedSystem};
 use crate::system::SystemConfig;
 use palermo_analysis::report::Table;
 use palermo_oram::error::{OramError, OramResult};
@@ -43,21 +43,6 @@ pub struct ShardScalingRow {
     pub speedup_over_one_shard: f64,
 }
 
-/// Runs the grid serially (serial shard stepping).
-///
-/// # Errors
-///
-/// Propagates configuration and workload-spec build errors; see
-/// [`run_with`] for the grid-shape rejections.
-pub fn run(
-    config: &SystemConfig,
-    inner: &WorkloadSpec,
-    shard_counts: &[u32],
-    schemes: &[Scheme],
-) -> OramResult<Vec<ShardScalingRow>> {
-    run_with(config, inner, shard_counts, schemes, &SerialShardStepper)
-}
-
 /// Runs the grid with an explicit shard-scheduling strategy, returning one
 /// row per (scheme, shard count) in scheme-major order with shard counts
 /// in sweep order.
@@ -67,7 +52,7 @@ pub fn run(
 /// Rejects an empty shard-count grid, a shard count of 0, and an `inner`
 /// spec that is already sharded or open-loop (the sweep builds the
 /// `shard:` wrapper itself); propagates build errors from each point.
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     inner: &WorkloadSpec,
     shard_counts: &[u32],
@@ -146,7 +131,7 @@ pub fn table(inner: &WorkloadSpec, rows: &[ShardScalingRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::PooledShardStepper;
+    use crate::shard::{PooledShardStepper, SerialShardStepper};
     use palermo_workloads::Workload;
 
     #[test]
@@ -155,7 +140,7 @@ mod tests {
         let inner = WorkloadSpec::Table2(Workload::Random);
         let schemes = [Scheme::RingOram, Scheme::Palermo];
         let counts = [1, 2];
-        let rows = run(&cfg, &inner, &counts, &schemes).unwrap();
+        let rows = run(&cfg, &inner, &counts, &schemes, &SerialShardStepper).unwrap();
         assert_eq!(rows.len(), schemes.len() * counts.len());
         for &scheme in &schemes {
             let per: Vec<&ShardScalingRow> = rows.iter().filter(|r| r.scheme == scheme).collect();
@@ -171,9 +156,8 @@ mod tests {
         let inner = WorkloadSpec::Table2(Workload::Mcf);
         let schemes = [Scheme::Palermo];
         let counts = [2];
-        let serial = run(&cfg, &inner, &counts, &schemes).unwrap();
-        let pooled =
-            run_with(&cfg, &inner, &counts, &schemes, &PooledShardStepper::new(2)).unwrap();
+        let serial = run(&cfg, &inner, &counts, &schemes, &SerialShardStepper).unwrap();
+        let pooled = run(&cfg, &inner, &counts, &schemes, &PooledShardStepper::new(2)).unwrap();
         assert_eq!(serial.len(), pooled.len());
         for (s, p) in serial.iter().zip(&pooled) {
             assert_eq!(s.cycles, p.cycles);
@@ -186,13 +170,20 @@ mod tests {
     fn malformed_grids_are_rejected() {
         let cfg = super::super::smoke_config();
         let inner = WorkloadSpec::Table2(Workload::Random);
-        let err = run(&cfg, &inner, &[], &[Scheme::Palermo]).unwrap_err();
+        let err = run(&cfg, &inner, &[], &[Scheme::Palermo], &SerialShardStepper).unwrap_err();
         assert!(err.to_string().contains("at least one"), "{err}");
         let sharded = WorkloadSpec::from_name("shard:2:hash:random").unwrap();
-        let err = run(&cfg, &sharded, &[2], &[Scheme::Palermo]).unwrap_err();
+        let err = run(
+            &cfg,
+            &sharded,
+            &[2],
+            &[Scheme::Palermo],
+            &SerialShardStepper,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("inner"), "{err}");
         let open = WorkloadSpec::from_name("open:poisson:0.1:random").unwrap();
-        let err = run(&cfg, &open, &[2], &[Scheme::Palermo]).unwrap_err();
+        let err = run(&cfg, &open, &[2], &[Scheme::Palermo], &SerialShardStepper).unwrap_err();
         assert!(err.to_string().contains("inner"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! end-to-end serving metrics per scheme, normalised to the first scheme in
 //! the list (the baseline column of the table).
 
-use crate::experiment::{Executor, Experiment, SerialExecutor};
+use crate::experiment::{Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, speedup, Table};
@@ -52,26 +52,13 @@ pub fn service_mix(tenants: usize) -> WorkloadSpec {
     WorkloadSpec::Mix(mix)
 }
 
-/// Runs the comparison serially.
-///
-/// # Errors
-///
-/// Propagates configuration and workload-spec build errors.
-pub fn run(
-    config: &SystemConfig,
-    spec: &WorkloadSpec,
-    schemes: &[Scheme],
-) -> OramResult<Vec<TenantMixRow>> {
-    run_with(config, spec, schemes, &SerialExecutor)
-}
-
 /// Runs the comparison on the given executor. The first scheme in
 /// `schemes` is the normalisation baseline.
 ///
 /// # Errors
 ///
 /// Propagates configuration and workload-spec build errors.
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     spec: &WorkloadSpec,
     schemes: &[Scheme],
@@ -136,12 +123,19 @@ pub fn table(spec: &WorkloadSpec, rows: &[TenantMixRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn palermo_beats_ring_on_the_service_mix() {
         let cfg = super::super::smoke_config();
         let spec = service_mix(4);
-        let rows = run(&cfg, &spec, &[Scheme::RingOram, Scheme::Palermo]).unwrap();
+        let rows = run(
+            &cfg,
+            &spec,
+            &[Scheme::RingOram, Scheme::Palermo],
+            &SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert!((rows[0].speedup_over_baseline - 1.0).abs() < 1e-12);
         assert!(

@@ -9,7 +9,7 @@
 //! are mixes and phased mixes, e.g. [`phased_service_mix`]'s
 //! arrival/departure scenario.
 
-use crate::experiment::{Executor, Experiment, ResultSet, SerialExecutor};
+use crate::experiment::{Executor, Experiment, ResultSet};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -62,19 +62,6 @@ pub fn phased_service_mix(budget: u64) -> WorkloadSpec {
     )
 }
 
-/// Runs the comparison serially.
-///
-/// # Errors
-///
-/// Propagates configuration and workload-spec build errors.
-pub fn run(
-    config: &SystemConfig,
-    spec: &WorkloadSpec,
-    schemes: &[Scheme],
-) -> OramResult<Vec<TenantQosRow>> {
-    run_with(config, spec, schemes, &SerialExecutor)
-}
-
 /// Runs the comparison on the given executor, returning one row per
 /// (scheme, tenant) in scheme-major order.
 ///
@@ -83,7 +70,7 @@ pub fn run(
 /// Propagates configuration and workload-spec build errors, and rejects a
 /// configuration with per-tenant attribution disabled (there would be
 /// nothing to report).
-pub fn run_with(
+pub fn run(
     config: &SystemConfig,
     spec: &WorkloadSpec,
     schemes: &[Scheme],
@@ -102,7 +89,7 @@ pub fn run_with(
 }
 
 /// Maps already-executed results into QoS rows, one per (scheme, tenant)
-/// in scheme-major order — use this instead of [`run_with`] when the grid
+/// in scheme-major order — use this instead of [`run`] when the grid
 /// has been run elsewhere (the rows are derived from the records, so no
 /// simulation is repeated). Schemes missing from the set are skipped.
 pub fn rows(results: &ResultSet, spec: &WorkloadSpec, schemes: &[Scheme]) -> Vec<TenantQosRow> {
@@ -169,13 +156,14 @@ pub fn table(spec: &WorkloadSpec, rows: &[TenantQosRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SerialExecutor;
 
     #[test]
     fn qos_rows_cover_the_scheme_by_tenant_grid() {
         let cfg = super::super::smoke_config();
         let spec = phased_service_mix(4000);
         let schemes = [Scheme::RingOram, Scheme::Palermo];
-        let rows = run(&cfg, &spec, &schemes).unwrap();
+        let rows = run(&cfg, &spec, &schemes, &SerialExecutor).unwrap();
         assert_eq!(rows.len(), schemes.len() * spec.tenant_count());
         for r in &rows {
             assert!(r.p50_latency <= r.p95_latency && r.p95_latency <= r.p99_latency);
@@ -197,7 +185,13 @@ mod tests {
     fn disabled_attribution_is_rejected() {
         let mut cfg = super::super::smoke_config();
         cfg.collect_per_tenant = false;
-        let err = run(&cfg, &phased_service_mix(1000), &[Scheme::Palermo]).unwrap_err();
+        let err = run(
+            &cfg,
+            &phased_service_mix(1000),
+            &[Scheme::Palermo],
+            &SerialExecutor,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("collect_per_tenant"), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 //! the LLC model, an ORAM protocol instance, an ORAM controller model and
 //! the DRAM substrate into a single cycle-driven loop, and provides the
 //! experiment runners that regenerate every table and figure of the paper's
-//! evaluation (see `EXPERIMENTS.md`).
+//! evaluation.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,9 +21,8 @@ pub use experiment::{
     Executor, Experiment, ResultSet, RunRecord, RunSpec, SerialExecutor, ThreadPoolExecutor,
 };
 pub use runner::{
-    run_workload, run_workload_spec, run_workload_spec_stepped, run_workload_stepped,
-    CalendarStepper, EventStepper, ReferenceStepper, RunMetrics, ShardMetrics, Stepper,
-    TenantMetrics,
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper, RunMetrics,
+    ShardMetrics, Stepper, TenantMetrics,
 };
 pub use schemes::Scheme;
 pub use serving::{

@@ -1,6 +1,6 @@
 //! The cycle-exact end-to-end simulation loop.
 //!
-//! One [`run_workload`] call simulates a single (scheme, workload) pair:
+//! One [`run_workload_spec`] call simulates a single (scheme, workload) pair:
 //! the workload's memory accesses are filtered by the LLC, every miss is
 //! converted into an ORAM request by the protocol layer, the controller
 //! issues the request's DRAM traffic subject to the scheme's scheduling
@@ -19,12 +19,14 @@
 //! occupancy, sync-stall attribution), so all metrics are byte-identical to
 //! the per-cycle reference loop; [`ReferenceStepper`] keeps that reference
 //! loop alive as a test double and `tests/stepper_equivalence.rs` proves the
-//! equivalence over the full scheme × workload grid.
+//! [`CalendarStepper`] equivalent to it over the full scheme × workload
+//! grid.
 //!
 //! Anything bigger than one run — grids, sweeps, parallel execution —
 //! belongs to the typed [`crate::experiment`] surface built on top of
 //! this module.
 
+use crate::experiment::{CustomProtocol, Executor, Experiment};
 use crate::schemes::Scheme;
 use crate::serving::ServingEngine;
 use crate::system::SystemConfig;
@@ -546,12 +548,13 @@ impl InFlightTable {
 
 /// Clock-advance strategy for the simulation loop.
 ///
-/// Every iteration of [`run_with_configs`] performs one reference step
-/// (stage/submit, controller tick, DRAM tick, drain completions) and then
-/// hands the stepper a chance to advance the clock past provably-idle
-/// cycles. The two implementations must produce byte-identical
-/// [`RunMetrics`]; `tests/stepper_equivalence.rs` enforces this over the
-/// full scheme × workload grid.
+/// Every iteration of the simulation loop ([`run_workload_spec_stepped`])
+/// performs one reference step (stage/submit, controller tick, DRAM tick,
+/// drain completions) and then hands the stepper a chance to advance the
+/// clock past provably-idle cycles. [`CalendarStepper`] (the default) must
+/// produce [`RunMetrics`] byte-identical to the per-cycle
+/// [`ReferenceStepper`]; `tests/stepper_equivalence.rs` enforces this over
+/// the full scheme × workload grid.
 ///
 /// `Sync` is a supertrait so one `&dyn Stepper` can drive every shard of a
 /// sharded run across `std::thread::scope` threads — steppers are stateless
@@ -580,7 +583,7 @@ pub trait Stepper: Sync {
 }
 
 /// The seed per-cycle stepper: never skips, ticking every 1.6 GHz cycle.
-/// Kept as the oracle the event-driven core is checked against.
+/// Kept as the oracle [`CalendarStepper`] is checked against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceStepper;
 
@@ -595,58 +598,16 @@ impl Stepper for ReferenceStepper {
     }
 }
 
-/// The event-driven stepper: after a quiescent iteration, jumps the clock to
-/// the earliest cycle at which anything can change and bulk-accounts the
-/// skipped cycles exactly as if they had been ticked.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventStepper;
-
-impl Stepper for EventStepper {
-    fn advance_idle(
-        &self,
-        controller: &mut OramController,
-        dram: &mut DramSystem,
-        quiescent: bool,
-        external_next: Option<u64>,
-    ) {
-        if !quiescent || dram.has_pending_completions() {
-            return;
-        }
-        let now = dram.cycle();
-        let internal = match (controller.next_wakeup(now), dram.next_event_cycle()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        };
-        // A pending open-loop arrival bounds the skip even when both clock
-        // models are idle: the arrival will stage work the reference loop
-        // would have staged at exactly that cycle.
-        let next = match (internal, external_next) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            // Nothing pending anywhere: the next iteration will either stage
-            // work or exit; single-stepping is the only correct move.
-            (None, None) => return,
-        };
-        debug_assert!(next >= now, "next event {next} lies before cycle {now}");
-        let skipped = next.saturating_sub(now);
-        if skipped > 0 {
-            controller.skip_cycles(skipped, dram.queued());
-            dram.skip_cycles(skipped);
-        }
-    }
-}
-
-/// The settled-window stepper: like [`EventStepper`], but when the
-/// controller is settled while DRAM traffic is still draining it does not
-/// hand control back after a single jump. It keeps executing DRAM event
-/// ticks *inside* `advance_idle` — replaying the controller's per-cycle
-/// accounting in bulk between them — until something the controller must
-/// react to happens (a completion, a compute-countdown expiry, or an
-/// open-loop arrival). Backed by the DRAM system's calendar queue for the
-/// next-event lookups, hence the name.
+/// The settled-window stepper, and the default: after a quiescent
+/// iteration it skips the clock past provably-idle cycles and bulk-accounts
+/// them exactly as if they had been ticked. When the controller is settled
+/// while DRAM traffic is still draining it does not hand control back after
+/// a single jump: it keeps executing DRAM event ticks *inside*
+/// `advance_idle` — replaying the controller's per-cycle accounting in bulk
+/// between them — until something the controller must react to happens (a
+/// completion, a compute-countdown expiry, or an open-loop arrival). Backed
+/// by the DRAM system's calendar queue for the next-event lookups, hence
+/// the name.
 ///
 /// Correctness rests on the window's freeze argument: with the controller
 /// settled, no pending completions, nothing to stage and the enqueue path
@@ -765,25 +726,10 @@ fn dram_delta(end: &DramStats, start: &DramStats) -> DramStats {
     }
 }
 
-/// Simulates one (scheme, workload) pair under the given configuration.
-///
-/// # Errors
-///
-/// Propagates protocol-configuration errors; runs themselves cannot fail
-/// (the simulation loop always converges because every request eventually
-/// drains through the DRAM model).
-pub fn run_workload(
-    scheme: Scheme,
-    workload: Workload,
-    config: &SystemConfig,
-) -> OramResult<RunMetrics> {
-    run_workload_stepped(scheme, workload, config, &CalendarStepper)
-}
-
 /// Simulates one (scheme, workload spec) pair under the given
-/// configuration. This is the open-surface generalisation of
-/// [`run_workload`]: the spec may be a Table II workload (identical to the
-/// fast path), a trace-file replay, or a multi-tenant mix.
+/// configuration with the default [`CalendarStepper`]. The spec may be a
+/// Table II workload, a trace-file replay, a multi-tenant mix, an
+/// open-loop serving spec or a sharded spec.
 ///
 /// # Errors
 ///
@@ -797,78 +743,10 @@ pub fn run_workload_spec(
     run_workload_spec_stepped(scheme, spec, config, &CalendarStepper)
 }
 
-/// Simulates a run with explicitly supplied protocol and controller
-/// configurations. This is the entry point used by experiments that need a
-/// variant outside the standard [`Scheme`] set (e.g. PrORAM without the fat
-/// tree for Fig. 4, or parameter sweeps for Fig. 14); `scheme` is only used
-/// as a label on the returned metrics.
-///
-/// # Errors
-///
-/// Propagates protocol-configuration errors.
-pub fn run_with_configs(
-    scheme: Scheme,
-    hierarchy_cfg: palermo_oram::hierarchy::HierarchyConfig,
-    controller_cfg: palermo_controller::ControllerConfig,
-    workload: Workload,
-    config: &SystemConfig,
-    prefetch_length: u32,
-) -> OramResult<RunMetrics> {
-    run_with_configs_spec_stepped(
-        scheme,
-        hierarchy_cfg,
-        controller_cfg,
-        &WorkloadSpec::Table2(workload),
-        config,
-        prefetch_length,
-        &CalendarStepper,
-    )
-}
-
-/// [`run_with_configs`] over an arbitrary [`WorkloadSpec`].
-///
-/// # Errors
-///
-/// Propagates protocol-configuration and workload-spec build errors.
-pub fn run_with_configs_spec(
-    scheme: Scheme,
-    hierarchy_cfg: palermo_oram::hierarchy::HierarchyConfig,
-    controller_cfg: palermo_controller::ControllerConfig,
-    spec: &WorkloadSpec,
-    config: &SystemConfig,
-    prefetch_length: u32,
-) -> OramResult<RunMetrics> {
-    run_with_configs_spec_stepped(
-        scheme,
-        hierarchy_cfg,
-        controller_cfg,
-        spec,
-        config,
-        prefetch_length,
-        &CalendarStepper,
-    )
-}
-
-/// Simulates one (scheme, workload) pair under an explicit clock-advance
-/// strategy. [`run_workload`] uses the [`CalendarStepper`]; passing
+/// [`run_workload_spec`] with an explicit clock-advance strategy; passing
 /// [`ReferenceStepper`] reproduces the seed per-cycle loop for equivalence
-/// checking.
-///
-/// # Errors
-///
-/// Propagates protocol-configuration errors.
-pub fn run_workload_stepped(
-    scheme: Scheme,
-    workload: Workload,
-    config: &SystemConfig,
-    stepper: &dyn Stepper,
-) -> OramResult<RunMetrics> {
-    run_workload_spec_stepped(scheme, &WorkloadSpec::Table2(workload), config, stepper)
-}
-
-/// [`run_workload_spec`] with an explicit clock-advance strategy. Prefetch-
-/// capable schemes resolve their prefetch length from the spec
-/// ([`WorkloadSpec::default_prefetch_length`]) unless
+/// checking. Prefetch-capable schemes resolve their prefetch length from
+/// the spec ([`WorkloadSpec::default_prefetch_length`]) unless
 /// [`SystemConfig::prefetch_override`] is set.
 ///
 /// # Errors
@@ -902,63 +780,35 @@ pub fn run_workload_spec_stepped(
     } else {
         1
     };
-    let hierarchy_cfg =
-        scheme.hierarchy_config(params, config.seed, prefetch_length, config.stash_capacity)?;
-    let controller_cfg = scheme.controller_config(config.pe_columns);
-    run_with_configs_spec_stepped(
-        scheme,
-        hierarchy_cfg,
-        controller_cfg,
-        spec,
-        config,
+    let protocol = CustomProtocol {
+        hierarchy: scheme.hierarchy_config(
+            params,
+            config.seed,
+            prefetch_length,
+            config.stash_capacity,
+        )?,
+        controller: scheme.controller_config(config.pe_columns),
         prefetch_length,
-        stepper,
-    )
+    };
+    run_protocol(scheme, protocol, spec, config, stepper)
 }
 
-/// [`run_with_configs`] with an explicit clock-advance strategy.
-///
-/// # Errors
-///
-/// Propagates protocol-configuration errors.
-pub fn run_with_configs_stepped(
-    scheme: Scheme,
-    hierarchy_cfg: palermo_oram::hierarchy::HierarchyConfig,
-    controller_cfg: palermo_controller::ControllerConfig,
-    workload: Workload,
-    config: &SystemConfig,
-    prefetch_length: u32,
-    stepper: &dyn Stepper,
-) -> OramResult<RunMetrics> {
-    run_with_configs_spec_stepped(
-        scheme,
-        hierarchy_cfg,
-        controller_cfg,
-        &WorkloadSpec::Table2(workload),
-        config,
-        prefetch_length,
-        stepper,
-    )
-}
-
-/// The fully general single-system simulation entry point: explicit
-/// protocol/controller configurations, an arbitrary [`WorkloadSpec`], and
-/// an explicit clock-advance strategy. Everything else in this module
-/// lowers to this function (sharded specs instead lower to one core-loop
-/// call per shard via `crate::shard`).
+/// Simulates one unsharded spec under an explicit protocol/controller
+/// configuration — the lowering shared by the standard scheme wiring above
+/// and by [`RunSpec::execute`](crate::experiment::RunSpec::execute) for
+/// custom protocols outside the [`Scheme`] set (e.g. PrORAM without the fat
+/// tree for Fig. 4). `scheme` only labels the returned metrics.
 ///
 /// # Errors
 ///
 /// Propagates protocol-configuration and workload-spec build errors.
-/// Rejects sharded specs: explicit protocol configurations describe one
+/// Rejects sharded specs: an explicit protocol configuration describes one
 /// system, and a sharded run derives one configuration per shard.
-pub fn run_with_configs_spec_stepped(
+pub(crate) fn run_protocol(
     scheme: Scheme,
-    hierarchy_cfg: palermo_oram::hierarchy::HierarchyConfig,
-    controller_cfg: palermo_controller::ControllerConfig,
+    protocol: CustomProtocol,
     spec: &WorkloadSpec,
     config: &SystemConfig,
-    prefetch_length: u32,
     stepper: &dyn Stepper,
 ) -> OramResult<RunMetrics> {
     if spec.sharded().is_some() {
@@ -972,13 +822,13 @@ configuration; use run_workload_spec, which derives a configuration per shard"
     let mut stream = spec.build(config.stream_footprint_hint(), config.stream_seed())?;
     run_core(
         scheme,
-        hierarchy_cfg,
-        controller_cfg,
+        protocol.hierarchy,
+        protocol.controller,
         spec,
         spec.open_loop(),
         stream.as_mut(),
         config,
-        prefetch_length,
+        protocol.prefetch_length,
         stepper,
     )
 }
@@ -1111,7 +961,6 @@ or raise protected_bytes)",
 
     let sample_every = (config.measured_requests / 100).max(1);
 
-    // TEMP instrumentation (removed before commit).
     while finished_real < total_requests {
         // Deliver every open-loop arrival up to the current cycle into the
         // admission queue (a no-op for closed-loop runs).
@@ -1344,28 +1193,18 @@ or raise protected_bytes)",
     Ok(metrics)
 }
 
-/// Runs every workload of Table II under one scheme, returning the metrics
-/// in [`Workload::ALL`] order.
-///
-/// # Errors
-///
-/// Propagates the first configuration error encountered.
-pub fn run_all_workloads(scheme: Scheme, config: &SystemConfig) -> OramResult<Vec<RunMetrics>> {
-    run_all_workloads_with(scheme, config, &crate::experiment::SerialExecutor)
-}
-
 /// Runs every workload of Table II under one scheme on the given executor,
 /// returning the metrics in [`Workload::ALL`] order.
 ///
 /// # Errors
 ///
 /// Propagates the first (in grid order) error encountered.
-pub fn run_all_workloads_with(
+pub fn run_all_workloads(
     scheme: Scheme,
     config: &SystemConfig,
-    executor: &dyn crate::experiment::Executor,
+    executor: &dyn Executor,
 ) -> OramResult<Vec<RunMetrics>> {
-    let results = crate::experiment::Experiment::new(config.clone())
+    let results = Experiment::new(config.clone())
         .schemes([scheme])
         .workloads(Workload::ALL)
         .run(executor)?;
@@ -1387,9 +1226,13 @@ mod tests {
         cfg
     }
 
+    fn run(scheme: Scheme, workload: Workload, cfg: &SystemConfig) -> OramResult<RunMetrics> {
+        run_workload_spec(scheme, &workload.into(), cfg)
+    }
+
     #[test]
     fn palermo_run_produces_consistent_metrics() {
-        let m = run_workload(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
+        let m = run(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
         assert_eq!(m.oram_requests, 40);
         assert_eq!(m.latencies.len(), 40);
         assert!(m.cycles > 0);
@@ -1404,8 +1247,8 @@ mod tests {
     #[test]
     fn palermo_beats_ring_on_random_traffic() {
         let cfg = tiny();
-        let ring = run_workload(Scheme::RingOram, Workload::Random, &cfg).unwrap();
-        let palermo = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+        let ring = run(Scheme::RingOram, Workload::Random, &cfg).unwrap();
+        let palermo = run(Scheme::Palermo, Workload::Random, &cfg).unwrap();
         assert!(
             palermo.requests_per_cycle() > ring.requests_per_cycle(),
             "palermo {} vs ring {}",
@@ -1422,7 +1265,7 @@ mod tests {
 
     #[test]
     fn ring_baseline_is_sync_dominated() {
-        let m = run_workload(Scheme::RingOram, Workload::Mcf, &tiny()).unwrap();
+        let m = run(Scheme::RingOram, Workload::Mcf, &tiny()).unwrap();
         assert!(
             m.sync_stall_cycles as f64 > 0.3 * m.cycles as f64,
             "sync stalls {} of {} cycles",
@@ -1435,7 +1278,7 @@ mod tests {
     fn prefetch_scheme_hits_in_llc_on_streaming() {
         let mut cfg = tiny();
         cfg.prefetch_override = Some(8);
-        let m = run_workload(Scheme::PalermoPrefetch, Workload::Streaming, &cfg).unwrap();
+        let m = run(Scheme::PalermoPrefetch, Workload::Streaming, &cfg).unwrap();
         assert_eq!(m.prefetch_length, 8);
         assert!(m.llc_hit_rate > 0.5, "llc hit rate {}", m.llc_hit_rate);
     }
@@ -1444,7 +1287,7 @@ mod tests {
     fn dummy_requests_counted_for_proram() {
         let mut cfg = tiny();
         cfg.prefetch_override = Some(8);
-        let m = run_workload(Scheme::PrOram, Workload::Streaming, &cfg).unwrap();
+        let m = run(Scheme::PrOram, Workload::Streaming, &cfg).unwrap();
         // PrORAM on a perfectly sequential trace with forced leaf grouping
         // must eventually trigger background evictions.
         assert!(m.dummy_fraction() >= 0.0); // counted (may be 0 for tiny runs)
@@ -1461,7 +1304,7 @@ mod tests {
         cfg.prefetch_override = Some(8);
         cfg.measured_requests = 2300; // more requests than the LLC can miss
         cfg.warmup_requests = 0;
-        let err = run_workload(Scheme::PalermoPrefetch, Workload::Streaming, &cfg).unwrap_err();
+        let err = run(Scheme::PalermoPrefetch, Workload::Streaming, &cfg).unwrap_err();
         assert!(
             matches!(err, OramError::WorkloadStalled { accesses_scanned } if accesses_scanned > 1_000_000),
             "unexpected error: {err}"
@@ -1500,7 +1343,7 @@ mod tests {
         let mut cfg = SystemConfig::small_for_tests();
         cfg.measured_requests = 30;
         cfg.warmup_requests = 0;
-        let m = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+        let m = run(Scheme::Palermo, Workload::Random, &cfg).unwrap();
         assert_eq!(m.oram_requests, cfg.measured_requests);
         assert_eq!(m.latencies.len(), cfg.measured_requests as usize);
         assert!(m.workload_accesses >= m.oram_requests);
@@ -1510,7 +1353,7 @@ mod tests {
 
     #[test]
     fn single_tenant_run_attributes_everything_to_tenant_zero() {
-        let m = run_workload(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
+        let m = run(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
         assert_eq!(m.per_tenant.len(), 1);
         assert!(m.tenant_conservation_ok());
         let t = &m.per_tenant[0];
@@ -1530,9 +1373,9 @@ mod tests {
     #[test]
     fn disabling_attribution_changes_no_aggregate_metric() {
         let mut cfg = tiny();
-        let tagged = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+        let tagged = run(Scheme::Palermo, Workload::Random, &cfg).unwrap();
         cfg.collect_per_tenant = false;
-        let untagged = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+        let untagged = run(Scheme::Palermo, Workload::Random, &cfg).unwrap();
         assert!(untagged.per_tenant.is_empty());
         assert!(untagged.tenant_conservation_ok());
         // Everything except the per-tenant vector is byte-identical.
@@ -1560,24 +1403,8 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_run_is_identical_across_steppers() {
-        let cfg = tiny();
-        for name in [
-            "open:poisson:0.05:random",
-            "open:bursty:0.2:20000:60000:mcf",
-        ] {
-            let spec = WorkloadSpec::from_name(name).unwrap();
-            let event =
-                run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &EventStepper).unwrap();
-            let reference =
-                run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &ReferenceStepper).unwrap();
-            assert_eq!(event, reference, "steppers diverged on {name}");
-        }
-    }
-
-    #[test]
     fn closed_loop_run_carries_no_arrival_state() {
-        let m = run_workload(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
+        let m = run(Scheme::Palermo, Workload::Random, &tiny()).unwrap();
         assert_eq!(m.arrivals, 0);
         assert_eq!(m.dropped_arrivals, 0);
         assert!(m.queue_waits.is_empty());

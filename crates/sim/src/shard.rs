@@ -529,7 +529,7 @@ impl ShardStepper for PooledShardStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::EventStepper;
+    use crate::runner::CalendarStepper;
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::small_for_tests();
@@ -592,7 +592,7 @@ mod tests {
         let spec = WorkloadSpec::from_name("random").unwrap();
         let shape = SingleSystem::new(Scheme::RingOram, spec.clone(), tiny());
         assert_eq!(shape.shard_count(), 1);
-        let via_shape = shape.run(&EventStepper).unwrap();
+        let via_shape = shape.run(&CalendarStepper).unwrap();
         let direct = crate::runner::run_workload_spec(Scheme::RingOram, &spec, &tiny()).unwrap();
         assert_eq!(via_shape, direct);
     }
@@ -601,9 +601,9 @@ mod tests {
     fn pooled_stepping_is_byte_identical_to_serial() {
         let spec = sharded("shard:2:range:mcf");
         let system = ShardedSystem::new(Scheme::Palermo, &spec, &tiny()).unwrap();
-        let serial = ShardStepper::run(&SerialShardStepper, &system, &EventStepper).unwrap();
+        let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
         let pooled =
-            ShardStepper::run(&PooledShardStepper::new(4), &system, &EventStepper).unwrap();
+            ShardStepper::run(&PooledShardStepper::new(4), &system, &CalendarStepper).unwrap();
         assert_eq!(serial, pooled);
     }
 

@@ -3,7 +3,7 @@
 //! reference stepper, regardless of scheme, workload, warm-up window or
 //! PE-mesh width.
 
-use palermo_sim::runner::{run_workload_stepped, EventStepper, ReferenceStepper};
+use palermo_sim::runner::{run_workload_spec_stepped, CalendarStepper, ReferenceStepper};
 use palermo_sim::schemes::Scheme;
 use palermo_sim::system::SystemConfig;
 use palermo_workloads::Workload;
@@ -31,9 +31,9 @@ proptest! {
         let scheme = Scheme::ALL[scheme_idx];
         let workload = Workload::ALL[workload_idx];
 
-        let reference = run_workload_stepped(scheme, workload, &cfg, &ReferenceStepper);
-        let event = run_workload_stepped(scheme, workload, &cfg, &EventStepper);
-        match (reference, event) {
+        let reference = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &ReferenceStepper);
+        let calendar = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &CalendarStepper);
+        match (reference, calendar) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             // Both steppers must agree even on failure (e.g. an all-hits
             // workload stalling), which is config- not clock-driven.

@@ -3,7 +3,9 @@
 //! determinism must hold for arbitrary rates, capacities, policies and
 //! seeds — not just the hand-picked unit-test points.
 
-use palermo_sim::runner::{run_workload_spec_stepped, EventStepper, ReferenceStepper};
+use palermo_sim::runner::{
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
+};
 use palermo_sim::schemes::Scheme;
 use palermo_sim::serving::{AdmissionPolicyKind, ServingEngine};
 use palermo_sim::system::SystemConfig;
@@ -90,8 +92,7 @@ proptest! {
     ) {
         let cfg = small(measured, seed, policy_idx, capacity);
         let spec = open_spec(rate_milli as f64 / 1000.0);
-        let metrics =
-            run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &EventStepper).unwrap();
+        let metrics = run_workload_spec(Scheme::Palermo, &spec, &cfg).unwrap();
         prop_assert!(metrics.arrival_conservation_ok());
         prop_assert_eq!(metrics.queue_waits.len(), metrics.latencies.len());
         let e2e = metrics.end_to_end_latencies();
@@ -117,9 +118,9 @@ proptest! {
         let cfg = small(measured, seed, policy_idx, 16);
         let spec = open_spec(rate_milli as f64 / 1000.0);
         let first =
-            run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &EventStepper).unwrap();
+            run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &CalendarStepper).unwrap();
         let second =
-            run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &EventStepper).unwrap();
+            run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &CalendarStepper).unwrap();
         prop_assert_eq!(&first, &second);
         let reference =
             run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &ReferenceStepper).unwrap();

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "simulating RingORAM on 5 workloads, {} measured requests each ...",
         cfg.measured_requests
     );
-    let rows = fig03::run_with(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
+    let rows = fig03::run(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
     println!("{}", fig03::table(&rows).to_text());
     let avg_sync: f64 = rows.iter().map(|r| r.sync_fraction).sum::<f64>() / rows.len() as f64;
     let avg_util: f64 =

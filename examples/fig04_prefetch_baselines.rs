@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.warmup_requests = n / 4;
     }
     eprintln!("sweeping prefetch lengths on `stm` for PrORAM and PrORAM w/ Fat Tree ...");
-    let rows = fig04::run_with(
+    let rows = fig04::run(
         &cfg,
         &[1, 2, 4, 8, 16],
         &ThreadPoolExecutor::with_available_parallelism(),

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.warmup_requests = n / 4;
     }
     eprintln!("collecting Palermo response latencies on mcf / pr / llm / redis ...");
-    let rows = fig09::run_with(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
+    let rows = fig09::run(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
     println!("{}", fig09::table(&rows).to_text());
     println!("Expected shape (paper): row-hit and bank-conflict rates are nearly identical");
     println!("across workloads and mutual information is within noise of zero — the");

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.measured_requests,
         pool.threads()
     );
-    let fig = fig10::run_with(&cfg, &Workload::ALL, &Scheme::ALL, &pool)?;
+    let fig = fig10::run(&cfg, &Workload::ALL, &Scheme::ALL, &pool)?;
     println!("{}", fig10::table(&fig).to_text());
     println!(
         "geo-mean speedups:  RingORAM {:.2}x | PrORAM {:.2}x | Palermo-SW {:.2}x | Palermo {:.2}x | Palermo+Prefetch {:.2}x",

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.warmup_requests = n / 4;
     }
     eprintln!("comparing RingORAM and Palermo memory-level parallelism ...");
-    let rows = fig11::run_with(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
+    let rows = fig11::run(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
     println!("{}", fig11::table(&rows).to_text());
     let avg_util: f64 = rows.iter().map(|r| r.utilization_gain()).sum::<f64>() / rows.len() as f64;
     let avg_out: f64 = rows.iter().map(|r| r.outstanding_gain()).sum::<f64>() / rows.len() as f64;

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.warmup_requests = n / 4;
     }
     eprintln!("sampling Palermo stash occupancy on mcf / pr / llm / redis ...");
-    let rows = fig12::run_with(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
+    let rows = fig12::run(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
     println!("{}", fig12::table(&rows).to_text());
     for row in &rows {
         let series: Vec<String> = row

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.warmup_requests = n / 4;
     }
     eprintln!("sweeping Palermo prefetch lengths on mcf / pr / llm / redis ...");
-    let rows = fig13::run_with(
+    let rows = fig13::run(
         &cfg,
         &[1, 2, 4, 8],
         &ThreadPoolExecutor::with_available_parallelism(),

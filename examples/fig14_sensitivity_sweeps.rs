@@ -19,9 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let pool = ThreadPoolExecutor::with_available_parallelism();
     eprintln!("sweeping Z on the `rand` workload ...");
-    let z_points = fig14::run_z_sweep_with(&cfg, &[4, 8, 16, 32], &pool)?;
+    let z_points = fig14::run_z_sweep(&cfg, &[4, 8, 16, 32], &pool)?;
     eprintln!("sweeping PE columns on the `rand` workload ...");
-    let pe_points = fig14::run_pe_sweep_with(&cfg, &[1, 2, 4, 8, 16, 32], &pool)?;
+    let pe_points = fig14::run_pe_sweep(&cfg, &[1, 2, 4, 8, 16, 32], &pool)?;
     let (zt, pt) = fig14::tables(&z_points, &pe_points);
     println!("{}", zt.to_text());
     println!("{}", pt.to_text());

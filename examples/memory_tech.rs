@@ -18,7 +18,7 @@
 //! ```
 
 use palermo::dram::HardwareProfile;
-use palermo::sim::experiment::{ResultSet, ThreadPoolExecutor};
+use palermo::sim::experiment::{ResultSet, SerialExecutor, ThreadPoolExecutor};
 use palermo::sim::figures::memory_tech;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let pool = ThreadPoolExecutor::with_available_parallelism();
     let started = Instant::now();
-    let results = memory_tech::run_with(&cfg, &spec, &SCHEMES, &profiles, &pool)?;
+    let results = memory_tech::run(&cfg, &spec, &SCHEMES, &profiles, &pool)?;
     eprintln!(
         "{}x{} (scheme x profile) grid finished in {:.2?} on {} worker thread(s)",
         SCHEMES.len(),
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The executors are byte-identical by construction; verify on demand.
     if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
-        let serial = memory_tech::run(&cfg, &spec, &SCHEMES, &profiles)?;
+        let serial = memory_tech::run(&cfg, &spec, &SCHEMES, &profiles, &SerialExecutor)?;
         assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
         assert_eq!(
             serial.to_tenant_csv(),

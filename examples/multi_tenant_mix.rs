@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The 8-tenant mix, rendered through the tenant_mix figure runner.
-    let rows = tenant_mix::run_with(&cfg, &mix, &SCHEMES, &pool)?;
+    let rows = tenant_mix::run(&cfg, &mix, &SCHEMES, &pool)?;
     println!("{}", tenant_mix::table(&mix, &rows).to_text());
 
     // Per-spec serving summary straight from the grid records.

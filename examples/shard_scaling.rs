@@ -21,7 +21,7 @@
 use palermo::sim::experiment::ResultSet;
 use palermo::sim::experiment::RunRecord;
 use palermo::sim::figures::shard_scaling;
-use palermo::sim::runner::EventStepper;
+use palermo::sim::runner::CalendarStepper;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::shard::{PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem};
 use palermo::sim::system::SystemConfig;
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let started = Instant::now();
-    let rows = shard_scaling::run_with(&cfg, &inner, &SHARD_COUNTS, &SCHEMES, &pool)?;
+    let rows = shard_scaling::run(&cfg, &inner, &SHARD_COUNTS, &SCHEMES, &pool)?;
     eprintln!(
         "{}x{} (scheme x K) grid finished in {:.2?}",
         SCHEMES.len(),
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // point explicitly to get at the full metrics.
     let spec = WorkloadSpec::Sharded(ShardSpec::new(4, ShardRouterKind::Hash, inner.clone()));
     let system = ShardedSystem::new(Scheme::Palermo, &spec, &cfg)?;
-    let metrics = ShardStepper::run(&pool, &system, &EventStepper)?;
+    let metrics = ShardStepper::run(&pool, &system, &CalendarStepper)?;
     assert!(
         metrics.shard_conservation_ok(),
         "shard conservation violated"
@@ -84,9 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Shard scheduling is a pure wall-clock choice; verify on demand.
     if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
-        let serial = ShardStepper::run(&SerialShardStepper, &system, &EventStepper)?;
+        let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper)?;
         assert_eq!(serial, metrics, "shard steppers diverged");
-        let serial_rows = shard_scaling::run(&cfg, &inner, &SHARD_COUNTS, &SCHEMES)?;
+        let serial_rows =
+            shard_scaling::run(&cfg, &inner, &SHARD_COUNTS, &SCHEMES, &SerialShardStepper)?;
         for (s, p) in serial_rows.iter().zip(&rows) {
             assert_eq!(s.cycles, p.cycles, "serial/pooled cycles diverged");
             assert_eq!(s.oram_requests, p.oram_requests);

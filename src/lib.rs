@@ -18,23 +18,26 @@
 //!
 //! ## Quickstart
 //!
-//! A single run goes through [`sim::runner::run_workload`]:
+//! A single run goes through [`sim::runner::run_workload_spec`], which
+//! takes any workload spec — a Table II workload converts with `.into()`:
 //!
 //! ```
 //! use palermo::sim::schemes::Scheme;
 //! use palermo::sim::system::SystemConfig;
-//! use palermo::sim::runner::run_workload;
+//! use palermo::sim::runner::run_workload_spec;
 //! use palermo::workloads::workload::Workload;
 //!
 //! // A deliberately tiny run: the defaults used by the figures are larger.
 //! let cfg = SystemConfig::small_for_tests();
-//! let metrics = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+//! let metrics = run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).unwrap();
 //! assert!(metrics.oram_requests > 0);
 //! ```
 //!
 //! Grids and sweeps — everything the paper's figures are made of — go
 //! through the typed [`sim::experiment`] surface, which can fan the
-//! independent runs across cores deterministically:
+//! independent runs across cores deterministically. Every figure runner
+//! has one `run` entry point taking the executor (pass
+//! [`sim::experiment::SerialExecutor`] for in-order execution):
 //!
 //! ```
 //! use palermo::sim::experiment::{Experiment, ThreadPoolExecutor};

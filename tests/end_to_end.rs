@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the full workload → LLC → protocol →
 //! controller → DRAM pipeline, exercised through the facade crate.
 
-use palermo::sim::runner::{run_all_workloads, run_workload};
+use palermo::sim::experiment::SerialExecutor;
+use palermo::sim::runner::{run_all_workloads, run_workload_spec};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::Workload;
@@ -17,7 +18,7 @@ fn tiny() -> SystemConfig {
 fn every_scheme_completes_on_a_representative_workload() {
     let cfg = tiny();
     for scheme in Scheme::ALL {
-        let m = run_workload(scheme, Workload::Mcf, &cfg).unwrap();
+        let m = run_workload_spec(scheme, &Workload::Mcf.into(), &cfg).unwrap();
         assert_eq!(m.oram_requests, cfg.measured_requests, "{scheme}");
         assert_eq!(m.latencies.len() as u64, cfg.measured_requests, "{scheme}");
         assert!(m.cycles > 0, "{scheme}");
@@ -34,9 +35,9 @@ fn co_design_speedup_ordering_holds_end_to_end() {
     // The paper's core result at small scale: Palermo > Palermo-SW >= the
     // serial RingORAM baseline, and Palermo improves bandwidth utilisation.
     let cfg = tiny();
-    let ring = run_workload(Scheme::RingOram, Workload::Random, &cfg).unwrap();
-    let sw = run_workload(Scheme::PalermoSw, Workload::Random, &cfg).unwrap();
-    let palermo = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+    let ring = run_workload_spec(Scheme::RingOram, &Workload::Random.into(), &cfg).unwrap();
+    let sw = run_workload_spec(Scheme::PalermoSw, &Workload::Random.into(), &cfg).unwrap();
+    let palermo = run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).unwrap();
 
     let perf = |m: &palermo::sim::runner::RunMetrics| m.requests_per_cycle();
     assert!(
@@ -63,7 +64,7 @@ fn stash_bound_holds_for_palermo_across_workloads() {
     cfg.measured_requests = 30;
     cfg.warmup_requests = 8;
     for workload in [Workload::Streaming, Workload::Llm, Workload::Random] {
-        let m = run_workload(Scheme::Palermo, workload, &cfg).unwrap();
+        let m = run_workload_spec(Scheme::Palermo, &workload.into(), &cfg).unwrap();
         assert!(
             m.stash_high_water <= cfg.stash_capacity,
             "{workload}: stash {} exceeded capacity {}",
@@ -79,7 +80,7 @@ fn all_workloads_run_under_palermo() {
     let mut cfg = tiny();
     cfg.measured_requests = 20;
     cfg.warmup_requests = 5;
-    let all = run_all_workloads(Scheme::Palermo, &cfg).unwrap();
+    let all = run_all_workloads(Scheme::Palermo, &cfg, &SerialExecutor).unwrap();
     assert_eq!(all.len(), Workload::ALL.len());
     for m in &all {
         assert_eq!(m.oram_requests, cfg.measured_requests, "{}", m.workload);
@@ -95,7 +96,7 @@ fn oram_traffic_is_homogenised_across_workloads() {
     let utils: Vec<f64> = [Workload::Streaming, Workload::Random, Workload::Llm]
         .iter()
         .map(|&w| {
-            run_workload(Scheme::Palermo, w, &cfg)
+            run_workload_spec(Scheme::Palermo, &w.into(), &cfg)
                 .unwrap()
                 .dram
                 .bandwidth_utilization()
@@ -114,8 +115,8 @@ fn prefetch_improves_high_locality_workloads_more_than_random() {
     let mut cfg = tiny();
     cfg.prefetch_override = Some(8);
     let gain = |w: Workload| {
-        let plain = run_workload(Scheme::Palermo, w, &cfg).unwrap();
-        let pf = run_workload(Scheme::PalermoPrefetch, w, &cfg).unwrap();
+        let plain = run_workload_spec(Scheme::Palermo, &w.into(), &cfg).unwrap();
+        let pf = run_workload_spec(Scheme::PalermoPrefetch, &w.into(), &cfg).unwrap();
         pf.requests_per_cycle() / plain.requests_per_cycle()
     };
     let stream_gain = gain(Workload::Streaming);

@@ -76,8 +76,8 @@ fn figure_runners_are_executor_agnostic() {
     let cfg = tiny();
     let workloads = [Workload::Random];
     let schemes = [Scheme::PathOram, Scheme::RingOram, Scheme::Palermo];
-    let serial = fig10::run(&cfg, &workloads, &schemes).unwrap();
-    let pooled = fig10::run_with(&cfg, &workloads, &schemes, &ThreadPoolExecutor::new(3)).unwrap();
+    let serial = fig10::run(&cfg, &workloads, &schemes, &SerialExecutor).unwrap();
+    let pooled = fig10::run(&cfg, &workloads, &schemes, &ThreadPoolExecutor::new(3)).unwrap();
     assert_eq!(serial.speedup, pooled.speedup);
     assert_eq!(
         fig10::table(&serial).to_csv(),

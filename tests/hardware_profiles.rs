@@ -4,14 +4,14 @@
 //! coefficients underneath the whole simulator; these tests prove the swap
 //! never perturbs the determinism contract: for every checked-in profile
 //! and both schemes under test, [`RunMetrics`] are byte-identical across
-//! both executors (serial vs. thread pool) and both steppers (event-driven
+//! both executors (serial vs. thread pool) and both steppers (calendar core
 //! vs. per-cycle reference), and the DDR4-3200 profile reproduces the
 //! hardcoded default configuration exactly.
 
 use palermo::dram::{DramConfig, HardwareProfile};
 use palermo::sim::experiment::{Experiment, SerialExecutor, ThreadPoolExecutor};
 use palermo::sim::runner::{
-    run_workload_spec_stepped, run_workload_stepped, EventStepper, ReferenceStepper,
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -46,7 +46,7 @@ fn two_tenant_mix() -> WorkloadSpec {
     )
 }
 
-/// Per profile and scheme, the event-driven core and the per-cycle
+/// Per profile and scheme, the calendar core and the per-cycle
 /// reference stepper produce byte-identical metrics — the time-skip proof
 /// holds for every memory technology, not just the Table III default.
 #[test]
@@ -54,12 +54,18 @@ fn every_profile_is_cycle_exact_across_steppers() {
     for profile in checked_in_profiles() {
         let cfg = SystemConfig::small_for_tests().with_hardware(&profile);
         for scheme in SCHEMES {
-            let reference = run_workload_stepped(scheme, Workload::Random, &cfg, &ReferenceStepper)
-                .unwrap_or_else(|e| panic!("{}/{scheme} reference: {e}", profile.name));
-            let event = run_workload_stepped(scheme, Workload::Random, &cfg, &EventStepper)
-                .unwrap_or_else(|e| panic!("{}/{scheme} event: {e}", profile.name));
+            let reference = run_workload_spec_stepped(
+                scheme,
+                &Workload::Random.into(),
+                &cfg,
+                &ReferenceStepper,
+            )
+            .unwrap_or_else(|e| panic!("{}/{scheme} reference: {e}", profile.name));
+            let calendar =
+                run_workload_spec_stepped(scheme, &Workload::Random.into(), &cfg, &CalendarStepper)
+                    .unwrap_or_else(|e| panic!("{}/{scheme} calendar: {e}", profile.name));
             assert_eq!(
-                reference, event,
+                reference, calendar,
                 "{}/{scheme}: RunMetrics diverged between steppers",
                 profile.name
             );
@@ -79,10 +85,10 @@ fn every_profile_is_cycle_exact_for_tenant_attribution() {
         for scheme in SCHEMES {
             let reference = run_workload_spec_stepped(scheme, &spec, &cfg, &ReferenceStepper)
                 .unwrap_or_else(|e| panic!("{}/{scheme} reference: {e}", profile.name));
-            let event = run_workload_spec_stepped(scheme, &spec, &cfg, &EventStepper)
-                .unwrap_or_else(|e| panic!("{}/{scheme} event: {e}", profile.name));
+            let calendar = run_workload_spec_stepped(scheme, &spec, &cfg, &CalendarStepper)
+                .unwrap_or_else(|e| panic!("{}/{scheme} calendar: {e}", profile.name));
             assert_eq!(
-                reference, event,
+                reference, calendar,
                 "{}/{scheme}: per-tenant metrics diverged between steppers",
                 profile.name
             );
@@ -130,11 +136,9 @@ fn ddr4_profile_reproduces_the_hardcoded_default_run() {
     let profiled_cfg = SystemConfig::small_for_tests().with_hardware(&ddr4);
     for scheme in SCHEMES {
         let default_run =
-            run_workload_stepped(scheme, Workload::Redis, &default_cfg, &EventStepper)
-                .expect("default run");
-        let profiled_run =
-            run_workload_stepped(scheme, Workload::Redis, &profiled_cfg, &EventStepper)
-                .expect("profiled run");
+            run_workload_spec(scheme, &Workload::Redis.into(), &default_cfg).expect("default run");
+        let profiled_run = run_workload_spec(scheme, &Workload::Redis.into(), &profiled_cfg)
+            .expect("profiled run");
         assert_eq!(
             default_run, profiled_run,
             "{scheme}: the DDR4-3200 profile drifted from the hardcoded default"
@@ -148,7 +152,7 @@ fn ddr4_profile_reproduces_the_hardcoded_default_run() {
 fn invalid_dram_configuration_is_a_typed_runner_error() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.dram.t_faw = cfg.dram.t_rrd_s; // < 4 * tRRD_S: inconsistent
-    let err = run_workload_stepped(Scheme::Palermo, Workload::Random, &cfg, &EventStepper)
+    let err = run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg)
         .expect_err("inconsistent timing must be rejected");
     let msg = err.to_string();
     assert!(msg.contains("invalid DRAM configuration"), "{msg}");

@@ -9,7 +9,7 @@ use palermo::oram::params::{HierarchyParams, OramParams};
 use palermo::oram::types::{OramOp, PhysAddr, SubOram};
 use palermo::oram::validate::{leaf_uniformity, plan_addresses_within, request_ids_monotonic};
 use palermo::oram::PhaseKind;
-use palermo::sim::runner::run_workload;
+use palermo::sim::runner::run_workload_spec;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::Workload;
@@ -134,7 +134,7 @@ fn timing_channel_mutual_information_is_small_end_to_end() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.measured_requests = 120;
     cfg.warmup_requests = 30;
-    let m = run_workload(Scheme::Palermo, Workload::Redis, &cfg).unwrap();
+    let m = run_workload_spec(Scheme::Palermo, &Workload::Redis.into(), &cfg).unwrap();
     let samples: Vec<(bool, f64)> = m
         .behaviour_latency
         .iter()

@@ -2,12 +2,14 @@
 //!
 //! The sharpest regression here is the sparse-arrival case: with mean
 //! inter-arrival gaps of ~a million cycles the pipeline is completely idle
-//! between requests, so the event-driven stepper sees no internal wakeup —
+//! between requests, so the time-skipping stepper sees no internal wakeup —
 //! if it skipped to "infinity" (or clamped to the run horizon) instead of
 //! treating the next pending arrival as a wakeup source, it would jump
 //! past arrivals and diverge from (or fall behind) the per-cycle reference.
 
-use palermo::sim::runner::{run_workload_spec_stepped, EventStepper, ReferenceStepper};
+use palermo::sim::runner::{
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
+};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::WorkloadSpec;
@@ -29,21 +31,24 @@ fn sparse_poisson_stream_is_cycle_exact_under_time_skipping() {
     let spec = WorkloadSpec::from_name("open:poisson:0.001:random").unwrap();
     for scheme in [Scheme::RingOram, Scheme::Palermo] {
         let reference = run_workload_spec_stepped(scheme, &spec, &cfg, &ReferenceStepper).unwrap();
-        let event = run_workload_spec_stepped(scheme, &spec, &cfg, &EventStepper).unwrap();
-        assert_eq!(reference, event, "{scheme}: sparse open-loop run diverged");
+        let calendar = run_workload_spec_stepped(scheme, &spec, &cfg, &CalendarStepper).unwrap();
+        assert_eq!(
+            reference, calendar,
+            "{scheme}: sparse open-loop run diverged"
+        );
         // The run really did wait out the sparse gaps (rather than the
         // stepper inventing arrivals early): 20 measured requests at ~1M
         // cycles apart dwarf the closed-loop runtime of the same budget.
         assert!(
-            event.cycles > 1_000_000,
+            calendar.cycles > 1_000_000,
             "{scheme}: {} cycles is too fast for 20 sparse arrivals",
-            event.cycles
+            calendar.cycles
         );
-        assert_eq!(event.latencies.len() as u64, cfg.measured_requests);
-        assert!(event.arrival_conservation_ok());
+        assert_eq!(calendar.latencies.len() as u64, cfg.measured_requests);
+        assert!(calendar.arrival_conservation_ok());
         // Nothing queues behind a sparse stream.
-        assert_eq!(event.dropped_arrivals, 0);
-        assert_eq!(event.queue_waits.iter().max(), Some(&0));
+        assert_eq!(calendar.dropped_arrivals, 0);
+        assert_eq!(calendar.queue_waits.iter().max(), Some(&0));
     }
 }
 
@@ -60,9 +65,10 @@ fn modulated_arrival_processes_are_cycle_exact() {
         let spec = WorkloadSpec::from_name(name).unwrap();
         let reference =
             run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &ReferenceStepper).unwrap();
-        let event = run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &EventStepper).unwrap();
-        assert_eq!(reference, event, "{name} diverged across steppers");
-        assert!(event.arrival_conservation_ok(), "{name}");
+        let calendar =
+            run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &CalendarStepper).unwrap();
+        assert_eq!(reference, calendar, "{name} diverged across steppers");
+        assert!(calendar.arrival_conservation_ok(), "{name}");
     }
 }
 
@@ -73,7 +79,7 @@ fn modulated_arrival_processes_are_cycle_exact() {
 fn overload_drops_are_accounted_exactly() {
     let cfg = tiny();
     let spec = WorkloadSpec::from_name("open:poisson:10:random").unwrap();
-    let metrics = run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, &EventStepper).unwrap();
+    let metrics = run_workload_spec(Scheme::Palermo, &spec, &cfg).unwrap();
     assert!(metrics.arrival_conservation_ok());
     assert!(metrics.dropped_arrivals > 0, "overload never dropped");
     assert!(metrics.drop_fraction() > 0.0 && metrics.drop_fraction() < 1.0);

@@ -5,7 +5,7 @@
 //! wall-clock win on multi-core hosts.
 
 use palermo::sim::experiment::{Experiment, SerialExecutor, ThreadPoolExecutor};
-use palermo::sim::runner::{EventStepper, RunMetrics};
+use palermo::sim::runner::{CalendarStepper, RunMetrics};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::shard::{PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem};
 use palermo::sim::system::SystemConfig;
@@ -33,7 +33,7 @@ fn tiny() -> SystemConfig {
 fn sharded_metrics(scheme: Scheme, name: &str, stepper: &dyn ShardStepper) -> RunMetrics {
     let spec = WorkloadSpec::from_name(name).unwrap();
     let system = ShardedSystem::new(scheme, &spec, &tiny()).unwrap();
-    stepper.run(&system, &EventStepper).unwrap()
+    stepper.run(&system, &CalendarStepper).unwrap()
 }
 
 #[test]
@@ -153,11 +153,11 @@ fn pooled_shards_beat_serial_wall_clock_on_multicore_hosts() {
     let system = ShardedSystem::new(Scheme::Palermo, &spec, &cfg).unwrap();
 
     let started = Instant::now();
-    let serial = ShardStepper::run(&SerialShardStepper, &system, &EventStepper).unwrap();
+    let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
     let serial_wall = started.elapsed();
 
     let started = Instant::now();
-    let pooled = ShardStepper::run(&PooledShardStepper::new(4), &system, &EventStepper).unwrap();
+    let pooled = ShardStepper::run(&PooledShardStepper::new(4), &system, &CalendarStepper).unwrap();
     let pooled_wall = started.elapsed();
 
     assert_eq!(

@@ -8,7 +8,9 @@
 //! seeds. These tests pin that contract at the system level: repeated runs of
 //! the full paper grid produce **byte-identical** [`RunMetrics`].
 
-use palermo::sim::runner::{run_workload, run_workload_stepped, EventStepper, ReferenceStepper};
+use palermo::sim::runner::{
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
+};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::Workload;
@@ -21,9 +23,9 @@ fn repeated_runs_are_byte_identical_across_the_full_grid() {
     let cfg = SystemConfig::small_for_tests();
     for scheme in Scheme::ALL {
         for workload in Workload::ALL {
-            let first = run_workload(scheme, workload, &cfg)
+            let first = run_workload_spec(scheme, &workload.into(), &cfg)
                 .unwrap_or_else(|e| panic!("first run failed for {scheme}/{workload}: {e}"));
-            let second = run_workload(scheme, workload, &cfg)
+            let second = run_workload_spec(scheme, &workload.into(), &cfg)
                 .unwrap_or_else(|e| panic!("second run failed for {scheme}/{workload}: {e}"));
             assert_eq!(
                 first, second,
@@ -34,23 +36,23 @@ fn repeated_runs_are_byte_identical_across_the_full_grid() {
 }
 
 /// The determinism holds across *stepper implementations* too: the reference
-/// per-cycle stepper and the event-driven core must agree run-over-run, so
+/// per-cycle stepper and the calendar core must agree run-over-run, so
 /// stash ordering cannot leak through either scheduling path.
 #[test]
 fn stash_order_is_stable_across_steppers_and_repeats() {
     let cfg = SystemConfig::small_for_tests();
     for scheme in [Scheme::PathOram, Scheme::RingOram, Scheme::Palermo] {
         let workload = Workload::Random;
-        let ref_a = run_workload_stepped(scheme, workload, &cfg, &ReferenceStepper)
+        let ref_a = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &ReferenceStepper)
             .unwrap_or_else(|e| panic!("reference run failed for {scheme}: {e}"));
-        let ref_b = run_workload_stepped(scheme, workload, &cfg, &ReferenceStepper)
+        let ref_b = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &ReferenceStepper)
             .unwrap_or_else(|e| panic!("reference rerun failed for {scheme}: {e}"));
-        let evt_a = run_workload_stepped(scheme, workload, &cfg, &EventStepper)
-            .unwrap_or_else(|e| panic!("event run failed for {scheme}: {e}"));
-        let evt_b = run_workload_stepped(scheme, workload, &cfg, &EventStepper)
-            .unwrap_or_else(|e| panic!("event rerun failed for {scheme}: {e}"));
+        let cal_a = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &CalendarStepper)
+            .unwrap_or_else(|e| panic!("calendar run failed for {scheme}: {e}"));
+        let cal_b = run_workload_spec_stepped(scheme, &workload.into(), &cfg, &CalendarStepper)
+            .unwrap_or_else(|e| panic!("calendar rerun failed for {scheme}: {e}"));
         assert_eq!(ref_a, ref_b, "{scheme}: reference stepper not reproducible");
-        assert_eq!(evt_a, evt_b, "{scheme}: event stepper not reproducible");
-        assert_eq!(ref_a, evt_a, "{scheme}: steppers diverged");
+        assert_eq!(cal_a, cal_b, "{scheme}: calendar stepper not reproducible");
+        assert_eq!(ref_a, cal_a, "{scheme}: steppers diverged");
     }
 }

@@ -1,17 +1,16 @@
-//! Proof that the event-driven simulation core is cycle-exact.
+//! Proof that the time-skipping simulation core is cycle-exact.
 //!
 //! The seed simulator advanced the clock one 1.6 GHz cycle at a time
-//! ([`palermo::sim::runner::ReferenceStepper`]); the event-driven core
-//! ([`palermo::sim::runner::EventStepper`], the default) jumps over
-//! provably-idle stretches. These tests assert the two produce **identical**
-//! [`RunMetrics`] — including `DramStats`, sync-stall attribution and every
-//! per-request latency — for every (scheme, workload) pair of the paper's
-//! grid under the `small_for_tests` configuration.
+//! ([`palermo::sim::runner::ReferenceStepper`]); the default settled-window
+//! core ([`palermo::sim::runner::CalendarStepper`]) jumps over provably-idle
+//! stretches and executes DRAM event ticks in bulk. These tests assert the
+//! two produce **identical** [`palermo::sim::runner::RunMetrics`] —
+//! including `DramStats`, sync-stall attribution and every per-request
+//! latency — for every (scheme, workload) pair of the paper's grid under the
+//! `small_for_tests` configuration, and for the edge-case configurations and
+//! composed specs below.
 
-use palermo::sim::runner::{
-    run_workload_spec_stepped, run_workload_stepped, CalendarStepper, EventStepper,
-    ReferenceStepper,
-};
+use palermo::sim::runner::{run_workload_spec_stepped, CalendarStepper, ReferenceStepper};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::sim::{
@@ -21,44 +20,44 @@ use palermo::workloads::Workload;
 
 /// Asserts byte-identical metrics, with a field-by-field message on failure
 /// so a regression names the counter that diverged.
-fn assert_equivalent(scheme: Scheme, workload: Workload, cfg: &SystemConfig) {
-    let reference = run_workload_stepped(scheme, workload, cfg, &ReferenceStepper)
-        .unwrap_or_else(|e| panic!("reference run failed for {scheme}/{workload}: {e}"));
-    let event = run_workload_stepped(scheme, workload, cfg, &EventStepper)
-        .unwrap_or_else(|e| panic!("event run failed for {scheme}/{workload}: {e}"));
+fn assert_equivalent(scheme: Scheme, spec: &WorkloadSpec, cfg: &SystemConfig) {
+    let reference = run_workload_spec_stepped(scheme, spec, cfg, &ReferenceStepper)
+        .unwrap_or_else(|e| panic!("reference run failed for {scheme}/{spec}: {e}"));
+    let calendar = run_workload_spec_stepped(scheme, spec, cfg, &CalendarStepper)
+        .unwrap_or_else(|e| panic!("calendar run failed for {scheme}/{spec}: {e}"));
 
     assert_eq!(
-        reference.cycles, event.cycles,
-        "{scheme}/{workload}: measured cycles diverged"
+        reference.cycles, calendar.cycles,
+        "{scheme}/{spec}: measured cycles diverged"
     );
     assert_eq!(
-        reference.dram, event.dram,
-        "{scheme}/{workload}: DramStats diverged"
+        reference.dram, calendar.dram,
+        "{scheme}/{spec}: DramStats diverged"
     );
     assert_eq!(
-        reference.sync_stall_cycles, event.sync_stall_cycles,
-        "{scheme}/{workload}: sync stall cycles diverged"
+        reference.sync_stall_cycles, calendar.sync_stall_cycles,
+        "{scheme}/{spec}: sync stall cycles diverged"
     );
     assert_eq!(
-        reference.sync_stall_by_level, event.sync_stall_by_level,
-        "{scheme}/{workload}: per-level sync stalls diverged"
+        reference.sync_stall_by_level, calendar.sync_stall_by_level,
+        "{scheme}/{spec}: per-level sync stalls diverged"
     );
     assert_eq!(
-        reference.latencies, event.latencies,
-        "{scheme}/{workload}: per-request latencies diverged"
+        reference.latencies, calendar.latencies,
+        "{scheme}/{spec}: per-request latencies diverged"
     );
     // And the full struct, in case a new field is added later.
-    assert_eq!(reference, event, "{scheme}/{workload}: RunMetrics diverged");
+    assert_eq!(reference, calendar, "{scheme}/{spec}: RunMetrics diverged");
 }
 
 /// Every scheme × workload pair of the paper grid is byte-identical between
-/// the per-cycle reference stepper and the event-driven core.
+/// the per-cycle reference stepper and the calendar core.
 #[test]
 fn event_core_is_cycle_exact_across_the_full_grid() {
     let cfg = SystemConfig::small_for_tests();
     for scheme in Scheme::ALL {
         for workload in Workload::ALL {
-            assert_equivalent(scheme, workload, &cfg);
+            assert_equivalent(scheme, &workload.into(), &cfg);
         }
     }
 }
@@ -72,7 +71,7 @@ fn event_core_is_cycle_exact_with_zero_warmup() {
     cfg.warmup_requests = 0;
     cfg.measured_requests = 30;
     for scheme in [Scheme::RingOram, Scheme::Palermo, Scheme::PrOram] {
-        assert_equivalent(scheme, Workload::Random, &cfg);
+        assert_equivalent(scheme, &Workload::Random.into(), &cfg);
     }
 }
 
@@ -87,30 +86,29 @@ fn tiny_dram_queues_stay_cycle_exact_under_time_skipping() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.dram.queue_capacity = 2;
     for scheme in [Scheme::RingOram, Scheme::Palermo] {
-        let reference =
-            run_workload_stepped(scheme, Workload::Mcf, &cfg, &ReferenceStepper).unwrap();
-        let calendar = run_workload_stepped(scheme, Workload::Mcf, &cfg, &CalendarStepper).unwrap();
-        assert_eq!(
-            reference, calendar,
-            "{scheme}: RunMetrics diverged under queue_capacity=2"
-        );
+        assert_equivalent(scheme, &Workload::Mcf.into(), &cfg);
     }
 }
 
 /// Composed workload specs keep the equivalence contract: an `open:` spec
 /// (arrival process + admission queue wrapped around the closed-loop core)
-/// produces byte-identical [`palermo::sim::runner::RunMetrics`] under the
-/// per-cycle reference and the settled-window calendar core.
+/// produces byte-identical metrics under the per-cycle reference and the
+/// settled-window calendar core, on the default test budget and on a
+/// smaller one with short bursts.
 #[test]
 fn calendar_core_is_cycle_exact_for_open_loop_specs() {
-    let cfg = SystemConfig::small_for_tests();
-    for name in ["open:poisson:0.05:random", "open:bursty:0.2:2000:6000:mcf"] {
-        let spec = WorkloadSpec::from_name(name).unwrap();
-        let reference = run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &ReferenceStepper)
-            .unwrap_or_else(|e| panic!("reference run failed for {name}: {e}"));
-        let calendar = run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &CalendarStepper)
-            .unwrap_or_else(|e| panic!("calendar run failed for {name}: {e}"));
-        assert_eq!(reference, calendar, "{name}: RunMetrics diverged");
+    let default = SystemConfig::small_for_tests();
+    let mut small = SystemConfig::small_for_tests();
+    small.measured_requests = 40;
+    small.warmup_requests = 10;
+    let cases = [
+        (Scheme::RingOram, "open:poisson:0.05:random", &default),
+        (Scheme::RingOram, "open:bursty:0.2:2000:6000:mcf", &default),
+        (Scheme::Palermo, "open:poisson:0.05:random", &small),
+        (Scheme::Palermo, "open:bursty:0.2:20000:60000:mcf", &small),
+    ];
+    for (scheme, name, cfg) in cases {
+        assert_equivalent(scheme, &WorkloadSpec::from_name(name).unwrap(), cfg);
     }
 }
 
@@ -146,7 +144,8 @@ fn zero_warmup_measures_every_request() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.warmup_requests = 0;
     cfg.measured_requests = 25;
-    let m = palermo::sim::runner::run_workload(Scheme::RingOram, Workload::Mcf, &cfg).unwrap();
+    let m = palermo::sim::runner::run_workload_spec(Scheme::RingOram, &Workload::Mcf.into(), &cfg)
+        .unwrap();
     assert_eq!(m.oram_requests, cfg.measured_requests);
     assert_eq!(m.latencies.len(), cfg.measured_requests as usize);
     assert!(m.workload_accesses >= m.oram_requests);

@@ -3,13 +3,15 @@
 //! The per-tenant vectors in `RunMetrics` must be (a) conservation-checked
 //! — per-tenant submitted/completed/accesses/latency sums equal the
 //! aggregates on every run — and (b) *deterministic to the byte*: the
-//! serial and thread-pool executors, and the event-driven and per-cycle
+//! serial and thread-pool executors, and the calendar and per-cycle
 //! reference steppers, must produce identical `per_tenant` vectors
 //! (including the fixed-bucket latency histograms) across a mix × scheme
 //! grid.
 
 use palermo::sim::experiment::{Experiment, SerialExecutor, ThreadPoolExecutor};
-use palermo::sim::runner::{run_workload_spec_stepped, EventStepper, ReferenceStepper};
+use palermo::sim::runner::{
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
+};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::{MixSpec, PhaseWindow, PhasedMixSpec, Workload, WorkloadSpec};
@@ -134,12 +136,13 @@ fn per_tenant_metrics_are_byte_identical_across_steppers() {
         for scheme in SCHEMES {
             let reference =
                 run_workload_spec_stepped(scheme, &spec, &cfg, &ReferenceStepper).unwrap();
-            let event = run_workload_spec_stepped(scheme, &spec, &cfg, &EventStepper).unwrap();
+            let calendar =
+                run_workload_spec_stepped(scheme, &spec, &cfg, &CalendarStepper).unwrap();
             assert_eq!(
-                reference.per_tenant, event.per_tenant,
+                reference.per_tenant, calendar.per_tenant,
                 "{scheme}/{spec}: per-tenant attribution diverged across steppers"
             );
-            assert_eq!(reference, event, "{scheme}/{spec}");
+            assert_eq!(reference, calendar, "{scheme}/{spec}");
         }
     }
 }
@@ -159,7 +162,7 @@ fn phased_tenants_outside_their_window_stay_empty() {
             ),
     );
     for scheme in [Scheme::RingOram, Scheme::Palermo] {
-        let m = run_workload_spec_stepped(scheme, &spec, &cfg, &EventStepper).unwrap();
+        let m = run_workload_spec(scheme, &spec, &cfg).unwrap();
         assert!(m.tenant_conservation_ok());
         let late = &m.per_tenant[1];
         assert_eq!(

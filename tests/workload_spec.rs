@@ -7,7 +7,7 @@ use palermo::sim::experiment::{
     Experiment, ResultSet, RunSpec, SerialExecutor, ThreadPoolExecutor,
 };
 use palermo::sim::runner::{run_workload_spec, run_workload_spec_stepped};
-use palermo::sim::runner::{EventStepper, ReferenceStepper};
+use palermo::sim::runner::{CalendarStepper, ReferenceStepper};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::{format, MixSpec, TraceEntry, Workload, WorkloadSpec};
@@ -150,7 +150,7 @@ fn spec_grid_is_byte_identical_across_executors() {
 }
 
 #[test]
-fn event_stepper_matches_reference_on_new_streams() {
+fn calendar_stepper_matches_reference_on_new_streams() {
     let cfg = tiny();
     for spec in [
         four_tenant_mix(),
@@ -159,8 +159,9 @@ fn event_stepper_matches_reference_on_new_streams() {
         for scheme in [Scheme::RingOram, Scheme::Palermo] {
             let reference =
                 run_workload_spec_stepped(scheme, &spec, &cfg, &ReferenceStepper).unwrap();
-            let event = run_workload_spec_stepped(scheme, &spec, &cfg, &EventStepper).unwrap();
-            assert_eq!(reference, event, "{scheme:?} on {spec}");
+            let calendar =
+                run_workload_spec_stepped(scheme, &spec, &cfg, &CalendarStepper).unwrap();
+            assert_eq!(reference, calendar, "{scheme:?} on {spec}");
         }
     }
 }
