@@ -14,7 +14,10 @@
 //!   threads with deterministic, order-preserving result collection.
 //!
 //! Results come back as a [`ResultSet`] of [`RunRecord`]s with
-//! baseline-normalisation, geo-mean and CSV/JSON export helpers.
+//! baseline-normalisation and geo-mean helpers. Its rows — one
+//! [`RunSummary`] per run, one [`TenantSummary`] per (run, tenant), one
+//! [`ShardSummary`] per (sharded run, shard) — export to CSV and JSON and
+//! parse back through [`ExportRow`].
 //!
 //! # Example
 //!
@@ -42,7 +45,7 @@ pub mod executor;
 pub mod results;
 
 pub use executor::{Executor, SerialExecutor, ThreadPoolExecutor};
-pub use results::{ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
+pub use results::{ExportRow, ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
 
 use crate::runner::{run_protocol, run_workload_spec, CalendarStepper, RunMetrics};
 use crate::schemes::Scheme;

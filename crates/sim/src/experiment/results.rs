@@ -1,5 +1,29 @@
 //! Result collection: per-run records, baseline normalisation, geo-means
 //! and dependency-free CSV/JSON export.
+//!
+//! The three export row types — [`RunSummary`], [`TenantSummary`] and
+//! [`ShardSummary`] — are declared through one macro, so each struct's
+//! field list *is* its column table: the field name is the column name and
+//! the field order is the column order. [`ExportRow`] turns that table into
+//! the module's only CSV and JSON writers and readers:
+//!
+//! ```
+//! use palermo_sim::experiment::{ExportRow, Experiment, SerialExecutor, TenantSummary};
+//! use palermo_sim::{Scheme, SystemConfig};
+//! use palermo_workloads::Workload;
+//!
+//! let mut cfg = SystemConfig::small_for_tests();
+//! cfg.measured_requests = 20;
+//! cfg.warmup_requests = 5;
+//! let set = Experiment::new(cfg)
+//!     .schemes([Scheme::Palermo])
+//!     .workloads([Workload::Random])
+//!     .run(&SerialExecutor)?;
+//! let csv = TenantSummary::to_csv(&set.tenant_summaries());
+//! assert!(csv.starts_with(&TenantSummary::COLUMNS.join(",")));
+//! assert_eq!(TenantSummary::parse_csv(&csv), Some(set.tenant_summaries()));
+//! # Ok::<(), palermo_oram::error::OramError>(())
+//! ```
 
 use crate::runner::RunMetrics;
 use crate::schemes::Scheme;
@@ -102,65 +126,346 @@ impl RunRecord {
     }
 }
 
-/// The scalar per-run summary exported to CSV/JSON (and parsed back by the
-/// round-trip helpers). Floats use Rust's shortest round-trippable
-/// formatting, so `to_*`/`parse_*` round-trip exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// The spec's label (commas are replaced by `;` in CSV output).
-    pub label: String,
-    /// The scheme.
-    pub scheme: Scheme,
-    /// The workload spec, exported by its canonical name
-    /// ([`WorkloadSpec::name`]) and parsed back with
-    /// [`WorkloadSpec::from_name`].
-    pub workload: WorkloadSpec,
-    /// Prefetch length the run used (1 = none).
-    pub prefetch_length: u32,
-    /// Real ORAM requests completed in the measured window.
-    pub oram_requests: u64,
-    /// Workload accesses consumed in the measured window.
-    pub workload_accesses: u64,
-    /// Dummy (background-eviction) requests completed.
-    pub dummy_requests: u64,
-    /// Cycles spent in the measured window.
-    pub cycles: u64,
-    /// Mean ORAM response latency in cycles.
-    pub mean_latency: f64,
-    /// LLC hit rate over the whole run.
-    pub llc_hit_rate: f64,
-    /// Highest stash occupancy observed anywhere in the hierarchy.
-    pub stash_high_water: usize,
-    /// DRAM data-bus utilisation over the measured window.
-    pub bandwidth_utilization: f64,
-    /// Total ORAM-sync stall cycles over the measured window.
-    pub sync_stall_cycles: u64,
-    /// Open-loop arrivals resolved in the measured window (0 for
-    /// closed-loop runs).
-    pub arrivals: u64,
-    /// Open-loop arrivals dropped by the admission policy in the measured
-    /// window (0 for closed-loop runs).
-    pub dropped_arrivals: u64,
-    /// Mean admission-queue wait in cycles (0 for closed-loop runs).
-    pub mean_queue_wait: f64,
-    /// Shard count of a sharded run (0 for single-system runs — the
-    /// per-shard rows live in the shard CSV/JSON documents).
-    pub shards: u32,
-    /// Name of the hardware profile the run executed on ("ddr4-3200" for
-    /// the default; commas become `;` in CSV output, though profile names
-    /// never contain them).
-    pub hardware: String,
-    /// Total memory energy of the measured window, joules.
-    pub energy_j: f64,
+/// A row type of the CSV/JSON exports, written and read through its column
+/// table.
+///
+/// Implemented by [`RunSummary`], [`TenantSummary`] and [`ShardSummary`],
+/// whose field lists are their column tables. Numbers are written bare with
+/// Rust's shortest round-trippable formatting, so every document parses
+/// back to exactly the rows that produced it. Text cells (labels, names,
+/// [`Scheme`] by name and [`WorkloadSpec`] by canonical name) are quoted
+/// and escaped in JSON, which therefore round-trips them exactly. In CSV a
+/// text cell has its commas replaced by `;` and its control characters by
+/// spaces, so every row stays one well-formed line that re-renders to the
+/// same bytes.
+pub trait ExportRow: Sized {
+    /// The column names in column order: the row struct's field names in
+    /// field order. The CSV header is `COLUMNS.join(",")`.
+    const COLUMNS: &'static [&'static str];
+
+    /// Per column, whether it is a text cell (as opposed to a number).
+    #[doc(hidden)]
+    const TEXT: &'static [bool];
+
+    /// The row's cells in column order, each in its canonical text form.
+    #[doc(hidden)]
+    fn cells(&self) -> Vec<String>;
+
+    /// Rebuilds a row from its cells in column order; `None` on a wrong
+    /// cell count or an unparsable cell.
+    #[doc(hidden)]
+    fn from_cells(cells: &[&str]) -> Option<Self>;
+
+    /// Renders `rows` as CSV: the header row, then one line per row.
+    fn to_csv(rows: &[Self]) -> String {
+        let mut out = Self::COLUMNS.join(",");
+        out.push('\n');
+        for row in rows {
+            for (i, (cell, &text)) in row.cells().iter().zip(Self::TEXT).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if text {
+                    push_csv_text(&mut out, cell);
+                } else {
+                    out.push_str(cell);
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Parses CSV produced by [`ExportRow::to_csv`] back into rows. Returns
+    /// `None` on a malformed document: a header other than
+    /// [`ExportRow::COLUMNS`], a row with the wrong cell count, or an
+    /// unparsable cell (including an unknown scheme or workload name).
+    fn parse_csv(csv: &str) -> Option<Vec<Self>> {
+        let mut lines = csv.lines();
+        if lines.next()? != Self::COLUMNS.join(",") {
+            return None;
+        }
+        lines
+            .map(|line| Self::from_cells(&line.split(',').collect::<Vec<_>>()))
+            .collect()
+    }
+
+    /// Renders `rows` as a JSON array of flat objects, one per line, keyed
+    /// by column name in column order (`[]` for no rows).
+    fn to_json(rows: &[Self]) -> String {
+        if rows.is_empty() {
+            return "[]\n".to_string();
+        }
+        let mut out = String::from("[\n");
+        for (r, row) in rows.iter().enumerate() {
+            out.push_str(if r == 0 { "  {" } else { ",\n  {" });
+            let columns = Self::COLUMNS.iter().zip(Self::TEXT);
+            for (i, (cell, (column, &text))) in row.cells().iter().zip(columns).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "\"{column}\":");
+                if text {
+                    push_json_text(&mut out, cell);
+                } else {
+                    out.push_str(cell);
+                }
+            }
+            out.push('}');
+        }
+        out.push_str("\n]\n");
+        out
+    }
+
+    /// Parses JSON produced by [`ExportRow::to_json`] back into rows. This
+    /// is a strict reader for exactly that flat shape, not a general JSON
+    /// parser: every object must carry every column, in column order, with
+    /// text cells quoted and numbers bare, and only whitespace and one
+    /// comma may separate two objects. Returns `None` on anything else.
+    fn parse_json(json: &str) -> Option<Vec<Self>> {
+        let mut doc = JsonCursor { rest: json };
+        let mut rows = Vec::new();
+        if !doc.eat('[') {
+            return None;
+        }
+        if !doc.eat(']') {
+            loop {
+                rows.push(doc.object()?);
+                if doc.eat(']') {
+                    break;
+                }
+                if !doc.eat(',') {
+                    return None;
+                }
+            }
+        }
+        doc.rest.trim().is_empty().then_some(rows)
+    }
+}
+
+/// How one field type is written to, and read back from, one export cell.
+trait Cell: Sized {
+    /// Text cells are sanitised in CSV and quoted and escaped in JSON;
+    /// the others are numbers, written bare.
+    const TEXT: bool = false;
+    /// The cell's canonical text.
+    fn render(&self) -> String;
+    /// Parses the canonical text back; `None` if it is not one.
+    fn parse(cell: &str) -> Option<Self>;
+}
+
+macro_rules! number_cells {
+    ($($t:ty),+) => {$(
+        impl Cell for $t {
+            fn render(&self) -> String {
+                self.to_string()
+            }
+            fn parse(cell: &str) -> Option<Self> {
+                cell.parse().ok()
+            }
+        }
+    )+};
+}
+
+number_cells!(u32, u64, usize, f64);
+
+impl Cell for String {
+    const TEXT: bool = true;
+    fn render(&self) -> String {
+        self.clone()
+    }
+    fn parse(cell: &str) -> Option<Self> {
+        Some(cell.to_string())
+    }
+}
+
+impl Cell for Scheme {
+    const TEXT: bool = true;
+    fn render(&self) -> String {
+        self.name().to_string()
+    }
+    fn parse(cell: &str) -> Option<Self> {
+        Scheme::from_name(cell)
+    }
+}
+
+impl Cell for WorkloadSpec {
+    const TEXT: bool = true;
+    fn render(&self) -> String {
+        self.name()
+    }
+    fn parse(cell: &str) -> Option<Self> {
+        WorkloadSpec::from_name(cell)
+    }
+}
+
+/// Declares an export row struct and implements [`ExportRow`] from its
+/// field list: the field names are the columns, in field order, and each
+/// field's [`Cell`] codec writes and reads its cell.
+macro_rules! export_rows {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)+
+        }
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)+
+        }
+
+        impl ExportRow for $name {
+            const COLUMNS: &'static [&'static str] = &[$(stringify!($field)),+];
+            const TEXT: &'static [bool] = &[$(<$ty as Cell>::TEXT),+];
+
+            fn cells(&self) -> Vec<String> {
+                vec![$(Cell::render(&self.$field)),+]
+            }
+
+            fn from_cells(cells: &[&str]) -> Option<Self> {
+                let [$($field),+] = cells else {
+                    return None;
+                };
+                Some($name { $($field: Cell::parse($field)?),+ })
+            }
+        }
+    )+};
+}
+
+export_rows! {
+    /// The scalar per-run summary exported to CSV/JSON (and parsed back by
+    /// the round-trip readers), one row per run ([`ResultSet::summaries`]).
+    /// Floats use Rust's shortest round-trippable formatting, so the
+    /// [`ExportRow`] writers and readers round-trip exactly.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunSummary {
+        /// The spec's label (commas are replaced by `;` in CSV output).
+        pub label: String,
+        /// The scheme.
+        pub scheme: Scheme,
+        /// The workload spec, exported by its canonical name
+        /// ([`WorkloadSpec::name`]) and parsed back with
+        /// [`WorkloadSpec::from_name`].
+        pub workload: WorkloadSpec,
+        /// Prefetch length the run used (1 = none).
+        pub prefetch_length: u32,
+        /// Real ORAM requests completed in the measured window.
+        pub oram_requests: u64,
+        /// Workload accesses consumed in the measured window.
+        pub workload_accesses: u64,
+        /// Dummy (background-eviction) requests completed.
+        pub dummy_requests: u64,
+        /// Cycles spent in the measured window.
+        pub cycles: u64,
+        /// Mean ORAM response latency in cycles.
+        pub mean_latency: f64,
+        /// LLC hit rate over the whole run.
+        pub llc_hit_rate: f64,
+        /// Highest stash occupancy observed anywhere in the hierarchy.
+        pub stash_high_water: usize,
+        /// DRAM data-bus utilisation over the measured window.
+        pub bandwidth_utilization: f64,
+        /// Total ORAM-sync stall cycles over the measured window.
+        pub sync_stall_cycles: u64,
+        /// Open-loop arrivals resolved in the measured window (0 for
+        /// closed-loop runs).
+        pub arrivals: u64,
+        /// Open-loop arrivals dropped by the admission policy in the measured
+        /// window (0 for closed-loop runs).
+        pub dropped_arrivals: u64,
+        /// Mean admission-queue wait in cycles (0 for closed-loop runs).
+        pub mean_queue_wait: f64,
+        /// Shard count of a sharded run (0 for single-system runs — the
+        /// per-shard rows live in the [`ShardSummary`] documents).
+        pub shards: u32,
+        /// Name of the hardware profile the run executed on ("ddr4-3200" for
+        /// the default; commas become `;` in CSV output, though profile names
+        /// never contain them).
+        pub hardware: String,
+        /// Total memory energy of the measured window, joules.
+        pub energy_j: f64,
+    }
+
+    /// One tenant's scalar QoS summary of one run, exported to the
+    /// per-tenant CSV/JSON documents (rows from
+    /// [`ResultSet::tenant_summaries`], written and read through
+    /// [`ExportRow`]). One run contributes one row per tenant.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantSummary {
+        /// The run's label (commas become `;` in CSV output).
+        pub label: String,
+        /// The scheme.
+        pub scheme: Scheme,
+        /// The workload spec of the whole run (canonical name in the exports).
+        pub workload: WorkloadSpec,
+        /// Tenant index within the spec.
+        pub tenant: u32,
+        /// Canonical name of the tenant's child workload (= the spec name for
+        /// single-tenant runs).
+        pub tenant_workload: String,
+        /// Real requests submitted while the measured window was open.
+        pub submitted: u64,
+        /// Real requests completed inside the measured window.
+        pub completed: u64,
+        /// Workload accesses consumed by the completed requests.
+        pub workload_accesses: u64,
+        /// Mean response latency in cycles.
+        pub mean_latency: f64,
+        /// Median latency estimate in cycles.
+        pub p50_latency: u64,
+        /// 95th-percentile latency estimate in cycles.
+        pub p95_latency: u64,
+        /// 99th-percentile tail latency estimate in cycles.
+        pub p99_latency: u64,
+        /// DRAM bursts issued for the tenant's completed requests.
+        pub dram_ops: u64,
+        /// The tenant's share of all tenant-attributed DRAM bursts in the run.
+        pub dram_share: f64,
+        /// The tenant's share of the run's memory energy in joules,
+        /// attributed proportionally to `dram_ops` — the per-tenant bill next
+        /// to the per-tenant p99.
+        pub energy_j: f64,
+    }
+
+    /// One shard's scalar summary of one sharded run, exported to the
+    /// per-shard CSV/JSON documents (rows from
+    /// [`ResultSet::shard_summaries`], written and read through
+    /// [`ExportRow`]). One sharded run contributes one row per shard;
+    /// single-system runs contribute none.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ShardSummary {
+        /// The run's label (commas become `;` in CSV output).
+        pub label: String,
+        /// The scheme.
+        pub scheme: Scheme,
+        /// The workload spec of the whole run (canonical name in the exports).
+        pub workload: WorkloadSpec,
+        /// Shard index within the run.
+        pub shard: u32,
+        /// Real ORAM requests the shard completed in its measured window.
+        pub oram_requests: u64,
+        /// Workload accesses consumed by the shard's completed requests.
+        pub workload_accesses: u64,
+        /// Dummy (background-eviction) requests the shard completed.
+        pub dummy_requests: u64,
+        /// Cycles the shard spent in its measured window.
+        pub cycles: u64,
+        /// Real requests the shard submitted while measuring.
+        pub submitted_requests: u64,
+        /// Open-loop arrivals the shard resolved (0 for closed-loop runs).
+        pub arrivals: u64,
+        /// Open-loop arrivals the shard's admission policy dropped.
+        pub dropped_arrivals: u64,
+        /// Mean response latency of the shard's completions, in cycles.
+        pub mean_latency: f64,
+        /// 99th-percentile tail latency estimate in cycles.
+        pub p99_latency: u64,
+        /// Highest stash occupancy the shard's hierarchy observed.
+        pub stash_high_water: usize,
+    }
 }
 
 impl RunSummary {
-    /// The CSV header row matching [`RunSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,prefetch_length,oram_requests,\
-workload_accesses,dummy_requests,cycles,mean_latency,llc_hit_rate,stash_high_water,\
-bandwidth_utilization,sync_stall_cycles,arrivals,dropped_arrivals,mean_queue_wait,shards,\
-hardware,energy_j";
-
     /// Measured workload accesses per cycle (the end-to-end speedup metric).
     pub fn accesses_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
@@ -168,384 +473,22 @@ hardware,energy_j";
         }
         self.workload_accesses as f64 / self.cycles as f64
     }
-
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.prefetch_length,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.mean_latency,
-            self.llc_hit_rate,
-            self.stash_high_water,
-            self.bandwidth_utilization,
-            self.sync_stall_cycles,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_queue_wait,
-            self.shards,
-            sanitize_csv(&self.hardware),
-            self.energy_j,
-        )
-    }
-
-    /// Parses one CSV data row produced by [`RunSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<RunSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 19 {
-            return None;
-        }
-        Some(RunSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            prefetch_length: fields[3].parse().ok()?,
-            oram_requests: fields[4].parse().ok()?,
-            workload_accesses: fields[5].parse().ok()?,
-            dummy_requests: fields[6].parse().ok()?,
-            cycles: fields[7].parse().ok()?,
-            mean_latency: fields[8].parse().ok()?,
-            llc_hit_rate: fields[9].parse().ok()?,
-            stash_high_water: fields[10].parse().ok()?,
-            bandwidth_utilization: fields[11].parse().ok()?,
-            sync_stall_cycles: fields[12].parse().ok()?,
-            arrivals: fields[13].parse().ok()?,
-            dropped_arrivals: fields[14].parse().ok()?,
-            mean_queue_wait: fields[15].parse().ok()?,
-            shards: fields[16].parse().ok()?,
-            hardware: fields[17].to_string(),
-            energy_j: fields[18].parse().ok()?,
-        })
-    }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\
-\"prefetch_length\":{},\"oram_requests\":{},\"workload_accesses\":{},\
-\"dummy_requests\":{},\"cycles\":{},\"mean_latency\":{},\"llc_hit_rate\":{},\
-\"stash_high_water\":{},\"bandwidth_utilization\":{},\"sync_stall_cycles\":{},\
-\"arrivals\":{},\"dropped_arrivals\":{},\"mean_queue_wait\":{},\"shards\":{},\
-\"hardware\":\"{}\",\"energy_j\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.prefetch_length,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.mean_latency,
-            self.llc_hit_rate,
-            self.stash_high_water,
-            self.bandwidth_utilization,
-            self.sync_stall_cycles,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_queue_wait,
-            self.shards,
-            escape_json(&self.hardware),
-            self.energy_j,
-        )
-    }
 }
 
-/// One tenant's scalar QoS summary of one run, exported to the per-tenant
-/// CSV/JSON documents ([`ResultSet::to_tenant_csv`] /
-/// [`ResultSet::to_tenant_json`]) and parsed back by the round-trip
-/// helpers. One run contributes one row per tenant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantSummary {
-    /// The run's label (commas become `;` in CSV output).
-    pub label: String,
-    /// The scheme.
-    pub scheme: Scheme,
-    /// The workload spec of the whole run (canonical name in the exports).
-    pub workload: WorkloadSpec,
-    /// Tenant index within the spec.
-    pub tenant: u32,
-    /// Canonical name of the tenant's child workload (= the spec name for
-    /// single-tenant runs).
-    pub tenant_workload: String,
-    /// Real requests submitted while the measured window was open.
-    pub submitted: u64,
-    /// Real requests completed inside the measured window.
-    pub completed: u64,
-    /// Workload accesses consumed by the completed requests.
-    pub workload_accesses: u64,
-    /// Mean response latency in cycles.
-    pub mean_latency: f64,
-    /// Median latency estimate in cycles.
-    pub p50_latency: u64,
-    /// 95th-percentile latency estimate in cycles.
-    pub p95_latency: u64,
-    /// 99th-percentile tail latency estimate in cycles.
-    pub p99_latency: u64,
-    /// DRAM bursts issued for the tenant's completed requests.
-    pub dram_ops: u64,
-    /// The tenant's share of all tenant-attributed DRAM bursts in the run.
-    pub dram_share: f64,
-    /// The tenant's share of the run's memory energy in joules,
-    /// attributed proportionally to `dram_ops` — the per-tenant bill next
-    /// to the per-tenant p99.
-    pub energy_j: f64,
+/// Writes a text cell to CSV: the separator becomes `;` and control
+/// characters (which would break the line structure) become spaces.
+fn push_csv_text(out: &mut String, text: &str) {
+    out.extend(text.chars().map(|c| match c {
+        ',' => ';',
+        c if c.is_control() => ' ',
+        c => c,
+    }));
 }
 
-impl TenantSummary {
-    /// The CSV header row matching [`TenantSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,tenant,tenant_workload,\
-submitted,completed,workload_accesses,mean_latency,p50_latency,p95_latency,p99_latency,\
-dram_ops,dram_share,energy_j";
-
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.tenant,
-            sanitize_csv(&self.tenant_workload),
-            self.submitted,
-            self.completed,
-            self.workload_accesses,
-            self.mean_latency,
-            self.p50_latency,
-            self.p95_latency,
-            self.p99_latency,
-            self.dram_ops,
-            self.dram_share,
-            self.energy_j,
-        )
-    }
-
-    /// Parses one CSV data row produced by [`TenantSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<TenantSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 15 {
-            return None;
-        }
-        Some(TenantSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            tenant: fields[3].parse().ok()?,
-            tenant_workload: fields[4].to_string(),
-            submitted: fields[5].parse().ok()?,
-            completed: fields[6].parse().ok()?,
-            workload_accesses: fields[7].parse().ok()?,
-            mean_latency: fields[8].parse().ok()?,
-            p50_latency: fields[9].parse().ok()?,
-            p95_latency: fields[10].parse().ok()?,
-            p99_latency: fields[11].parse().ok()?,
-            dram_ops: fields[12].parse().ok()?,
-            dram_share: fields[13].parse().ok()?,
-            energy_j: fields[14].parse().ok()?,
-        })
-    }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\"tenant\":{},\
-\"tenant_workload\":\"{}\",\"submitted\":{},\"completed\":{},\"workload_accesses\":{},\
-\"mean_latency\":{},\"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\
-\"dram_ops\":{},\"dram_share\":{},\"energy_j\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.tenant,
-            escape_json(&self.tenant_workload),
-            self.submitted,
-            self.completed,
-            self.workload_accesses,
-            self.mean_latency,
-            self.p50_latency,
-            self.p95_latency,
-            self.p99_latency,
-            self.dram_ops,
-            self.dram_share,
-            self.energy_j,
-        )
-    }
-}
-
-/// One shard's scalar summary of one sharded run, exported to the
-/// per-shard CSV/JSON documents ([`ResultSet::to_shard_csv`] /
-/// [`ResultSet::to_shard_json`]) and parsed back by the round-trip
-/// helpers. One sharded run contributes one row per shard; single-system
-/// runs contribute none.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSummary {
-    /// The run's label (commas become `;` in CSV output).
-    pub label: String,
-    /// The scheme.
-    pub scheme: Scheme,
-    /// The workload spec of the whole run (canonical name in the exports).
-    pub workload: WorkloadSpec,
-    /// Shard index within the run.
-    pub shard: u32,
-    /// Real ORAM requests the shard completed in its measured window.
-    pub oram_requests: u64,
-    /// Workload accesses consumed by the shard's completed requests.
-    pub workload_accesses: u64,
-    /// Dummy (background-eviction) requests the shard completed.
-    pub dummy_requests: u64,
-    /// Cycles the shard spent in its measured window.
-    pub cycles: u64,
-    /// Real requests the shard submitted while measuring.
-    pub submitted_requests: u64,
-    /// Open-loop arrivals the shard resolved (0 for closed-loop runs).
-    pub arrivals: u64,
-    /// Open-loop arrivals the shard's admission policy dropped.
-    pub dropped_arrivals: u64,
-    /// Mean response latency of the shard's completions, in cycles.
-    pub mean_latency: f64,
-    /// 99th-percentile tail latency estimate in cycles.
-    pub p99_latency: u64,
-    /// Highest stash occupancy the shard's hierarchy observed.
-    pub stash_high_water: usize,
-}
-
-impl ShardSummary {
-    /// The CSV header row matching [`ShardSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,shard,oram_requests,\
-workload_accesses,dummy_requests,cycles,submitted_requests,arrivals,dropped_arrivals,\
-mean_latency,p99_latency,stash_high_water";
-
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.shard,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.submitted_requests,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_latency,
-            self.p99_latency,
-            self.stash_high_water,
-        )
-    }
-
-    /// Parses one CSV data row produced by [`ShardSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<ShardSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 14 {
-            return None;
-        }
-        Some(ShardSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            shard: fields[3].parse().ok()?,
-            oram_requests: fields[4].parse().ok()?,
-            workload_accesses: fields[5].parse().ok()?,
-            dummy_requests: fields[6].parse().ok()?,
-            cycles: fields[7].parse().ok()?,
-            submitted_requests: fields[8].parse().ok()?,
-            arrivals: fields[9].parse().ok()?,
-            dropped_arrivals: fields[10].parse().ok()?,
-            mean_latency: fields[11].parse().ok()?,
-            p99_latency: fields[12].parse().ok()?,
-            stash_high_water: fields[13].parse().ok()?,
-        })
-    }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\"shard\":{},\
-\"oram_requests\":{},\"workload_accesses\":{},\"dummy_requests\":{},\"cycles\":{},\
-\"submitted_requests\":{},\"arrivals\":{},\"dropped_arrivals\":{},\"mean_latency\":{},\
-\"p99_latency\":{},\"stash_high_water\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.shard,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.submitted_requests,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_latency,
-            self.p99_latency,
-            self.stash_high_water,
-        )
-    }
-}
-
-fn shard_summary_from_json_object(object: &str) -> Option<ShardSummary> {
-    Some(ShardSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        shard: json_field(object, "shard")?.parse().ok()?,
-        oram_requests: json_field(object, "oram_requests")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        dummy_requests: json_field(object, "dummy_requests")?.parse().ok()?,
-        cycles: json_field(object, "cycles")?.parse().ok()?,
-        submitted_requests: json_field(object, "submitted_requests")?.parse().ok()?,
-        arrivals: json_field(object, "arrivals")?.parse().ok()?,
-        dropped_arrivals: json_field(object, "dropped_arrivals")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        p99_latency: json_field(object, "p99_latency")?.parse().ok()?,
-        stash_high_water: json_field(object, "stash_high_water")?.parse().ok()?,
-    })
-}
-
-fn tenant_summary_from_json_object(object: &str) -> Option<TenantSummary> {
-    Some(TenantSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        tenant: json_field(object, "tenant")?.parse().ok()?,
-        tenant_workload: json_field(object, "tenant_workload")?,
-        submitted: json_field(object, "submitted")?.parse().ok()?,
-        completed: json_field(object, "completed")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        p50_latency: json_field(object, "p50_latency")?.parse().ok()?,
-        p95_latency: json_field(object, "p95_latency")?.parse().ok()?,
-        p99_latency: json_field(object, "p99_latency")?.parse().ok()?,
-        dram_ops: json_field(object, "dram_ops")?.parse().ok()?,
-        dram_share: json_field(object, "dram_share")?.parse().ok()?,
-        energy_j: json_field(object, "energy_j")?.parse().ok()?,
-    })
-}
-
-/// Makes a label safe for one CSV cell: the separator becomes `;` and
-/// control characters (which would break the line structure) become spaces.
-fn sanitize_csv(s: &str) -> String {
-    s.chars()
-        .map(|c| match c {
-            ',' => ';',
-            c if c.is_control() => ' ',
-            c => c,
-        })
-        .collect()
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+/// Writes a text cell to JSON as a quoted, escaped string literal.
+fn push_json_text(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -558,7 +501,97 @@ fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
+}
+
+/// The unread tail of a JSON document in the shape [`ExportRow::to_json`]
+/// writes.
+struct JsonCursor<'a> {
+    rest: &'a str,
+}
+
+impl<'a> JsonCursor<'a> {
+    /// Skips whitespace, then consumes `token` if it comes next.
+    fn eat(&mut self, token: char) -> bool {
+        self.rest = self.rest.trim_start();
+        match self.rest.strip_prefix(token) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A string literal, decoding the escapes [`push_json_text`] writes
+    /// (`\u` takes exactly four ASCII hex digits).
+    fn string(&mut self) -> Option<String> {
+        if !self.eat('"') {
+            return None;
+        }
+        let mut value = String::new();
+        let mut chars = self.rest.char_indices();
+        while let Some((at, c)) = chars.next() {
+            match c {
+                '"' => {
+                    self.rest = &self.rest[at + 1..];
+                    return Some(value);
+                }
+                '\\' => value.push(match chars.next()?.1 {
+                    '"' => '"',
+                    '\\' => '\\',
+                    'n' => '\n',
+                    'r' => '\r',
+                    't' => '\t',
+                    'u' => {
+                        let mut code = 0;
+                        for _ in 0..4 {
+                            code = code * 16 + chars.next()?.1.to_digit(16)?;
+                        }
+                        char::from_u32(code)?
+                    }
+                    _ => return None,
+                }),
+                c => value.push(c),
+            }
+        }
+        None
+    }
+
+    /// A bare (number) token: everything up to the next `,`, `}` or
+    /// whitespace.
+    fn bare(&mut self) -> Option<&'a str> {
+        self.rest = self.rest.trim_start();
+        let end = self
+            .rest
+            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
+            .unwrap_or(self.rest.len());
+        let (token, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        (!token.is_empty()).then_some(token)
+    }
+
+    /// One `{"column":cell,…}` object holding `R`'s columns in order.
+    fn object<R: ExportRow>(&mut self) -> Option<R> {
+        if !self.eat('{') {
+            return None;
+        }
+        let mut cells = Vec::with_capacity(R::COLUMNS.len());
+        for (i, (column, &text)) in R::COLUMNS.iter().zip(R::TEXT).enumerate() {
+            if (i > 0 && !self.eat(',')) || self.string()? != *column || !self.eat(':') {
+                return None;
+            }
+            cells.push(if text {
+                self.string()?
+            } else {
+                self.bare()?.to_string()
+            });
+        }
+        if !self.eat('}') {
+            return None;
+        }
+        R::from_cells(&cells.iter().map(String::as_str).collect::<Vec<_>>())
+    }
 }
 
 /// The ordered results of one executed experiment grid.
@@ -666,55 +699,10 @@ impl ResultSet {
         geometric_mean(&speedups)
     }
 
-    /// The scalar summaries of every record, in grid order.
+    /// The scalar summaries of every record, in grid order: the rows of
+    /// the run-level exports ([`ExportRow`] on [`RunSummary`]).
     pub fn summaries(&self) -> Vec<RunSummary> {
         self.records.iter().map(RunRecord::summary).collect()
-    }
-
-    /// Renders the set as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", RunSummary::CSV_HEADER);
-        for record in &self.records {
-            let _ = writeln!(out, "{}", record.summary().to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_csv`] back into summaries.
-    /// Returns `None` on a malformed document.
-    pub fn parse_csv(csv: &str) -> Option<Vec<RunSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != RunSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(RunSummary::from_csv_row).collect()
-    }
-
-    /// Renders the set as a JSON array of flat per-run objects.
-    pub fn to_json(&self) -> String {
-        let objects: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| format!("  {}", r.summary().to_json_object()))
-            .collect();
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_json`] back into summaries.
-    /// This is a minimal reader for the flat shape this module emits, not a
-    /// general JSON parser. Returns `None` on malformed input.
-    pub fn parse_json(json: &str) -> Option<Vec<RunSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(summary_from_json_object(&object)?);
-        }
-        Some(summaries)
     }
 
     /// The per-tenant summaries of every record, flattened in grid order
@@ -726,55 +714,6 @@ impl ResultSet {
             .collect()
     }
 
-    /// Renders the per-tenant QoS table as CSV (header row first), one row
-    /// per (run, tenant).
-    pub fn to_tenant_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", TenantSummary::CSV_HEADER);
-        for summary in self.tenant_summaries() {
-            let _ = writeln!(out, "{}", summary.to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_tenant_csv`] back into
-    /// per-tenant summaries. Returns `None` on a malformed document.
-    pub fn parse_tenant_csv(csv: &str) -> Option<Vec<TenantSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != TenantSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(TenantSummary::from_csv_row).collect()
-    }
-
-    /// Renders the per-tenant QoS table as a JSON array of flat objects.
-    pub fn to_tenant_json(&self) -> String {
-        let objects: Vec<String> = self
-            .tenant_summaries()
-            .iter()
-            .map(|s| format!("  {}", s.to_json_object()))
-            .collect();
-        if objects.is_empty() {
-            return "[]\n".to_string();
-        }
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_tenant_json`] back into
-    /// per-tenant summaries. Returns `None` on malformed input.
-    pub fn parse_tenant_json(json: &str) -> Option<Vec<TenantSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(tenant_summary_from_json_object(&object)?);
-        }
-        Some(summaries)
-    }
-
     /// The per-shard summaries of every record, flattened in grid order
     /// (record by record, shards in shard order within each record).
     /// Single-system records contribute no rows.
@@ -783,56 +722,6 @@ impl ResultSet {
             .iter()
             .flat_map(RunRecord::shard_summaries)
             .collect()
-    }
-
-    /// Renders the per-shard attribution table as CSV (header row first),
-    /// one row per (sharded run, shard).
-    pub fn to_shard_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", ShardSummary::CSV_HEADER);
-        for summary in self.shard_summaries() {
-            let _ = writeln!(out, "{}", summary.to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_shard_csv`] back into
-    /// per-shard summaries. Returns `None` on a malformed document.
-    pub fn parse_shard_csv(csv: &str) -> Option<Vec<ShardSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != ShardSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(ShardSummary::from_csv_row).collect()
-    }
-
-    /// Renders the per-shard attribution table as a JSON array of flat
-    /// objects.
-    pub fn to_shard_json(&self) -> String {
-        let objects: Vec<String> = self
-            .shard_summaries()
-            .iter()
-            .map(|s| format!("  {}", s.to_json_object()))
-            .collect();
-        if objects.is_empty() {
-            return "[]\n".to_string();
-        }
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_shard_json`] back into
-    /// per-shard summaries. Returns `None` on malformed input.
-    pub fn parse_shard_json(json: &str) -> Option<Vec<ShardSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(shard_summary_from_json_object(&object)?);
-        }
-        Some(summaries)
     }
 }
 
@@ -843,117 +732,6 @@ impl<'a> IntoIterator for &'a ResultSet {
     fn into_iter(self) -> Self::IntoIter {
         self.records.iter()
     }
-}
-
-/// Splits `{..},{..},..` into the individual `{..}` bodies, honouring
-/// string literals so braces inside labels don't confuse the nesting count.
-fn split_top_level_objects(body: &str) -> Option<Vec<String>> {
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut current = String::new();
-    for c in body.chars() {
-        if in_string {
-            current.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                current.push(c);
-            }
-            '{' => {
-                depth += 1;
-                current.push(c);
-            }
-            '}' => {
-                depth = depth.checked_sub(1)?;
-                current.push(c);
-                if depth == 0 {
-                    objects.push(current.trim().to_string());
-                    current = String::new();
-                }
-            }
-            ',' if depth == 0 => {}
-            _ => {
-                if depth > 0 {
-                    current.push(c);
-                }
-            }
-        }
-    }
-    if depth != 0 || in_string {
-        return None;
-    }
-    Some(objects)
-}
-
-/// Extracts the value of `"key":` from a flat JSON object body.
-fn json_field(object: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let start = object.find(&marker)? + marker.len();
-    let rest = &object[start..];
-    if let Some(rest) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote, decoding the
-        // escapes `escape_json` can produce.
-        let mut value = String::new();
-        let mut chars = rest.chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '"' => return Some(value),
-                '\\' => match chars.next()? {
-                    '"' => value.push('"'),
-                    '\\' => value.push('\\'),
-                    'n' => value.push('\n'),
-                    'r' => value.push('\r'),
-                    't' => value.push('\t'),
-                    'u' => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        value.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => value.push(c),
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().to_string())
-    }
-}
-
-fn summary_from_json_object(object: &str) -> Option<RunSummary> {
-    Some(RunSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        prefetch_length: json_field(object, "prefetch_length")?.parse().ok()?,
-        oram_requests: json_field(object, "oram_requests")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        dummy_requests: json_field(object, "dummy_requests")?.parse().ok()?,
-        cycles: json_field(object, "cycles")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        llc_hit_rate: json_field(object, "llc_hit_rate")?.parse().ok()?,
-        stash_high_water: json_field(object, "stash_high_water")?.parse().ok()?,
-        bandwidth_utilization: json_field(object, "bandwidth_utilization")?.parse().ok()?,
-        sync_stall_cycles: json_field(object, "sync_stall_cycles")?.parse().ok()?,
-        arrivals: json_field(object, "arrivals")?.parse().ok()?,
-        dropped_arrivals: json_field(object, "dropped_arrivals")?.parse().ok()?,
-        mean_queue_wait: json_field(object, "mean_queue_wait")?.parse().ok()?,
-        shards: json_field(object, "shards")?.parse().ok()?,
-        hardware: json_field(object, "hardware")?,
-        energy_j: json_field(object, "energy_j")?.parse().ok()?,
-    })
 }
 
 #[cfg(test)]
@@ -996,7 +774,7 @@ mod tests {
     #[test]
     fn csv_round_trips_exactly() {
         let set = small_set();
-        let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
+        let parsed = RunSummary::parse_csv(&RunSummary::to_csv(&set.summaries())).unwrap();
         assert_eq!(parsed, set.summaries());
     }
 
@@ -1024,24 +802,25 @@ mod tests {
         assert_eq!(summaries.len(), 2, "one row per tenant");
         assert_eq!(summaries[0].tenant_workload, "redis");
         assert_eq!(summaries[1].tenant_workload, "llm");
-        let parsed = ResultSet::parse_tenant_csv(&set.to_tenant_csv()).unwrap();
+        let parsed = TenantSummary::parse_csv(&TenantSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
     }
 
     #[test]
     fn tenant_json_round_trips_exactly() {
         let set = mix_set();
-        let parsed = ResultSet::parse_tenant_json(&set.to_tenant_json()).unwrap();
+        let parsed =
+            TenantSummary::parse_json(&TenantSummary::to_json(&set.tenant_summaries())).unwrap();
         assert_eq!(parsed, set.tenant_summaries());
         // Single-tenant sets export one row per run, and empty sets parse.
         let single = small_set();
         assert_eq!(single.tenant_summaries().len(), single.len());
-        assert_eq!(ResultSet::parse_tenant_json("[]").unwrap(), Vec::new());
+        assert_eq!(TenantSummary::parse_json("[]").unwrap(), Vec::new());
         assert_eq!(
-            ResultSet::parse_tenant_json(&ResultSet::default().to_tenant_json()).unwrap(),
+            TenantSummary::parse_json(&TenantSummary::to_json(&[])).unwrap(),
             Vec::new()
         );
-        assert!(ResultSet::parse_tenant_csv("nope\n1,2").is_none());
+        assert!(TenantSummary::parse_csv("nope\n1,2").is_none());
     }
 
     fn shard_set() -> ResultSet {
@@ -1063,23 +842,24 @@ mod tests {
         assert_eq!(summaries[0].shard, 0);
         assert_eq!(summaries[1].shard, 1);
         assert_eq!(set.summaries()[0].shards, 2);
-        let parsed = ResultSet::parse_shard_csv(&set.to_shard_csv()).unwrap();
+        let parsed = ShardSummary::parse_csv(&ShardSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
         // Single-system sets export no shard rows and a shards count of 0.
         let single = small_set();
         assert!(single.shard_summaries().is_empty());
         assert!(single.summaries().iter().all(|s| s.shards == 0));
-        assert!(ResultSet::parse_shard_csv("nope\n1,2").is_none());
+        assert!(ShardSummary::parse_csv("nope\n1,2").is_none());
     }
 
     #[test]
     fn shard_json_round_trips_exactly() {
         let set = shard_set();
-        let parsed = ResultSet::parse_shard_json(&set.to_shard_json()).unwrap();
+        let parsed =
+            ShardSummary::parse_json(&ShardSummary::to_json(&set.shard_summaries())).unwrap();
         assert_eq!(parsed, set.shard_summaries());
-        assert_eq!(ResultSet::parse_shard_json("[]").unwrap(), Vec::new());
+        assert_eq!(ShardSummary::parse_json("[]").unwrap(), Vec::new());
         assert_eq!(
-            ResultSet::parse_shard_json(&ResultSet::default().to_shard_json()).unwrap(),
+            ShardSummary::parse_json(&ShardSummary::to_json(&[])).unwrap(),
             Vec::new()
         );
     }
@@ -1090,31 +870,29 @@ mod tests {
         let mut record = set.records()[0].clone();
         record.label = "odd \"label\" with {braces},\ncommas\tand\u{1}controls".to_string();
         let odd = ResultSet::new(vec![record]);
-        let parsed = ResultSet::parse_shard_json(&odd.to_shard_json()).unwrap();
+        let json = ShardSummary::to_json(&odd.shard_summaries());
+        let parsed = ShardSummary::parse_json(&json).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces},\ncommas\tand\u{1}controls"
         );
         assert_eq!(parsed[0].workload.name(), "shard:2:hash:random");
-        assert!(!odd
-            .to_shard_json()
-            .chars()
-            .any(|c| c.is_control() && c != '\n'));
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
         // CSV flattens the label but stays one well-formed row per shard.
-        let csv = odd.to_shard_csv();
+        let csv = ShardSummary::to_csv(&odd.shard_summaries());
         assert_eq!(csv.lines().count(), 3);
-        let parsed = ResultSet::parse_shard_csv(&csv).unwrap();
+        let parsed = ShardSummary::parse_csv(&csv).unwrap();
         assert_eq!(
             parsed[1].label,
             "odd \"label\" with {braces}; commas and controls"
         );
         // The sharded run-level summary round-trips through both formats
         // too (its workload cell carries the reserved `:`-grammar name).
-        let run_parsed = ResultSet::parse_csv(&odd.to_csv()).unwrap();
+        let run_parsed = RunSummary::parse_csv(&RunSummary::to_csv(&odd.summaries())).unwrap();
         assert_eq!(run_parsed[0].shards, 2);
         assert_eq!(run_parsed[0].workload.name(), "shard:2:hash:random");
-        let run_parsed = ResultSet::parse_json(&odd.to_json()).unwrap();
+        let run_parsed = RunSummary::parse_json(&RunSummary::to_json(&odd.summaries())).unwrap();
         assert_eq!(run_parsed, odd.summaries());
     }
 
@@ -1139,21 +917,15 @@ mod tests {
         let names: Vec<&str> = summaries.iter().map(|s| s.hardware.as_str()).collect();
         assert_eq!(names, ["ddr4-3200", "ddr5-6400", "hbm2e"]);
         assert!(summaries.iter().all(|s| s.energy_j > 0.0));
-        let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
-        assert_eq!(parsed, summaries);
-        let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+        let csv = RunSummary::to_csv(&summaries);
+        assert_eq!(RunSummary::parse_csv(&csv).unwrap(), summaries);
+        let parsed = RunSummary::parse_json(&RunSummary::to_json(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
         // A pre-extension row (17 fields) no longer parses.
-        let legacy = set.to_csv();
-        let short_row: String = legacy
-            .lines()
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .take(17)
-            .collect::<Vec<_>>()
-            .join(",");
-        assert!(RunSummary::from_csv_row(&short_row).is_none());
+        let short_row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').take(17).collect();
+        let header = RunSummary::COLUMNS.join(",");
+        let legacy = format!("{header}\n{}\n", short_row.join(","));
+        assert!(RunSummary::parse_csv(&legacy).is_none());
     }
 
     #[test]
@@ -1166,9 +938,9 @@ mod tests {
         assert!(
             (tenant_total - record.metrics.energy_j()).abs() <= record.metrics.energy_j() * 1e-12
         );
-        let parsed = ResultSet::parse_tenant_csv(&set.to_tenant_csv()).unwrap();
+        let parsed = TenantSummary::parse_csv(&TenantSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
-        let parsed = ResultSet::parse_tenant_json(&set.to_tenant_json()).unwrap();
+        let parsed = TenantSummary::parse_json(&TenantSummary::to_json(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
     }
 
@@ -1186,7 +958,7 @@ mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let set = small_set();
-        let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+        let parsed = RunSummary::parse_json(&RunSummary::to_json(&set.summaries())).unwrap();
         assert_eq!(parsed, set.summaries());
     }
 
@@ -1196,17 +968,18 @@ mod tests {
         let mut record = set.records()[0].clone();
         record.label = "odd \"label\" with {braces},\ncommas\tand\u{1}controls".to_string();
         let odd = ResultSet::new(vec![record.clone()]);
-        let parsed = ResultSet::parse_json(&odd.to_json()).unwrap();
+        let json = RunSummary::to_json(&odd.summaries());
+        let parsed = RunSummary::parse_json(&json).unwrap();
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces},\ncommas\tand\u{1}controls"
         );
         // The JSON document itself contains no raw control characters.
-        assert!(!odd.to_json().chars().any(|c| c.is_control() && c != '\n'));
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
         // CSV flattens the label but stays one well-formed row per record.
-        let csv = odd.to_csv();
+        let csv = RunSummary::to_csv(&odd.summaries());
         assert_eq!(csv.lines().count(), 2);
-        let parsed = ResultSet::parse_csv(&csv).unwrap();
+        let parsed = RunSummary::parse_csv(&csv).unwrap();
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces}; commas and controls"
@@ -1224,10 +997,61 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(ResultSet::parse_csv("not,a,header\n1,2").is_none());
-        assert!(ResultSet::parse_json("{\"not\":\"an array\"").is_none());
-        assert!(RunSummary::from_csv_row("too,few,fields").is_none());
-        assert_eq!(ResultSet::parse_json("[]").unwrap(), Vec::new());
+        assert!(RunSummary::parse_csv("not,a,header\n1,2").is_none());
+        assert!(RunSummary::parse_json("{\"not\":\"an array\"").is_none());
+        let header = RunSummary::COLUMNS.join(",");
+        assert!(RunSummary::parse_csv(&format!("{header}\ntoo,few,fields\n")).is_none());
+        assert_eq!(RunSummary::parse_json("[]").unwrap(), Vec::new());
+        // Every writer renders an empty set as the same empty documents.
+        assert_eq!(RunSummary::to_json(&[]), "[]\n");
+        assert_eq!(RunSummary::to_csv(&[]), format!("{header}\n"));
+    }
+
+    /// A two-row run-level JSON document with `sep` between its objects.
+    fn two_objects(sep: &str) -> String {
+        let json = RunSummary::to_json(&small_set().summaries());
+        let (first, second) = json.split_once(",\n").unwrap();
+        format!("{first}{sep}{second}")
+    }
+
+    #[test]
+    fn json_objects_are_separated_by_exactly_one_comma() {
+        assert_eq!(
+            RunSummary::parse_json(&two_objects(" ,\n\t"))
+                .unwrap()
+                .len(),
+            2
+        );
+        for sep in [" garbage ", "", ",,", ", garbage,", "\n"] {
+            assert!(
+                RunSummary::parse_json(&two_objects(sep)).is_none(),
+                "accepted {sep:?} between objects"
+            );
+        }
+        let json = RunSummary::to_json(&small_set().summaries());
+        let trailing_comma = json.replace("}\n]", "},\n]");
+        assert!(RunSummary::parse_json(&trailing_comma).is_none());
+    }
+
+    #[test]
+    fn json_unicode_escapes_take_exactly_four_hex_digits() {
+        let json = RunSummary::to_json(&small_set().summaries());
+        let with_label = |label: &str| json.replacen("PathORAM/random", label, 1);
+        let parsed = RunSummary::parse_json(&with_label("\\u0041\\u00e9")).unwrap();
+        assert_eq!(parsed[0].label, "A\u{e9}");
+        for bad in [
+            "\\u+041",
+            "\\u-041",
+            "\\u 041",
+            "\\u41",
+            "\\u004",
+            "\\u０041",
+        ] {
+            assert!(
+                RunSummary::parse_json(&with_label(bad)).is_none(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]

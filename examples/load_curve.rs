@@ -17,7 +17,9 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example load_curve
 //! ```
 
-use palermo::sim::experiment::{Experiment, ResultSet, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
+};
 use palermo::sim::figures::load_curve;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -82,7 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .workload_specs([inner.clone()])
             .sweep_offered_load(RATES)
             .run(&SerialExecutor)?;
-        assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
+        assert_eq!(
+            RunSummary::to_csv(&serial.summaries()),
+            RunSummary::to_csv(&results.summaries()),
+            "executors diverged"
+        );
         eprintln!("serial re-run verified: open-loop metrics byte-identical");
     }
 
@@ -114,14 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The aggregate exports — including the new arrivals/dropped/queue-wait
     // columns — survive both round trips.
-    let csv = results.to_csv();
+    let summaries = results.summaries();
+    let csv = RunSummary::to_csv(&summaries);
+    assert_eq!(RunSummary::parse_csv(&csv), Some(summaries.clone()));
     assert_eq!(
-        ResultSet::parse_csv(&csv).as_deref(),
-        Some(results.summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_json(&results.to_json()).as_deref(),
-        Some(results.summaries().as_slice())
+        RunSummary::parse_json(&RunSummary::to_json(&summaries)),
+        Some(summaries)
     );
     println!("CSV/JSON round-trip verified for {} rows", results.len());
     println!("--- CSV export (first 3 lines) ---");

@@ -18,7 +18,9 @@
 //! ```
 
 use palermo::dram::HardwareProfile;
-use palermo::sim::experiment::{ResultSet, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
+};
 use palermo::sim::figures::memory_tech;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -95,10 +97,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The executors are byte-identical by construction; verify on demand.
     if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
         let serial = memory_tech::run(&cfg, &spec, &SCHEMES, &profiles, &SerialExecutor)?;
-        assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
         assert_eq!(
-            serial.to_tenant_csv(),
-            results.to_tenant_csv(),
+            RunSummary::to_csv(&serial.summaries()),
+            RunSummary::to_csv(&results.summaries()),
+            "executors diverged"
+        );
+        assert_eq!(
+            TenantSummary::to_csv(&serial.tenant_summaries()),
+            TenantSummary::to_csv(&results.tenant_summaries()),
             "per-tenant energy attribution diverged between executors"
         );
         eprintln!("serial re-run verified: energy accounting byte-identical");
@@ -129,18 +135,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The extended schema (hardware + energy columns) survives both round
     // trips, per run and per tenant.
-    let csv = results.to_csv();
+    let summaries = results.summaries();
+    let csv = RunSummary::to_csv(&summaries);
+    assert_eq!(RunSummary::parse_csv(&csv), Some(summaries.clone()));
     assert_eq!(
-        ResultSet::parse_csv(&csv).as_deref(),
-        Some(results.summaries().as_slice())
+        RunSummary::parse_json(&RunSummary::to_json(&summaries)),
+        Some(summaries)
     );
+    let tenants = results.tenant_summaries();
     assert_eq!(
-        ResultSet::parse_json(&results.to_json()).as_deref(),
-        Some(results.summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_tenant_csv(&results.to_tenant_csv()).as_deref(),
-        Some(results.tenant_summaries().as_slice())
+        TenantSummary::parse_csv(&TenantSummary::to_csv(&tenants)),
+        Some(tenants)
     );
     println!("hardware/energy CSV+JSON round-trip verified");
     println!("--- CSV export (first 4 lines) ---");

@@ -16,7 +16,9 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example tenant_qos
 //! ```
 
-use palermo::sim::experiment::{Experiment, ResultSet, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
+};
 use palermo::sim::figures::tenant_qos;
 use palermo::sim::runner::run_workload_spec;
 use palermo::sim::schemes::Scheme;
@@ -82,10 +84,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .schemes(SCHEMES)
             .workload_specs([spec.clone()])
             .run(&SerialExecutor)?;
-        assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
         assert_eq!(
-            serial.to_tenant_csv(),
-            results.to_tenant_csv(),
+            RunSummary::to_csv(&serial.summaries()),
+            RunSummary::to_csv(&results.summaries()),
+            "executors diverged"
+        );
+        assert_eq!(
+            TenantSummary::to_csv(&serial.tenant_summaries()),
+            TenantSummary::to_csv(&results.tenant_summaries()),
             "per-tenant attribution diverged between executors"
         );
         eprintln!("serial re-run verified: per-tenant metrics byte-identical");
@@ -131,18 +137,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Per-tenant exports survive both round trips.
-    let tenant_csv = results.to_tenant_csv();
+    let tenants = results.tenant_summaries();
+    let tenant_csv = TenantSummary::to_csv(&tenants);
+    assert_eq!(TenantSummary::parse_csv(&tenant_csv), Some(tenants.clone()));
     assert_eq!(
-        ResultSet::parse_tenant_csv(&tenant_csv).as_deref(),
-        Some(results.tenant_summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_tenant_json(&results.to_tenant_json()).as_deref(),
-        Some(results.tenant_summaries().as_slice())
+        TenantSummary::parse_json(&TenantSummary::to_json(&tenants)).as_ref(),
+        Some(&tenants)
     );
     println!(
         "per-tenant CSV/JSON round-trip verified for {} tenant rows",
-        results.tenant_summaries().len()
+        tenants.len()
     );
     println!("--- per-tenant CSV export (first 4 lines) ---");
     for line in tenant_csv.lines().take(4) {

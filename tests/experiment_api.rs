@@ -3,7 +3,8 @@
 //! hosts.
 
 use palermo::sim::experiment::{
-    Experiment, ResultSet, RunSpec, SerialExecutor, ThreadPoolExecutor,
+    Experiment, ExportRow, RunSpec, RunSummary, SerialExecutor, ShardSummary, TenantSummary,
+    ThreadPoolExecutor,
 };
 use palermo::sim::figures::fig10;
 use palermo::sim::schemes::Scheme;
@@ -66,8 +67,14 @@ fn executors_produce_byte_identical_metrics_on_a_fixed_seed_grid() {
         assert_eq!(s.metrics.dram.writes, p.metrics.dram.writes);
     }
     // The rendered exports are byte-identical too.
-    assert_eq!(serial.to_csv(), pooled.to_csv());
-    assert_eq!(serial.to_json(), pooled.to_json());
+    assert_eq!(
+        RunSummary::to_csv(&serial.summaries()),
+        RunSummary::to_csv(&pooled.summaries())
+    );
+    assert_eq!(
+        RunSummary::to_json(&serial.summaries()),
+        RunSummary::to_json(&pooled.summaries())
+    );
 }
 
 #[test]
@@ -92,13 +99,11 @@ fn csv_export_round_trips() {
         .workloads([Workload::Random, Workload::Llm])
         .run(&SerialExecutor)
         .unwrap();
-    let csv = set.to_csv();
-    let parsed = ResultSet::parse_csv(&csv).expect("well-formed CSV");
+    let csv = RunSummary::to_csv(&set.summaries());
+    let parsed = RunSummary::parse_csv(&csv).expect("well-formed CSV");
     assert_eq!(parsed, set.summaries());
     // A second render from nothing but the parsed values is identical.
-    let rerendered: Vec<String> = parsed.iter().map(|s| s.to_csv_row()).collect();
-    let original: Vec<&str> = csv.lines().skip(1).collect();
-    assert_eq!(rerendered, original);
+    assert_eq!(RunSummary::to_csv(&parsed), csv);
 }
 
 #[test]
@@ -109,7 +114,8 @@ fn json_export_round_trips() {
         .sweep_prefetch([1, 4])
         .run(&SerialExecutor)
         .unwrap();
-    let parsed = ResultSet::parse_json(&set.to_json()).expect("well-formed JSON");
+    let parsed =
+        RunSummary::parse_json(&RunSummary::to_json(&set.summaries())).expect("well-formed JSON");
     assert_eq!(parsed, set.summaries());
     assert_eq!(parsed.len(), 2);
     assert!(parsed[0].label.ends_with("pf=1"));
@@ -123,11 +129,28 @@ fn custom_labelled_specs_survive_export() {
         .spec(spec)
         .run(&SerialExecutor)
         .unwrap();
-    let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
+    let parsed = RunSummary::parse_csv(&RunSummary::to_csv(&set.summaries())).unwrap();
     // CSV sanitises the comma; JSON preserves the label exactly.
     assert_eq!(parsed[0].label, "tuned; with commas");
-    let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+    let parsed = RunSummary::parse_json(&RunSummary::to_json(&set.summaries())).unwrap();
     assert_eq!(parsed[0].label, "tuned, with commas");
+}
+
+/// The README's schema block is the export column tables, verbatim: a
+/// renamed, reordered or added column must update the docs with it.
+#[test]
+fn readme_documents_every_export_schema() {
+    fn documented<R: ExportRow>(readme: &str) {
+        let header = R::COLUMNS.join(",");
+        assert!(
+            readme.lines().any(|line| line == header),
+            "README.md lacks the export header line {header}"
+        );
+    }
+    let readme = include_str!("../README.md");
+    documented::<RunSummary>(readme);
+    documented::<TenantSummary>(readme);
+    documented::<ShardSummary>(readme);
 }
 
 /// The wall-clock acceptance check: on a multi-core host the thread pool
@@ -152,7 +175,11 @@ fn thread_pool_halves_wall_clock_on_multicore_hosts() {
         .unwrap();
     let pooled_wall = started.elapsed();
 
-    assert_eq!(serial.to_csv(), pooled.to_csv(), "executors diverged");
+    assert_eq!(
+        RunSummary::to_csv(&serial.summaries()),
+        RunSummary::to_csv(&pooled.summaries()),
+        "executors diverged"
+    );
     let speedup = serial_wall.as_secs_f64() / pooled_wall.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 2.0,

@@ -9,7 +9,9 @@
 //! hardcoded default configuration exactly.
 
 use palermo::dram::{DramConfig, HardwareProfile};
-use palermo::sim::experiment::{Experiment, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
+};
 use palermo::sim::runner::{
     run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
@@ -117,8 +119,14 @@ fn profile_sweep_is_identical_across_executors() {
     for (s, p) in serial.iter().zip(pool.iter()) {
         assert_eq!(s.metrics, p.metrics, "{}: executors diverged", s.label);
     }
-    assert_eq!(serial.to_csv(), pool.to_csv());
-    assert_eq!(serial.to_tenant_csv(), pool.to_tenant_csv());
+    assert_eq!(
+        RunSummary::to_csv(&serial.summaries()),
+        RunSummary::to_csv(&pool.summaries())
+    );
+    assert_eq!(
+        TenantSummary::to_csv(&serial.tenant_summaries()),
+        TenantSummary::to_csv(&pool.tenant_summaries())
+    );
 }
 
 /// Applying the checked-in DDR4-3200 profile is a no-op: the run it
