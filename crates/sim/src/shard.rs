@@ -10,9 +10,9 @@
 //! shard-index order, with per-shard and per-tenant attribution both
 //! preserved and conservation-checked.
 //!
-//! Because shards share no state, shard stepping is a pure scheduling
-//! choice: [`SerialShardStepper`] runs the shards one after another on the
-//! calling thread, [`PooledShardStepper`] fans them across
+//! Because shards share no mutable state, shard stepping is a pure
+//! scheduling choice: [`SerialShardStepper`] runs the shards one after
+//! another on the calling thread, [`PooledShardStepper`] fans them across
 //! [`std::thread::scope`] workers, and the two are byte-identical by
 //! construction (each shard's run depends only on its own derived seed and
 //! its own filtered stream). `tests/shard_scaling.rs` pins that identity
@@ -20,9 +20,12 @@
 //!
 //! # Determinism contract
 //!
-//! * Every shard rebuilds the *global* workload stream from the global
-//!   stream seed and filters it through the router, so the set of accesses
-//!   a shard sees is independent of how the other shards are scheduled.
+//! * The *global* workload stream is built once, from the global stream
+//!   seed, when the system is constructed. Every shard starts from its own
+//!   clone of that untouched stream and filters it through the router, so
+//!   the set of accesses a shard sees is independent of how the other
+//!   shards are scheduled. Clones share only immutable tables (a graph, a
+//!   replayed trace), never cursor or RNG state.
 //! * Per-shard protocol seeds are derived from the global seed by SplitMix64
 //!   expansion (the same idiom the multi-tenant mix uses per tenant), so
 //!   shard i's leaf randomness never depends on K's scheduling.
@@ -36,7 +39,7 @@ use palermo_analysis::LatencyHistogram;
 use palermo_dram::{DramConfig, DramStats, EnergyCoefficients};
 use palermo_oram::error::{OramError, OramResult};
 use palermo_oram::rng::SplitMix64;
-use palermo_workloads::{OpenLoopSpec, ShardRouter, ShardSpec, ShardStream, WorkloadSpec};
+use palermo_workloads::{AccessStream, OpenLoopSpec, ShardRouter, ShardStream, WorkloadSpec};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -104,49 +107,46 @@ pub struct ShardedSystem {
     scheme: Scheme,
     /// The full user-facing spec — every shard's metrics carry this label.
     spec: WorkloadSpec,
-    shard_spec: ShardSpec,
     router: ShardRouter,
     shard_configs: Vec<SystemConfig>,
     /// Per-shard serving description: the global arrival processes thinned
     /// by 1/K (each shard sees its slice of the offered load). `None` for
     /// closed-loop specs.
     open: Option<OpenLoopSpec>,
-    /// Stream footprint hint of the *global* run; every shard rebuilds the
-    /// identical global stream from this and filters it.
-    global_stream_hint: u64,
-    /// Stream seed of the *global* run (see `global_stream_hint`).
-    global_stream_seed: u64,
+    /// The *global* stream (global hint and seed), built once and never
+    /// pulled: every shard runs on its own clone of it.
+    prototype: Box<dyn AccessStream>,
     prefetch_length: u32,
 }
 
 impl ShardedSystem {
     /// Builds the sharded system implied by a sharded workload spec.
     ///
-    /// The router is constructed from a probe build of the inner stream (it
-    /// only needs the footprint and tenant partitions, which are properties
-    /// of the spec, not of the access sequence), per-shard request budgets
-    /// split the global budget conservatively (sums are exact), and
+    /// The inner stream is built once, with the global hint and seed. The
+    /// router reads its footprint and tenant partitions (properties of the
+    /// spec, not of the access sequence), and the stream is then kept,
+    /// unpulled, as the prototype every shard clones. A replayed trace is
+    /// therefore read from disk here and only here. Per-shard request
+    /// budgets split the global budget conservatively (sums are exact), and
     /// per-shard protocol seeds come from SplitMix64 expansion of the
     /// global seed.
     ///
     /// # Errors
     ///
     /// Rejects non-sharded specs, invalid shard shapes (see
-    /// [`ShardSpec::validate`]) and router builds the inner stream cannot
-    /// support (e.g. a footprint with fewer cache lines than shards).
+    /// [`palermo_workloads::ShardSpec::validate`]), inner streams that fail
+    /// to build (e.g. an unreadable trace file) and router builds the inner
+    /// stream cannot support (e.g. a footprint with fewer cache lines than
+    /// shards).
     pub fn new(scheme: Scheme, spec: &WorkloadSpec, config: &SystemConfig) -> OramResult<Self> {
-        let shard_spec = spec
-            .sharded()
-            .ok_or_else(|| OramError::InvalidParams {
-                reason: format!("workload spec '{spec}' is not sharded"),
-            })?
-            .clone();
+        let shard_spec = spec.sharded().ok_or_else(|| OramError::InvalidParams {
+            reason: format!("workload spec '{spec}' is not sharded"),
+        })?;
         spec.validate()?;
-        let probe = shard_spec
+        let prototype = shard_spec
             .inner
             .build(config.stream_footprint_hint(), config.stream_seed())?;
-        let router = ShardRouter::new(shard_spec.router, shard_spec.shards, probe.as_ref())?;
-        drop(probe);
+        let router = ShardRouter::new(shard_spec.router, shard_spec.shards, prototype.as_ref())?;
 
         let k = u64::from(shard_spec.shards);
         let mut seeds = SplitMix64::new(config.seed);
@@ -196,19 +196,17 @@ impl ShardedSystem {
         Ok(ShardedSystem {
             scheme,
             spec: spec.clone(),
-            shard_spec,
             router,
             shard_configs,
             open,
-            global_stream_hint: config.stream_footprint_hint(),
-            global_stream_seed: config.stream_seed(),
+            prototype,
             prefetch_length,
         })
     }
 
     /// Number of shards.
     pub fn shards(&self) -> u32 {
-        self.shard_spec.shards
+        self.router.shards()
     }
 
     /// The scheme every shard runs.
@@ -226,14 +224,15 @@ impl ShardedSystem {
         &self.shard_configs[shard as usize]
     }
 
-    /// Runs one shard to completion: rebuilds the global stream, filters it
-    /// to this shard through the router, and drives the single-system loop
-    /// with the shard's derived configuration. Independent of every other
-    /// shard by construction, which is what makes pooled stepping safe.
+    /// Runs one shard to completion: clones the global stream built at
+    /// construction, filters it to this shard through the router, and
+    /// drives the single-system loop with the shard's derived
+    /// configuration. Independent of every other shard by construction,
+    /// which is what makes pooled stepping safe.
     ///
     /// # Errors
     ///
-    /// Propagates protocol-configuration and stream build errors.
+    /// Propagates protocol-configuration errors.
     pub fn run_shard(&self, shard: u32, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
         let config = &self.shard_configs[shard as usize];
         let params = config.hierarchy_params()?;
@@ -244,14 +243,9 @@ impl ShardedSystem {
             config.stash_capacity,
         )?;
         let controller_cfg = self.scheme.controller_config(config.pe_columns);
-        // Rebuild the *global* stream (global hint and seed, not the
-        // shard's): all shards filter the identical access sequence, so the
+        // Every shard filters a fresh clone of the *global* stream, so the
         // union of what the shards consume is exactly the unsharded stream.
-        let inner = self
-            .shard_spec
-            .inner
-            .build(self.global_stream_hint, self.global_stream_seed)?;
-        let mut stream = ShardStream::new(inner, self.router.clone(), shard);
+        let mut stream = ShardStream::new(self.prototype.clone(), self.router.clone(), shard);
         run_core(
             self.scheme,
             hierarchy_cfg,
@@ -530,6 +524,7 @@ impl ShardStepper for PooledShardStepper {
 mod tests {
     use super::*;
     use crate::runner::CalendarStepper;
+    use palermo_workloads::TraceEntry;
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::small_for_tests();
@@ -615,6 +610,100 @@ mod tests {
         assert_eq!(m.queue_waits.len(), m.latencies.len());
         assert!(m.shard_conservation_ok());
         assert!(m.arrival_conservation_ok());
+    }
+
+    /// Shard `shard` driven by a fresh build of the global stream, as
+    /// `run_shard` did before it cloned the prototype.
+    fn run_shard_on_a_rebuild(
+        system: &ShardedSystem,
+        global: &SystemConfig,
+        shard: u32,
+    ) -> RunMetrics {
+        let config = system.shard_config(shard);
+        let hierarchy_cfg = system
+            .scheme
+            .hierarchy_config(
+                config.hierarchy_params().unwrap(),
+                config.seed,
+                system.prefetch_length,
+                config.stash_capacity,
+            )
+            .unwrap();
+        let inner = system
+            .spec
+            .sharded()
+            .unwrap()
+            .inner
+            .build(global.stream_footprint_hint(), global.stream_seed())
+            .unwrap();
+        let mut stream = ShardStream::new(inner, system.router.clone(), shard);
+        run_core(
+            system.scheme,
+            hierarchy_cfg,
+            system.scheme.controller_config(config.pe_columns),
+            &system.spec,
+            system.open.as_ref(),
+            &mut stream,
+            config,
+            system.prefetch_length,
+            &CalendarStepper,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn prototype_clones_match_a_fresh_rebuild_per_shard() {
+        let cfg = SystemConfig::small_for_tests();
+        for name in [
+            "shard:2:hash:pr",
+            "shard:3:range:mix:rr:redis+pr",
+            "shard:2:tenant:mix:rr:redis+motif",
+            "open:poisson:0.5:shard:2:hash:motif",
+        ] {
+            let system = ShardedSystem::new(Scheme::Palermo, &sharded(name), &cfg).unwrap();
+            let rebuilt: Vec<RunMetrics> = (0..system.shards())
+                .map(|i| run_shard_on_a_rebuild(&system, &cfg, i))
+                .collect();
+            for (i, expected) in rebuilt.iter().enumerate() {
+                let cloned = system.run_shard(i as u32, &CalendarStepper).unwrap();
+                assert_eq!(&cloned, expected, "{name}: shard {i}");
+            }
+            let rebuilt = system.merge(rebuilt);
+            let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
+            let pooled =
+                ShardStepper::run(&PooledShardStepper::new(2), &system, &CalendarStepper).unwrap();
+            assert_eq!(serial, rebuilt, "{name}: serial");
+            assert_eq!(pooled, rebuilt, "{name}: pooled");
+        }
+    }
+
+    #[test]
+    fn sharded_replays_read_their_trace_once() {
+        // Regression: every shard used to re-read the trace file, so a
+        // file deleted (or rewritten) after construction broke the run.
+        let dir = std::env::temp_dir().join("palermo_shard_replay_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("read_once.trace");
+        let entries: Vec<TraceEntry> = (0..4096u64)
+            .map(|i| {
+                let addr = (i * 7919 % 16_384) * 64;
+                if i % 5 == 0 {
+                    TraceEntry::write(addr)
+                } else {
+                    TraceEntry::read(addr)
+                }
+            })
+            .collect();
+        palermo_workloads::format::save_text(&path, &entries).unwrap();
+        let spec = sharded(&format!("shard:2:hash:replay:{}", path.display()));
+        let system = ShardedSystem::new(Scheme::Palermo, &spec, &tiny()).unwrap();
+        let first = system.run(&CalendarStepper).unwrap();
+        assert!(first.oram_requests > 0);
+        std::fs::remove_file(&path).unwrap();
+        let steppers: [&dyn ShardStepper; 2] = [&SerialShardStepper, &PooledShardStepper::new(2)];
+        for shard_stepper in steppers {
+            assert_eq!(shard_stepper.run(&system, &CalendarStepper).unwrap(), first);
+        }
     }
 
     #[test]

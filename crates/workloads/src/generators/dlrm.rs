@@ -65,10 +65,12 @@ impl DlrmMemBound {
 
 impl AccessStream for DlrmMemBound {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -118,10 +120,12 @@ impl DlrmBalanced {
 
 impl AccessStream for DlrmBalanced {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {

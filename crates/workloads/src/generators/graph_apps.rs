@@ -5,6 +5,7 @@ use super::AccessBuffer;
 use crate::graph::CsrGraph;
 use crate::trace::{AccessStream, TraceEntry};
 use palermo_oram::rng::OramRng;
+use std::sync::Arc;
 
 /// Memory layout of the CSR graph and per-vertex state inside the protected
 /// address space.
@@ -52,9 +53,11 @@ impl GraphLayout {
 
 /// PageRank in pull direction: for each vertex, stream its edge list and
 /// gather the ranks of its (power-law-distributed) neighbours.
+///
+/// The graph is shared: a clone copies only the cursor.
 #[derive(Debug, Clone)]
 pub struct PageRank {
-    graph: CsrGraph,
+    graph: Arc<CsrGraph>,
     layout: GraphLayout,
     buffer: AccessBuffer,
     vertex: u64,
@@ -64,7 +67,7 @@ impl PageRank {
     /// Builds the synthetic graph and the generator. `scale` controls the
     /// vertex count (`scale` vertices with average degree 8).
     pub fn new(scale: u64, seed: u64) -> Self {
-        let graph = CsrGraph::synthetic(scale.max(64), 8, 0.85, seed);
+        let graph = Arc::new(CsrGraph::synthetic(scale.max(64), 8, 0.85, seed));
         let layout = GraphLayout::new(&graph);
         PageRank {
             graph,
@@ -93,10 +96,12 @@ impl PageRank {
 
 impl AccessStream for PageRank {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -107,9 +112,11 @@ impl AccessStream for PageRank {
 /// Edge-driven motif (temporal subgraph) mining: repeatedly pick a random
 /// edge and explore the neighbourhoods of both endpoints — almost no
 /// spatial locality beyond the individual adjacency lists.
+///
+/// The graph is shared: a clone copies only the cursor and RNG state.
 #[derive(Debug, Clone)]
 pub struct MotifMining {
-    graph: CsrGraph,
+    graph: Arc<CsrGraph>,
     layout: GraphLayout,
     buffer: AccessBuffer,
     rng: OramRng,
@@ -118,7 +125,7 @@ pub struct MotifMining {
 impl MotifMining {
     /// Builds the synthetic graph and the generator.
     pub fn new(scale: u64, seed: u64) -> Self {
-        let graph = CsrGraph::synthetic(scale.max(64), 8, 0.9, seed ^ 0x6d6f);
+        let graph = Arc::new(CsrGraph::synthetic(scale.max(64), 8, 0.9, seed ^ 0x6d6f));
         let layout = GraphLayout::new(&graph);
         MotifMining {
             graph,
@@ -150,10 +157,12 @@ impl MotifMining {
 
 impl AccessStream for MotifMining {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -191,6 +200,16 @@ mod tests {
         for _ in 0..1000 {
             assert!(g.next_access().addr.0 < g.footprint_bytes());
         }
+    }
+
+    #[test]
+    fn clones_share_the_graph() {
+        let mut pr = PageRank::new(5000, 1);
+        pr.next_access();
+        assert!(Arc::ptr_eq(&pr.graph, &pr.clone().graph));
+        let mut motif = MotifMining::new(5000, 1);
+        motif.next_access();
+        assert!(Arc::ptr_eq(&motif.graph, &motif.clone().graph));
     }
 
     #[test]

@@ -52,10 +52,12 @@ impl RedisKv {
 
 impl AccessStream for RedisKv {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -55,10 +55,6 @@ impl AccessBuffer {
     pub(crate) fn pop(&mut self) -> Option<TraceEntry> {
         self.queue.pop_front()
     }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +72,6 @@ mod tests {
         assert_eq!(b.pop().unwrap().op, OramOp::Write);
         assert_eq!(b.pop().unwrap().addr.0, 128);
         assert_eq!(b.pop().unwrap().addr.0, 192);
-        assert!(b.is_empty());
         assert!(b.pop().is_none());
     }
 }

@@ -46,10 +46,12 @@ impl Mcf {
 
 impl AccessStream for Mcf {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -90,10 +92,12 @@ impl Lbm {
 
 impl AccessStream for Lbm {
     fn next_access(&mut self) -> TraceEntry {
-        while self.buffer.is_empty() {
+        loop {
+            if let Some(e) = self.buffer.pop() {
+                return e;
+            }
             self.refill();
         }
-        self.buffer.pop().expect("buffer refilled")
     }
 
     fn footprint_bytes(&self) -> u64 {

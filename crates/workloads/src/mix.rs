@@ -145,6 +145,7 @@ mix, never the other way around"
 }
 
 /// One instantiated tenant: its stream and its slice of the address space.
+#[derive(Clone)]
 struct Tenant {
     stream: Box<dyn AccessStream>,
     base: u64,
@@ -204,6 +205,7 @@ fn wrr_order(weights: impl Iterator<Item = u32> + Clone) -> Vec<usize> {
 }
 
 /// The tenant-selection engine.
+#[derive(Clone)]
 enum Schedule {
     /// Interleaved weighted round-robin over a precomputed tenant order.
     Wrr { order: Vec<usize>, cursor: usize },
@@ -213,6 +215,7 @@ enum Schedule {
 
 /// The composed multi-tenant access stream. Build one from a [`MixSpec`]
 /// (usually via [`WorkloadSpec::build`]).
+#[derive(Clone)]
 pub struct MixStream {
     tenants: Vec<Tenant>,
     schedule: Schedule,
@@ -499,6 +502,7 @@ at least one tenant must have an open-ended window"
 
 /// The composed phased multi-tenant stream. Build one from a
 /// [`PhasedMixSpec`] (usually via [`WorkloadSpec::build`]).
+#[derive(Clone)]
 pub struct PhasedMixStream {
     tenants: Vec<Tenant>,
     windows: Vec<PhaseWindow>,

@@ -11,11 +11,14 @@
 use crate::trace::{AccessStream, TraceEntry};
 use palermo_oram::error::{OramError, OramResult};
 use std::path::Path;
+use std::sync::Arc;
 
 /// An endless, looping replay of a finite recorded trace.
+///
+/// The decoded trace is shared: a clone copies only the cursor.
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
-    entries: Vec<TraceEntry>,
+    entries: Arc<[TraceEntry]>,
     cursor: usize,
     footprint: u64,
 }
@@ -30,12 +33,11 @@ impl TraceReplay {
     /// accesses) and traces whose addresses leave no representable
     /// cache-line-aligned footprint bound.
     pub fn from_entries(entries: Vec<TraceEntry>) -> OramResult<Self> {
-        if entries.is_empty() {
+        let Some(max_addr) = entries.iter().map(|e| e.addr.0).max() else {
             return Err(OramError::InvalidParams {
                 reason: "trace replay needs at least one access".into(),
             });
-        }
-        let max_addr = entries.iter().map(|e| e.addr.0).max().expect("non-empty");
+        };
         let footprint = (max_addr / 64)
             .checked_add(1)
             .and_then(|lines| lines.checked_mul(64))
@@ -43,7 +45,7 @@ impl TraceReplay {
                 reason: format!("trace address {max_addr:#x} leaves no representable footprint"),
             })?;
         Ok(TraceReplay {
-            entries,
+            entries: entries.into(),
             cursor: 0,
             footprint,
         })
@@ -105,6 +107,16 @@ mod tests {
         let second_loop: Vec<TraceEntry> = (0..3).map(|_| r.next_access()).collect();
         assert_eq!(first_loop, second_loop);
         assert_eq!(first_loop[1].op, OramOp::Write);
+    }
+
+    #[test]
+    fn clones_share_the_trace() {
+        let mut r =
+            TraceReplay::from_entries(vec![TraceEntry::read(0), TraceEntry::read(64)]).unwrap();
+        r.next_access();
+        let mut c = r.clone();
+        assert!(Arc::ptr_eq(&r.entries, &c.entries));
+        assert_eq!(c.next_access(), r.next_access());
     }
 
     #[test]

@@ -339,9 +339,10 @@ impl ShardRouter {
 /// until an access routes to this shard, then rewrites the address into
 /// the shard-local space (preserving the global tenant id).
 ///
-/// Every shard wraps its *own* rebuild of the same seeded inner stream, so
-/// shards share no mutable state yet observe consistent subsequences of
-/// one global access order.
+/// Every shard wraps its *own* clone of one freshly built inner stream, so
+/// shards share no mutable state (only the immutable tables a clone
+/// shares) yet observe consistent subsequences of one global access order.
+#[derive(Clone)]
 pub struct ShardStream {
     inner: Box<dyn AccessStream>,
     router: ShardRouter,
@@ -503,6 +504,7 @@ mod tests {
         let err = ShardRouter::new(ShardRouterKind::TenantAffine, 2, s.as_ref()).unwrap_err();
         assert!(err.to_string().contains("tenant"), "{err}");
         // Fewer lines than shards.
+        #[derive(Clone)]
         struct Tiny;
         impl AccessStream for Tiny {
             fn next_access(&mut self) -> TraceEntry {
@@ -520,15 +522,15 @@ mod tests {
 
     #[test]
     fn shard_streams_partition_the_global_sequence() {
-        // Four shard streams over identical inner rebuilds must partition
-        // the exact global sequence: merging their pulls in global order
-        // reproduces the unsharded stream.
+        // Four shard streams over clones of one fresh inner stream must
+        // partition the exact global sequence: merging their pulls in
+        // global order reproduces the unsharded stream.
         let spec = random_spec();
-        let probe = stream(&spec);
-        let router = ShardRouter::new(ShardRouterKind::Hash, 4, probe.as_ref()).unwrap();
+        let prototype = stream(&spec);
+        let router = ShardRouter::new(ShardRouterKind::Hash, 4, prototype.as_ref()).unwrap();
         let mut global = stream(&spec);
         let mut shards: Vec<ShardStream> = (0..4)
-            .map(|i| ShardStream::new(stream(&spec), router.clone(), i))
+            .map(|i| ShardStream::new(prototype.clone(), router.clone(), i))
             .collect();
         for _ in 0..500 {
             let g = global.next_tagged();

@@ -50,7 +50,14 @@ pub struct TaggedEntry {
 ///
 /// Generators are deterministic: the same seed yields the same stream, so
 /// every experiment in the repository is reproducible.
-pub trait AccessStream {
+///
+/// Every stream is cloneable, also behind `Box<dyn AccessStream>` (see
+/// [`CloneStream`]). A clone continues the *same* sequence from the point
+/// it was taken: the original and the clone emit identical accesses from
+/// there on. Generators keep large immutable tables (a graph's CSR arrays,
+/// a replayed trace) behind an `Arc`, so a clone shares them and copies
+/// only cursor and RNG state.
+pub trait AccessStream: CloneStream + Send + Sync {
     /// Produces the next access.
     fn next_access(&mut self) -> TraceEntry;
 
@@ -105,6 +112,34 @@ pub trait AccessStream {
     /// correctly reports that no contiguous partition exists.
     fn tenant_partition(&self, i: usize) -> Option<(u64, u64)> {
         (i == 0 && self.tenant_count() == 1).then(|| (0, self.footprint_bytes()))
+    }
+}
+
+/// Object-safe cloning for [`AccessStream`], implemented for every
+/// `Clone` stream; it is what makes `Box<dyn AccessStream>` `Clone`.
+pub trait CloneStream {
+    /// A boxed copy of this stream that continues its sequence.
+    fn clone_stream(&self) -> Box<dyn AccessStream>;
+}
+
+impl<T: AccessStream + Clone + 'static> CloneStream for T {
+    fn clone_stream(&self) -> Box<dyn AccessStream> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn AccessStream> {
+    fn clone(&self) -> Self {
+        self.clone_stream()
+    }
+}
+
+impl std::fmt::Debug for dyn AccessStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AccessStream")
+            .field("footprint_bytes", &self.footprint_bytes())
+            .field("tenant_count", &self.tenant_count())
+            .finish_non_exhaustive()
     }
 }
 
@@ -170,6 +205,7 @@ pub fn profile(stream: &mut dyn AccessStream, n: u64) -> TraceProfile {
 mod tests {
     use super::*;
 
+    #[derive(Clone)]
     struct Counter {
         next: u64,
     }
@@ -238,6 +274,7 @@ mod tests {
         // Regression companion to the `wrapping_sub` fix: the first access
         // (line 0 included) has no predecessor and must not count, and a
         // jump *to* line 0 must not match via wrap-around.
+        #[derive(Clone)]
         struct Fixed(Vec<u64>, usize);
         impl AccessStream for Fixed {
             fn next_access(&mut self) -> TraceEntry {

@@ -8,7 +8,8 @@ use palermo_oram::rng::OramRng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^theta`: the bound on `u * zetan` below which rank 1 is drawn.
+    rank1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -39,7 +40,7 @@ impl Zipf {
         };
         Zipf {
             n,
-            theta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta,
@@ -73,7 +74,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -205,6 +206,37 @@ mod tests {
                 for _ in 0..1000 {
                     assert!(z.sample(&mut rng) < n, "n={n} theta={theta}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_matches_the_inline_formula() {
+        // The rank-1 bound is precomputed in `new`; draws must equal the
+        // Gray et al. formula with `0.5^theta` evaluated on every call.
+        let mut params = OramRng::new(0x5A5A);
+        for _ in 0..200 {
+            let n = 1 + params.gen_range(1 << 20);
+            let theta = params.next_f64() * 0.99;
+            let z = Zipf::new(n, theta);
+            let seed = params.next_u64();
+            let (mut a, mut b) = (OramRng::new(seed), OramRng::new(seed));
+            for _ in 0..500 {
+                let inline = if n == 1 {
+                    0
+                } else {
+                    let u = b.next_f64();
+                    let uz = u * z.zetan;
+                    if uz < 1.0 {
+                        0
+                    } else if uz < 1.0 + 0.5f64.powf(theta) {
+                        1
+                    } else {
+                        let rank = (n as f64 * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64;
+                        rank.min(n - 1)
+                    }
+                };
+                assert_eq!(z.sample(&mut a), inline, "n={n} theta={theta}");
             }
         }
     }

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 /// A stream stub with a configurable footprint: hash/range routers only
 /// consult the footprint, so this gives the properties precise control
 /// over the partition size.
+#[derive(Clone)]
 struct FixedFootprint {
     bytes: u64,
 }
