@@ -21,7 +21,7 @@
 
 use crate::stats::ControllerStats;
 use palermo_dram::{DramSystem, MemRequest};
-use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNodeId};
+use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNode, PlanNodeId};
 use palermo_oram::types::SubOram;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -140,11 +140,8 @@ impl FinishedRequest {
 
 #[derive(Debug, Clone)]
 struct NodeRuntime {
-    pending_reads: Vec<u64>,
-    pending_writes: Vec<u64>,
-    /// Issue cursors into the pending vectors (issued-so-far counts); a
-    /// cursor walk replaces the `remove(0)` shifting the seed engine did per
-    /// issued operation.
+    /// Issue cursors into the plan node's `reads` and `writes`
+    /// (issued-so-far counts): operations issue straight from the plan.
     reads_issued: usize,
     writes_issued: usize,
     outstanding_reads: usize,
@@ -164,17 +161,15 @@ struct NodeRuntime {
 }
 
 impl NodeRuntime {
-    fn new(reads: &[u64], writes: &[u64], compute: u32) -> Self {
+    fn new(node: &PlanNode) -> Self {
         NodeRuntime {
-            pending_reads: reads.to_vec(),
-            pending_writes: writes.to_vec(),
             reads_issued: 0,
             writes_issued: 0,
             outstanding_reads: 0,
-            compute_remaining: compute,
+            compute_remaining: node.compute_cycles,
             compute_expiry: 0,
-            all_issued: reads.is_empty() && writes.is_empty(),
-            complete: reads.is_empty() && writes.is_empty() && compute == 0,
+            all_issued: node.is_empty(),
+            complete: node.is_empty() && node.compute_cycles == 0,
             in_countdown: false,
         }
     }
@@ -185,9 +180,8 @@ impl NodeRuntime {
         !self.complete && self.all_issued && self.outstanding_reads == 0
     }
 
-    fn has_pending_ops(&self) -> bool {
-        self.reads_issued < self.pending_reads.len()
-            || self.writes_issued < self.pending_writes.len()
+    fn has_pending_ops(&self, node: &PlanNode) -> bool {
+        self.reads_issued < node.reads.len() || self.writes_issued < node.writes.len()
     }
 }
 
@@ -424,11 +418,7 @@ impl OramController {
         if !self.can_accept() {
             return Err(plan);
         }
-        let nodes: Vec<NodeRuntime> = plan
-            .nodes
-            .iter()
-            .map(|n| NodeRuntime::new(&n.reads, &n.writes, n.compute_cycles))
-            .collect();
+        let nodes: Vec<NodeRuntime> = plan.nodes.iter().map(NodeRuntime::new).collect();
         let mut predecessor = [None; SubOram::COUNT];
         for sub in SubOram::ALL {
             if plan.nodes.iter().any(|n| n.sub == sub) {
@@ -440,7 +430,11 @@ impl OramController {
             .insert(plan.request_id, self.inflight.len());
         self.stats.requests_accepted += 1;
         let incomplete = nodes.iter().filter(|n| !n.complete).count() as u16;
-        let pending_nodes = nodes.iter().filter(|n| n.has_pending_ops()).count() as u16;
+        let pending_nodes = nodes
+            .iter()
+            .zip(&plan.nodes)
+            .filter(|(n, p)| n.has_pending_ops(p))
+            .count() as u16;
         let mut req = InflightRequest {
             nodes,
             submitted_at: cycle,
@@ -622,7 +616,7 @@ impl OramController {
             {
                 let req = &mut self.inflight[idx];
                 let mut c = req.pending_cursor as usize;
-                while c < req.nodes.len() && !req.nodes[c].has_pending_ops() {
+                while c < req.nodes.len() && !req.nodes[c].has_pending_ops(&req.plan.nodes[c]) {
                     c += 1;
                 }
                 req.pending_cursor = c as u16;
@@ -634,7 +628,8 @@ impl OramController {
                     width_limited = true;
                     break;
                 }
-                if !self.inflight[idx].nodes[node_idx].has_pending_ops() {
+                let req = &self.inflight[idx];
+                if !req.nodes[node_idx].has_pending_ops(&req.plan.nodes[node_idx]) {
                     continue;
                 }
                 any_pending = true;
@@ -648,13 +643,14 @@ impl OramController {
                 // Issue as many of this node's operations as the memory
                 // controller will take this cycle.
                 let req = &mut self.inflight[idx];
+                let plan_node = &req.plan.nodes[node_idx];
                 let node = &mut req.nodes[node_idx];
                 let mut rejected = false;
                 while issued_this_cycle < self.config.issue_width {
-                    let (addr, is_write) = if node.reads_issued < node.pending_reads.len() {
-                        (node.pending_reads[node.reads_issued], false)
-                    } else if node.writes_issued < node.pending_writes.len() {
-                        (node.pending_writes[node.writes_issued], true)
+                    let (addr, is_write) = if node.reads_issued < plan_node.reads.len() {
+                        (plan_node.reads[node.reads_issued], false)
+                    } else if node.writes_issued < plan_node.writes.len() {
+                        (plan_node.writes[node.writes_issued], true)
                     } else {
                         break;
                     };
@@ -682,7 +678,7 @@ impl OramController {
                         self.outstanding_dram
                             .insert(dram_id, (req.plan.request_id, node_idx as u32));
                     }
-                    if !node.has_pending_ops() {
+                    if !node.has_pending_ops(plan_node) {
                         node.all_issued = true;
                         req.pending_nodes -= 1;
                         break;
@@ -691,7 +687,7 @@ impl OramController {
                 // Ready work left over because the issue width ran out mid-
                 // node (not because DRAM pushed back) means the controller
                 // will issue again next cycle: the tick cannot settle.
-                if req.nodes[node_idx].has_pending_ops() {
+                if req.nodes[node_idx].has_pending_ops(&req.plan.nodes[node_idx]) {
                     leftover_pending = true;
                     if !rejected {
                         width_limited = true;
