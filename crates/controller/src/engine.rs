@@ -138,6 +138,27 @@ impl FinishedRequest {
     }
 }
 
+/// Most plan nodes one request may carry: the engine tracks per-request
+/// node sets as `u64` bit masks. The hierarchy lowering emits at most four
+/// nodes per level.
+const MAX_PLAN_NODES: usize = u64::BITS as usize;
+
+/// Mask of node indices `0..=idx`.
+fn mask_through(idx: usize) -> u64 {
+    u64::MAX >> (u64::BITS as usize - 1 - idx)
+}
+
+/// Iterates the set bit indices of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            idx
+        })
+    })
+}
+
 #[derive(Debug, Clone)]
 struct NodeRuntime {
     /// Issue cursors into the plan node's `reads` and `writes`
@@ -154,7 +175,11 @@ struct NodeRuntime {
     /// sweep skip entirely on ticks where no deadline is due, and lets bulk
     /// cycle skips advance one clock instead of every tracked node.
     compute_expiry: u64,
-    all_issued: bool,
+    /// Distinct dependencies not yet complete; the countdown sweep
+    /// decrements it as each one completes.
+    unmet_deps: u32,
+    /// Nodes that list this one among their dependencies.
+    dependents: u64,
     complete: bool,
     /// Whether this node sits in its request's countdown list.
     in_countdown: bool,
@@ -168,23 +193,36 @@ impl NodeRuntime {
             outstanding_reads: 0,
             compute_remaining: node.compute_cycles,
             compute_expiry: 0,
-            all_issued: node.is_empty(),
+            unmet_deps: 0,
+            dependents: 0,
             complete: node.is_empty() && node.compute_cycles == 0,
             in_countdown: false,
         }
     }
 
-    /// Countdown-eligible: memory traffic fully issued and returned, not yet
-    /// complete (dependency readiness is checked by the caller).
-    fn countdown_shape(&self) -> bool {
-        !self.complete && self.all_issued && self.outstanding_reads == 0
-    }
-
     fn has_pending_ops(&self, node: &PlanNode) -> bool {
         self.reads_issued < node.reads.len() || self.writes_issued < node.writes.len()
     }
+
+    /// The address of the node's next operation to issue and whether it is
+    /// a write: reads go first, then writes.
+    fn next_op(&self, node: &PlanNode) -> Option<(u64, bool)> {
+        if self.reads_issued < node.reads.len() {
+            Some((node.reads[self.reads_issued], false))
+        } else if self.writes_issued < node.writes.len() {
+            Some((node.writes[self.writes_issued], true))
+        } else {
+            None
+        }
+    }
 }
 
+/// One ORAM request in flight.
+///
+/// Node readiness is kept as bit masks (bit `i` = plan node `i`) updated at
+/// the events that change it, so the issue pass visits only the nodes that
+/// can issue instead of re-deriving every pending node's dependencies and
+/// hand-off each tick.
 #[derive(Debug, Clone)]
 struct InflightRequest {
     plan: AccessPlan,
@@ -200,19 +238,96 @@ struct InflightRequest {
     countdown: Vec<u16>,
     /// Number of nodes not yet complete (retire check).
     incomplete: u16,
-    /// Lowest node index that may still have memory operations to issue;
-    /// per-node pending work is monotone, so the drained prefix is skipped.
-    pending_cursor: u16,
-    /// Number of nodes that still have memory operations to issue. Pending
-    /// work is monotone per node, so this only ever decrements; the issue
-    /// pass skips a fully-drained request in O(1) instead of rescanning its
-    /// node list every cycle while it waits on completions or compute.
-    pending_nodes: u16,
+    /// Nodes with memory operations left to issue. Pending work is monotone
+    /// per node, so bits only ever clear; a fully-drained request is
+    /// skipped in O(1).
+    pending: u64,
+    /// Nodes whose intra-request dependencies have all completed.
+    deps_met: u64,
+    /// Gate-phase nodes (the first read phase of a level: `LoadMetadata`,
+    /// or `ReadPath` where the level has none) whose level has not yet been
+    /// seen granted by [`OramController::predecessor_allows`]. A grant is
+    /// permanent: every policy's hand-off condition is monotone.
+    gate_closed: u64,
+    /// Levels whose predecessor changed since their gate was last
+    /// evaluated.
+    stale_levels: u8,
+    /// Ready nodes whose last enqueue attempt a full DRAM queue turned away,
+    /// with no queued DRAM request having left its queue since: the same
+    /// operation would be turned away again. Cleared whenever a queue
+    /// drains.
+    dram_rejected: u64,
+    /// Per level: the plan's nodes at that level.
+    level_nodes: [u64; SubOram::COUNT],
     /// DRAM bursts issued so far on behalf of this request.
     dram_ops: u64,
 }
 
 impl InflightRequest {
+    /// Builds the runtime state of `plan`, whose level predecessors are
+    /// `predecessor`. Gates at levels with a predecessor start closed and
+    /// stale: the issue pass evaluates them when it first needs them.
+    fn new(
+        plan: AccessPlan,
+        submitted_at: u64,
+        predecessor: [Option<u64>; SubOram::COUNT],
+    ) -> Self {
+        let mut nodes: Vec<NodeRuntime> = plan.nodes.iter().map(NodeRuntime::new).collect();
+        let mut level_nodes = [0u64; SubOram::COUNT];
+        let (mut load_metadata, mut read_path) = (0u64, 0u64);
+        let (mut complete, mut pending, mut deps_met) = (0u64, 0u64, 0u64);
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let bit = 1u64 << i;
+            level_nodes[node.sub.index()] |= bit;
+            match node.phase {
+                PhaseKind::LoadMetadata => load_metadata |= bit,
+                PhaseKind::ReadPath => read_path |= bit,
+                _ => {}
+            }
+            if !node.is_empty() {
+                pending |= bit;
+            }
+            // Dependencies point backwards, so their completion is known.
+            let deps = node.deps.iter().fold(0u64, |m, d| m | 1 << d.0);
+            for d in bits(deps) {
+                nodes[d].dependents |= bit;
+            }
+            nodes[i].unmet_deps = (deps & !complete).count_ones();
+            if nodes[i].unmet_deps == 0 {
+                deps_met |= bit;
+            }
+            if nodes[i].complete {
+                complete |= bit;
+            }
+        }
+        // A level's gate phase is its first read phase: LoadMetadata, or
+        // ReadPath where the level has none (the Path family).
+        let mut gate_closed = 0u64;
+        let mut stale_levels = 0u8;
+        for (level, &at_level) in level_nodes.iter().enumerate() {
+            if predecessor[level].is_some() {
+                let lm = load_metadata & at_level;
+                gate_closed |= if lm != 0 { lm } else { read_path & at_level };
+                stale_levels |= 1 << level;
+            }
+        }
+        InflightRequest {
+            incomplete: (plan.nodes.len() - complete.count_ones() as usize) as u16,
+            plan,
+            nodes,
+            submitted_at,
+            predecessor,
+            countdown: Vec::new(),
+            pending,
+            deps_met,
+            gate_closed,
+            stale_levels,
+            dram_rejected: 0,
+            level_nodes,
+            dram_ops: 0,
+        }
+    }
+
     fn node_state(&self, id: PlanNodeId) -> &NodeRuntime {
         &self.nodes[id.0 as usize]
     }
@@ -221,11 +336,16 @@ impl InflightRequest {
         self.incomplete == 0
     }
 
-    fn deps_done(&self, node_idx: usize) -> bool {
-        self.plan.nodes[node_idx]
-            .deps
-            .iter()
-            .all(|d| self.nodes[d.0 as usize].complete)
+    /// Countdown-eligible: memory traffic fully issued and returned, not yet
+    /// complete, and every dependency complete.
+    fn countdown_ready(&self, node_idx: usize) -> bool {
+        let node = &self.nodes[node_idx];
+        let bit = 1u64 << node_idx;
+        !node.complete
+            && !node.in_countdown
+            && node.outstanding_reads == 0
+            && self.pending & bit == 0
+            && self.deps_met & bit != 0
     }
 
     /// Adds `node_idx` to the countdown list if it is countdown-eligible
@@ -240,10 +360,7 @@ impl InflightRequest {
     /// the stored deadline when newly tracked, so the controller can
     /// maintain its running countdown minimum.
     fn track_countdown(&mut self, node_idx: usize, base: u64) -> Option<u64> {
-        if !self.nodes[node_idx].countdown_shape()
-            || self.nodes[node_idx].in_countdown
-            || !self.deps_done(node_idx)
-        {
+        if !self.countdown_ready(node_idx) {
             return None;
         }
         let idx16 = node_idx as u16;
@@ -255,9 +372,43 @@ impl InflightRequest {
         Some(expiry)
     }
 
+    /// Marks countdown node `node_idx` complete and starts the countdown of
+    /// every dependent whose last dependency this was (deadline base
+    /// `clock - 1`: the running sweep still counts for them).
+    fn complete_node(&mut self, node_idx: usize, clock: u64) {
+        self.nodes[node_idx].complete = true;
+        self.nodes[node_idx].in_countdown = false;
+        self.incomplete -= 1;
+        for d in bits(self.nodes[node_idx].dependents) {
+            self.nodes[d].unmet_deps -= 1;
+            if self.nodes[d].unmet_deps == 0 {
+                self.deps_met |= 1 << d;
+                self.track_countdown(d, clock - 1);
+            }
+        }
+    }
+
+    /// The levels holding any node of `mask`, as a bit set (bit `i` = level
+    /// index `i`).
+    fn levels_of(&self, mask: u64) -> u8 {
+        self.level_nodes
+            .iter()
+            .enumerate()
+            .fold(0, |levels, (level, &nodes)| {
+                levels | u8::from(mask & nodes != 0) << level
+            })
+    }
+
+    /// The pending nodes that may issue now, and the pending nodes that are
+    /// dependency- or hand-off-blocked.
+    fn readiness(&self) -> (u64, u64) {
+        let ready = self.pending & self.deps_met & !self.gate_closed;
+        (ready, self.pending & !ready)
+    }
+
     fn phase_issued(&self, sub: SubOram, phase: PhaseKind) -> bool {
         match self.plan.node_id(sub, phase) {
-            Some(id) => self.node_state(id).all_issued,
+            Some(id) => self.pending & (1 << id.0) == 0,
             None => true,
         }
     }
@@ -285,9 +436,7 @@ impl InflightRequest {
     /// For the serial policy: all reads done, all writes handed to the
     /// memory controller.
     fn ordering_complete(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| n.all_issued && n.outstanding_reads == 0)
+        self.pending == 0 && self.nodes.iter().all(|n| n.outstanding_reads == 0)
     }
 }
 
@@ -361,6 +510,10 @@ pub struct OramController {
     /// site min-merges the new deadline, and the sweep (which walks every
     /// tracked node when it does run) rebuilds the minimum exactly.
     countdown_min: u64,
+    /// Total DRAM queue depth at the end of the last issue pass. Only the
+    /// pass enqueues, so an unchanged depth at the next pass proves no
+    /// channel freed queue space in between.
+    queued_after_pass: usize,
 }
 
 impl OramController {
@@ -381,6 +534,7 @@ impl OramController {
             enqueue_blocked: false,
             countdown_clock: 0,
             countdown_min: u64::MAX,
+            queued_after_pass: usize::MAX,
         }
     }
 
@@ -414,11 +568,20 @@ impl OramController {
 
     /// Offers a plan to the controller. Returns `false` (plan handed back via
     /// the `Err`) when all PE columns are occupied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has more than 64 nodes.
     pub fn try_submit(&mut self, plan: AccessPlan, cycle: u64) -> Result<(), AccessPlan> {
         if !self.can_accept() {
             return Err(plan);
         }
-        let nodes: Vec<NodeRuntime> = plan.nodes.iter().map(NodeRuntime::new).collect();
+        assert!(
+            plan.nodes.len() <= MAX_PLAN_NODES,
+            "plan {} has {} nodes; the controller tracks at most {MAX_PLAN_NODES}",
+            plan.request_id,
+            plan.nodes.len()
+        );
         let mut predecessor = [None; SubOram::COUNT];
         for sub in SubOram::ALL {
             if plan.nodes.iter().any(|n| n.sub == sub) {
@@ -429,23 +592,7 @@ impl OramController {
         self.by_request_id
             .insert(plan.request_id, self.inflight.len());
         self.stats.requests_accepted += 1;
-        let incomplete = nodes.iter().filter(|n| !n.complete).count() as u16;
-        let pending_nodes = nodes
-            .iter()
-            .zip(&plan.nodes)
-            .filter(|(n, p)| n.has_pending_ops(p))
-            .count() as u16;
-        let mut req = InflightRequest {
-            nodes,
-            submitted_at: cycle,
-            predecessor,
-            plan,
-            countdown: Vec::new(),
-            incomplete,
-            pending_cursor: 0,
-            pending_nodes,
-            dram_ops: 0,
-        };
+        let mut req = InflightRequest::new(plan, cycle, predecessor);
         for i in 0..req.nodes.len() {
             if let Some(exp) = req.track_countdown(i, self.countdown_clock) {
                 self.countdown_min = self.countdown_min.min(exp);
@@ -486,29 +633,72 @@ impl OramController {
         }
     }
 
-    /// Returns `true` when `node` of `req` may issue memory traffic.
-    fn node_ready(&self, req: &InflightRequest, node_idx: usize) -> bool {
-        let plan_node = &req.plan.nodes[node_idx];
-        // Intra-request dependencies.
-        if !plan_node.deps.iter().all(|d| req.node_state(*d).complete) {
-            return false;
-        }
-        // Inter-request dependency applies to the first read phase of each
-        // level (LoadMetadata for Ring/Palermo, ReadPath for the Path family).
-        let gate_phase = match plan_node.phase {
-            PhaseKind::LoadMetadata => true,
-            PhaseKind::ReadPath => {
-                // Path-family plans have no LoadMetadata node; gate ReadPath.
-                req.plan
-                    .node_id(plan_node.sub, PhaseKind::LoadMetadata)
-                    .is_none()
+    /// Flags the hand-off gates that read request `idx`'s state for
+    /// re-evaluation: those of its successors, the later requests naming it
+    /// as a level predecessor. Called whenever the request changes in a way
+    /// some policy reads — a node drains, a node's last outstanding read
+    /// returns, a node completes, or the request retires.
+    fn notify_successors(&mut self, idx: usize) {
+        let id = Some(self.inflight[idx].plan.request_id);
+        for succ in &mut self.inflight[idx + 1..] {
+            for (level, pred) in succ.predecessor.iter().enumerate() {
+                if *pred == id {
+                    succ.stale_levels |= 1 << level;
+                }
             }
-            _ => false,
-        };
-        if gate_phase && !self.predecessor_allows(req, plan_node.sub) {
-            return false;
         }
-        true
+    }
+
+    /// Re-evaluates request `idx`'s closed gates whose predecessor changed
+    /// since they were last evaluated, for the levels where a pending gate
+    /// node has its dependencies met (the only ones a gate can hold back).
+    fn refresh_gates(&mut self, idx: usize) {
+        let req = &self.inflight[idx];
+        let due = req.stale_levels & req.levels_of(req.pending & req.deps_met & req.gate_closed);
+        if due == 0 {
+            return;
+        }
+        for sub in SubOram::ALL {
+            let level = sub.index();
+            if due & (1 << level) == 0 {
+                continue;
+            }
+            let open = self.predecessor_allows(&self.inflight[idx], sub);
+            let req = &mut self.inflight[idx];
+            req.stale_levels &= !(1 << level);
+            if open {
+                req.gate_closed &= !req.level_nodes[level];
+            }
+        }
+    }
+
+    /// The naive readiness definition the masks replace: a pending node may
+    /// issue when every dependency is complete and, for a gate phase, the
+    /// predecessor allows its level. Returns `(ready, blocked)` like
+    /// [`InflightRequest::readiness`]; used only by debug assertions guarding
+    /// the incremental bookkeeping.
+    fn debug_naive_readiness(&self, req: &InflightRequest) -> (u64, u64) {
+        let (mut ready, mut blocked) = (0u64, 0u64);
+        for (i, node) in req.plan.nodes.iter().enumerate() {
+            if !req.nodes[i].has_pending_ops(node) {
+                continue;
+            }
+            let deps_done = node.deps.iter().all(|d| req.node_state(*d).complete);
+            let gate_phase = match node.phase {
+                PhaseKind::LoadMetadata => true,
+                PhaseKind::ReadPath => req
+                    .plan
+                    .node_id(node.sub, PhaseKind::LoadMetadata)
+                    .is_none(),
+                _ => false,
+            };
+            if deps_done && (!gate_phase || self.predecessor_allows(req, node.sub)) {
+                ready |= 1 << i;
+            } else {
+                blocked |= 1 << i;
+            }
+        }
+        (ready, blocked)
     }
 
     /// Advances the controller by one cycle: consumes DRAM completions,
@@ -539,6 +729,7 @@ impl OramController {
                             {
                                 self.countdown_min = self.countdown_min.min(exp);
                             }
+                            self.notify_successors(idx);
                         }
                     }
                 }
@@ -552,106 +743,113 @@ impl OramController {
         //    Deadlines are absolute in the countdown clock's domain, so a
         //    tick where the running minimum lies in the future provably
         //    completes nothing and skips the sweep outright. When the sweep
-        //    does run, a node completing may make later nodes (dependencies
-        //    always point backwards) countdown-eligible within the same
-        //    cycle, exactly as the per-cycle reference's in-order sweep did:
-        //    `track_countdown` inserts them behind the current position, so
-        //    they are reached — completed or counted — in this same pass,
-        //    which is why the sweep rebuilds the exact countdown minimum.
-        //    (Mid-sweep tracks pass `clock - 1` as the deadline base: the
-        //    reference decremented such nodes in this very sweep.)
+        //    does run, a node completing meets the last dependency of some of
+        //    its dependents (dependencies always point backwards), which may
+        //    make them countdown-eligible within the same cycle, exactly as
+        //    the per-cycle reference's in-order sweep did: `track_countdown`
+        //    inserts them behind the current position, so they are reached —
+        //    completed or counted — in this same pass, which is why the sweep
+        //    rebuilds the exact countdown minimum. (Mid-sweep tracks pass
+        //    `clock - 1` as the deadline base: the reference decremented such
+        //    nodes in this very sweep.)
         self.countdown_clock += 1;
         let clock = self.countdown_clock;
         if self.countdown_min <= clock {
             let mut countdown_min = u64::MAX;
-            for req in &mut self.inflight {
+            for idx in 0..self.inflight.len() {
+                let req = &mut self.inflight[idx];
                 if req.countdown.is_empty() {
                     continue;
                 }
+                let completed_before = activity.nodes_completed;
                 let mut i = 0;
                 while i < req.countdown.len() {
                     let n_idx = req.countdown[i] as usize;
-                    let node = &mut req.nodes[n_idx];
-                    if node.compute_expiry > clock {
-                        countdown_min = countdown_min.min(node.compute_expiry);
+                    let expiry = req.nodes[n_idx].compute_expiry;
+                    if expiry > clock {
+                        countdown_min = countdown_min.min(expiry);
                         i += 1;
                         continue;
                     }
-                    node.complete = true;
-                    node.in_countdown = false;
-                    req.incomplete -= 1;
                     req.countdown.remove(i);
+                    req.complete_node(n_idx, clock);
                     activity.nodes_completed += 1;
-                    // The completion may satisfy the last dependency of an
-                    // otherwise-finished node; start its countdown.
-                    for d in (n_idx + 1)..req.nodes.len() {
-                        req.track_countdown(d, clock - 1);
-                    }
+                }
+                if activity.nodes_completed > completed_before {
+                    self.notify_successors(idx);
                 }
             }
             self.countdown_min = countdown_min;
         }
 
-        // 3. Issue ready memory operations, oldest request first.
+        // 3. Issue ready memory operations, oldest request first, visiting
+        //    each request's ready nodes in ascending index order. Readiness
+        //    is read from the request's masks at the moment the pass reaches
+        //    it: every event that changes an older request this tick (which
+        //    is all a hand-off gate reads) has already flagged the gate.
+        let width = self.config.issue_width;
+        if dram.queued() != self.queued_after_pass {
+            // A queue drained since the last pass: any rejected operation
+            // may now be taken, so every request retries.
+            for req in &mut self.inflight {
+                req.dram_rejected = 0;
+            }
+        }
         let mut issued_this_cycle = 0usize;
-        let mut blocked_levels = [false; SubOram::COUNT];
+        let mut blocked_levels = 0u8;
         let mut any_pending = false;
         let mut enqueue_blocked = false;
         let mut width_limited = false;
         let mut blocked_any = false;
         let mut leftover_pending = false;
         for idx in 0..self.inflight.len() {
-            if issued_this_cycle >= self.config.issue_width {
+            if issued_this_cycle >= width {
                 width_limited = true;
                 break;
             }
             // A fully-drained request contributes nothing to issue, stall, or
-            // blocked-level state while it waits on completions or compute;
-            // skip its node scan entirely.
-            if self.inflight[idx].pending_nodes == 0 {
+            // blocked-level state while it waits on completions or compute.
+            if self.inflight[idx].pending == 0 {
                 continue;
             }
-            // Per-node pending work is monotone, so the drained prefix can
-            // be remembered and skipped.
-            {
+            any_pending = true;
+            self.refresh_gates(idx);
+            let (ready, blocked) = self.inflight[idx].readiness();
+            debug_assert_eq!(
+                (ready, blocked),
+                self.debug_naive_readiness(&self.inflight[idx]),
+                "readiness masks of request {} diverged from the node state",
+                self.inflight[idx].plan.request_id
+            );
+            // Node indices the scan reached: all of them, unless the issue
+            // width fills first. The width rule is that of a scan over every
+            // node index: it stops at the index after the one that filled
+            // the width, and the tick is width-limited if any index (pending
+            // or not) or any later request was left unvisited.
+            let mut scanned = u64::MAX;
+            let mut stop = false;
+            for node_idx in bits(ready) {
                 let req = &mut self.inflight[idx];
-                let mut c = req.pending_cursor as usize;
-                while c < req.nodes.len() && !req.nodes[c].has_pending_ops(&req.plan.nodes[c]) {
-                    c += 1;
-                }
-                req.pending_cursor = c as u16;
-            }
-            for node_idx in
-                (self.inflight[idx].pending_cursor as usize)..self.inflight[idx].plan.nodes.len()
-            {
-                if issued_this_cycle >= self.config.issue_width {
-                    width_limited = true;
-                    break;
-                }
-                let req = &self.inflight[idx];
-                if !req.nodes[node_idx].has_pending_ops(&req.plan.nodes[node_idx]) {
-                    continue;
-                }
-                any_pending = true;
-                let ready = self.node_ready(&self.inflight[idx], node_idx);
-                let sub = self.inflight[idx].plan.nodes[node_idx].sub;
-                if !ready {
-                    blocked_levels[sub.index()] = true;
-                    blocked_any = true;
+                if req.dram_rejected & (1 << node_idx) != 0 {
+                    // Turned away by a full queue, and no queue has drained
+                    // since: the attempt would fail again.
+                    debug_assert!(
+                        req.nodes[node_idx]
+                            .next_op(&req.plan.nodes[node_idx])
+                            .is_some_and(|(addr, _)| !dram.can_accept(addr)),
+                        "skipped a DRAM retry the queue would have taken"
+                    );
+                    enqueue_blocked = true;
+                    leftover_pending = true;
                     continue;
                 }
                 // Issue as many of this node's operations as the memory
                 // controller will take this cycle.
-                let req = &mut self.inflight[idx];
                 let plan_node = &req.plan.nodes[node_idx];
                 let node = &mut req.nodes[node_idx];
                 let mut rejected = false;
-                while issued_this_cycle < self.config.issue_width {
-                    let (addr, is_write) = if node.reads_issued < plan_node.reads.len() {
-                        (plan_node.reads[node.reads_issued], false)
-                    } else if node.writes_issued < plan_node.writes.len() {
-                        (plan_node.writes[node.writes_issued], true)
-                    } else {
+                while issued_this_cycle < width {
+                    let Some((addr, is_write)) = node.next_op(plan_node) else {
                         break;
                     };
                     let dram_id = self.next_dram_id;
@@ -678,37 +876,67 @@ impl OramController {
                         self.outstanding_dram
                             .insert(dram_id, (req.plan.request_id, node_idx as u32));
                     }
-                    if !node.has_pending_ops(plan_node) {
-                        node.all_issued = true;
-                        req.pending_nodes -= 1;
-                        break;
-                    }
                 }
-                // Ready work left over because the issue width ran out mid-
-                // node (not because DRAM pushed back) means the controller
-                // will issue again next cycle: the tick cannot settle.
-                if req.nodes[node_idx].has_pending_ops(&req.plan.nodes[node_idx]) {
+                if rejected {
+                    req.dram_rejected |= 1 << node_idx;
+                } else {
+                    req.dram_rejected &= !(1 << node_idx);
+                }
+                if node.has_pending_ops(plan_node) {
+                    // Ready work left over because the issue width ran out
+                    // mid-node (not because DRAM pushed back) means the
+                    // controller will issue again next cycle: the tick
+                    // cannot settle.
                     leftover_pending = true;
                     if !rejected {
                         width_limited = true;
                     }
-                } else if req.nodes[node_idx].outstanding_reads == 0 {
-                    // A node fully issued with nothing outstanding (posted
-                    // writes only) starts its compute countdown next cycle;
-                    // the clock already counted this tick's sweep, so the
-                    // current value is the correct deadline base.
-                    if let Some(exp) = req.track_countdown(node_idx, self.countdown_clock) {
-                        self.countdown_min = self.countdown_min.min(exp);
+                } else {
+                    req.pending &= !(1 << node_idx);
+                    if req.nodes[node_idx].outstanding_reads == 0 {
+                        // A node fully issued with nothing outstanding
+                        // (posted writes only) starts its compute countdown
+                        // next cycle; the clock already counted this tick's
+                        // sweep, so the current value is the correct
+                        // deadline base.
+                        if let Some(exp) = req.track_countdown(node_idx, self.countdown_clock) {
+                            self.countdown_min = self.countdown_min.min(exp);
+                        }
                     }
+                    // A later request's gate may open in this same tick.
+                    self.notify_successors(idx);
+                }
+                if issued_this_cycle >= width {
+                    scanned = mask_through(node_idx);
+                    if node_idx + 1 < self.inflight[idx].nodes.len()
+                        || idx + 1 < self.inflight.len()
+                    {
+                        width_limited = true;
+                        stop = true;
+                    }
+                    break;
                 }
             }
+            let blocked = blocked & scanned;
+            if blocked != 0 {
+                blocked_any = true;
+                blocked_levels |= self.inflight[idx].levels_of(blocked);
+            }
+            if stop {
+                break;
+            }
         }
+
+        let queued = dram.queued();
+        self.queued_after_pass = queued;
+        let blocked_levels: [bool; SubOram::COUNT] =
+            std::array::from_fn(|level| blocked_levels & (1 << level) != 0);
 
         // 4. Stall accounting for the Fig. 3 breakdown: a cycle in which the
         //    controller had work but could not issue anything, while the
         //    memory queues were starved, is an ORAM-sync stall attributed to
         //    the levels whose nodes were dependency-blocked.
-        if issued_this_cycle == 0 && any_pending && dram.queued() < 4 {
+        if issued_this_cycle == 0 && any_pending && queued < 4 {
             self.stats.sync_stall_cycles += 1;
             for sub in SubOram::ALL {
                 if blocked_levels[sub.index()] {
@@ -726,10 +954,12 @@ impl OramController {
         self.last_blocked_levels = blocked_levels;
         self.enqueue_blocked = enqueue_blocked;
 
-        // 5. Retire finished requests.
+        // 5. Retire finished requests. A retiring request grants every
+        //    hand-off it held.
         let mut idx = 0;
         while idx < self.inflight.len() {
             if self.inflight[idx].is_finished() {
+                self.notify_successors(idx);
                 let req = self.inflight.remove(idx);
                 self.by_request_id.remove(&req.plan.request_id);
                 self.stats.requests_finished += 1;
@@ -1096,5 +1326,96 @@ mod tests {
         assert_eq!(finished[0].request_id, 3);
         assert!(finished[0].finished_at >= finished[0].submitted_at);
         assert!(!finished[0].is_dummy);
+    }
+
+    /// Runs request 0 (Pos2 LoadMetadata -> ReadPath -> EvictPath with one
+    /// write) and request 1 (Pos2 LoadMetadata) under the PE mesh, and
+    /// returns the DRAM reads issued by the end of the tick that issued the
+    /// EvictPath write. With `reject_first`, a channel queue of depth one is
+    /// kept full of outside writes until the EvictPath write has been turned
+    /// away once, so the tick that finally issues it carries no other event
+    /// of request 0.
+    fn reads_issued_with_the_hand_off(reject_first: bool) -> u64 {
+        // Block `i` maps to channel `i % 4`: the EvictPath write and the
+        // filler share channel 0, every read has a channel of its own.
+        let block = |i: u64| vec![i * 64];
+        let mut b = AccessPlanBuilder::new(0, PhysAddr::new(0), OramOp::Read);
+        let lm = b.push(
+            SubOram::Pos2,
+            PhaseKind::LoadMetadata,
+            block(2),
+            vec![],
+            vec![],
+            0,
+        );
+        let rp = b.push(
+            SubOram::Pos2,
+            PhaseKind::ReadPath,
+            block(3),
+            vec![],
+            vec![lm],
+            0,
+        );
+        b.push(
+            SubOram::Pos2,
+            PhaseKind::EvictPath,
+            vec![],
+            block(4),
+            vec![rp],
+            0,
+        );
+        let first = b.build();
+        let mut b = AccessPlanBuilder::new(1, PhysAddr::new(0), OramOp::Read);
+        b.push(
+            SubOram::Pos2,
+            PhaseKind::LoadMetadata,
+            block(5),
+            vec![],
+            vec![],
+            0,
+        );
+        let second = b.build();
+
+        let mut dram_config = DramConfig::ddr4_3200_quad_channel();
+        dram_config.queue_capacity = 1;
+        let mut dram = DramSystem::new(dram_config);
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        assert!(ctrl.try_submit(first, 0).is_ok());
+        assert!(ctrl.try_submit(second, 0).is_ok());
+        let mut filler_id = 1 << 40;
+        let mut rejected = !reject_first;
+        loop {
+            if !rejected && dram.try_enqueue(MemRequest::write(filler_id, 1 << 20)) {
+                filler_id += 1;
+            }
+            ctrl.tick(&mut dram);
+            rejected |= ctrl.enqueue_blocked();
+            dram.tick();
+            let stats = ctrl.stats();
+            if stats.dram_writes_issued == 1 {
+                assert!(rejected, "the EvictPath write was never turned away");
+                return stats.dram_reads_issued;
+            }
+            assert!(
+                stats.dram_reads_issued <= 2,
+                "request 1's LoadMetadata issued before the hand-off"
+            );
+            assert!(dram.cycle() < 100_000, "EvictPath never issued");
+        }
+    }
+
+    #[test]
+    fn mesh_hand_off_issues_in_the_same_tick() {
+        // The PE mesh hands a level off once the predecessor's
+        // tree-modifying phases have issued: request 1's LoadMetadata read
+        // issues in the very tick that issues request 0's EvictPath, whether
+        // or not that write was first turned away by a full queue.
+        for reject_first in [false, true] {
+            assert_eq!(
+                reads_issued_with_the_hand_off(reject_first),
+                3,
+                "hand-off tick missed request 1's LoadMetadata (reject_first: {reject_first})"
+            );
+        }
     }
 }
