@@ -195,7 +195,10 @@ impl NodeRuntime {
             compute_expiry: 0,
             unmet_deps: 0,
             dependents: 0,
-            complete: node.is_empty() && node.compute_cycles == 0,
+            // A node with no traffic and no compute completes at submit only
+            // when nothing precedes it; otherwise the countdown completes it
+            // as soon as its dependencies do.
+            complete: node.is_empty() && node.compute_cycles == 0 && node.deps.is_empty(),
             in_countdown: false,
         }
     }
@@ -1417,5 +1420,57 @@ mod tests {
                 "hand-off tick missed request 1's LoadMetadata (reject_first: {reject_first})"
             );
         }
+    }
+
+    #[test]
+    fn traffic_free_node_completes_after_its_dependencies() {
+        // An EarlyReshuffle whose buckets all sit in the on-chip treetop has
+        // no traffic, but it still follows its LoadMetadata: the ReadPath
+        // behind it may not issue before the metadata read has returned.
+        let mut b = AccessPlanBuilder::new(0, PhysAddr::new(0), OramOp::Read);
+        let lm = b.push(
+            SubOram::Pos2,
+            PhaseKind::LoadMetadata,
+            vec![0],
+            vec![],
+            vec![],
+            0,
+        );
+        let er = b.push(
+            SubOram::Pos2,
+            PhaseKind::EarlyReshuffle,
+            vec![],
+            vec![],
+            vec![lm],
+            0,
+        );
+        b.push(
+            SubOram::Pos2,
+            PhaseKind::ReadPath,
+            vec![64],
+            vec![],
+            vec![er],
+            0,
+        );
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        assert!(ctrl.try_submit(b.build(), 0).is_ok());
+        while ctrl.stats().dram_reads_issued < 2 {
+            ctrl.tick(&mut dram);
+            dram.tick();
+            if ctrl.stats().dram_reads_issued == 2 {
+                assert!(
+                    ctrl.inflight[0].nodes[lm.0 as usize].complete,
+                    "ReadPath issued before its LoadMetadata read returned"
+                );
+            }
+            assert!(dram.cycle() < 100_000, "ReadPath never issued");
+        }
+        while ctrl.inflight() > 0 {
+            ctrl.tick(&mut dram);
+            dram.tick();
+            assert!(dram.cycle() < 100_000, "request never retired");
+        }
+        assert_eq!(ctrl.drain_finished().len(), 1);
     }
 }
