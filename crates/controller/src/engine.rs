@@ -203,10 +203,6 @@ impl NodeRuntime {
         }
     }
 
-    fn has_pending_ops(&self, node: &PlanNode) -> bool {
-        self.reads_issued < node.reads.len() || self.writes_issued < node.writes.len()
-    }
-
     /// The address of the node's next operation to issue and whether it is
     /// a write: reads go first, then writes.
     fn next_op(&self, node: &PlanNode) -> Option<(u64, bool)> {
@@ -339,18 +335,6 @@ impl InflightRequest {
         self.incomplete == 0
     }
 
-    /// Countdown-eligible: memory traffic fully issued and returned, not yet
-    /// complete, and every dependency complete.
-    fn countdown_ready(&self, node_idx: usize) -> bool {
-        let node = &self.nodes[node_idx];
-        let bit = 1u64 << node_idx;
-        !node.complete
-            && !node.in_countdown
-            && node.outstanding_reads == 0
-            && self.pending & bit == 0
-            && self.deps_met & bit != 0
-    }
-
     /// Adds `node_idx` to the countdown list if it is countdown-eligible
     /// and not already tracked. Plan dependencies always point backwards, so
     /// the ascending order is preserved by inserting at the partition point.
@@ -363,7 +347,16 @@ impl InflightRequest {
     /// the stored deadline when newly tracked, so the controller can
     /// maintain its running countdown minimum.
     fn track_countdown(&mut self, node_idx: usize, base: u64) -> Option<u64> {
-        if !self.countdown_ready(node_idx) {
+        // Countdown-eligible: memory traffic fully issued and returned, not
+        // yet complete, and every dependency complete.
+        let node = &self.nodes[node_idx];
+        let bit = 1u64 << node_idx;
+        if node.complete
+            || node.in_countdown
+            || node.outstanding_reads > 0
+            || self.pending & bit != 0
+            || self.deps_met & bit == 0
+        {
             return None;
         }
         let idx16 = node_idx as u16;
@@ -513,9 +506,9 @@ pub struct OramController {
     /// site min-merges the new deadline, and the sweep (which walks every
     /// tracked node when it does run) rebuilds the minimum exactly.
     countdown_min: u64,
-    /// Total DRAM queue depth at the end of the last issue pass. Only the
-    /// pass enqueues, so an unchanged depth at the next pass proves no
-    /// channel freed queue space in between.
+    /// Total DRAM queue depth at the end of the last issue pass. Between
+    /// passes queues only drain (see [`OramController::tick`]), so an
+    /// unchanged depth at the next pass proves no channel freed space.
     queued_after_pass: usize,
 }
 
@@ -683,7 +676,7 @@ impl OramController {
     fn debug_naive_readiness(&self, req: &InflightRequest) -> (u64, u64) {
         let (mut ready, mut blocked) = (0u64, 0u64);
         for (i, node) in req.plan.nodes.iter().enumerate() {
-            if !req.nodes[i].has_pending_ops(node) {
+            if req.nodes[i].next_op(node).is_none() {
                 continue;
             }
             let deps_done = node.deps.iter().all(|d| req.node_state(*d).complete);
@@ -708,6 +701,11 @@ impl OramController {
     /// counts down compute latencies, issues ready memory operations and
     /// retires finished requests. The returned [`TickActivity`] tells the
     /// event-driven runner whether any state changed.
+    ///
+    /// The controller must be the only producer into `dram`'s queues: an
+    /// operation a full queue turned away is retried only once the total
+    /// queue depth has fallen, which other enqueues could mask. Debug builds
+    /// check every retry this skips.
     pub fn tick(&mut self, dram: &mut DramSystem) -> TickActivity {
         let cycle = dram.cycle();
         self.stats.cycles += 1;
@@ -885,7 +883,7 @@ impl OramController {
                 } else {
                     req.dram_rejected &= !(1 << node_idx);
                 }
-                if node.has_pending_ops(plan_node) {
+                if node.next_op(plan_node).is_some() {
                     // Ready work left over because the issue width ran out
                     // mid-node (not because DRAM pushed back) means the
                     // controller will issue again next cycle: the tick
@@ -1385,6 +1383,9 @@ mod tests {
         let mut ctrl = OramController::new(ControllerConfig::palermo_default());
         assert!(ctrl.try_submit(first, 0).is_ok());
         assert!(ctrl.try_submit(second, 0).is_ok());
+        // Refilling channel 0 from outside the controller keeps the skipped
+        // retries exact: the only operation it turns away targets that same
+        // channel.
         let mut filler_id = 1 << 40;
         let mut rejected = !reject_first;
         loop {
