@@ -8,7 +8,11 @@
 //!   (tCL/tRCD/tRP/tRAS/tCCD/tRRD/tFAW/tWR/tWTR/tRTP);
 //! * FR-FCFS scheduling with bounded per-channel queues, so memory-level
 //!   parallelism — the resource Palermo unlocks — is faithfully rewarded;
-//! * channel/bank-group/bank address interleaving;
+//! * channel/bank-group/bank address interleaving over a power-of-two
+//!   geometry ([`config::DramConfig::validate`] rejects any other), so an
+//!   address maps with shifts and masks;
+//! * an exact next-event cycle per channel, so a caller can skip cycles in
+//!   which no channel can act and account them in bulk;
 //! * the statistics the evaluation plots: bandwidth utilisation, row-hit and
 //!   bank-conflict rates, queue occupancy and request latency.
 //!
@@ -20,7 +24,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod address;
-pub mod calendar;
 pub mod channel;
 pub mod config;
 pub mod mintree;

@@ -1,14 +1,14 @@
 //! The multi-channel DRAM system presented to the ORAM controller.
 
 use crate::address::AddressMapper;
-use crate::calendar::CalendarQueue;
 use crate::channel::{Channel, ChannelTickResult};
 use crate::config::DramConfig;
 use crate::request::{MemCompletion, MemRequest};
 use crate::stats::DramStats;
 
 /// A complete DRAM subsystem: address mapper plus one [`Channel`] per
-/// configured channel, advanced in lock step by [`DramSystem::tick`].
+/// configured channel, advanced in lock step by [`DramSystem::tick`], with
+/// each channel's next-event prediction cached beside it.
 ///
 /// ```
 /// use palermo_dram::config::DramConfig;
@@ -29,13 +29,12 @@ pub struct DramSystem {
     config: DramConfig,
     mapper: AddressMapper,
     channels: Vec<Channel>,
-    /// Calendar queue over per-channel next-event cycles: each channel is
-    /// one event source, refreshed only when that channel's state changes
-    /// (a command issue, a data return, or an enqueue), so
-    /// [`DramSystem::next_event_cycle`] answers from the wheel instead of
-    /// re-querying every channel — the structure that keeps the query cheap
-    /// when sharded runs multiply event sources.
-    calendar: CalendarQueue,
+    /// Per channel, its exact next-event cycle (`u64::MAX` when idle),
+    /// refreshed only when that channel's state changes: an enqueue, or a
+    /// tick that came due. One entry per channel, and every shard builds its
+    /// own system, so [`DramSystem::next_event_cycle`] is a scan of a few
+    /// words.
+    next_event: Vec<u64>,
     cycle: u64,
 }
 
@@ -53,7 +52,7 @@ impl DramSystem {
         DramSystem {
             mapper: AddressMapper::new(config),
             channels: (0..config.channels).map(|_| Channel::new(config)).collect(),
-            calendar: CalendarQueue::new(config.channels as usize),
+            next_event: vec![u64::MAX; config.channels as usize],
             cycle: 0,
             config,
         }
@@ -83,13 +82,11 @@ impl DramSystem {
         if !self.channels[ch].enqueue(req, coord, self.cycle) {
             return false;
         }
-        // The new request can only pull this channel's next event earlier;
-        // refresh its calendar key (O(1): the channel min-updates its own
-        // cache on enqueue).
-        let key = self.channels[ch]
+        // The new request can only pull this channel's next event earlier
+        // (O(1): the channel min-updates its own cache on enqueue).
+        self.next_event[ch] = self.channels[ch]
             .next_event_cycle(self.cycle)
             .unwrap_or(u64::MAX);
-        self.calendar.schedule(ch, key);
         true
     }
 
@@ -103,7 +100,7 @@ impl DramSystem {
     /// Skips to `event_cycle` (which must be provably quiet for every
     /// channel, i.e. strictly before [`DramSystem::next_event_cycle`] unless
     /// equal to the current cycle) and executes the tick of that cycle, in a
-    /// single pass over the channels. Channels whose calendar key lies
+    /// single pass over the channels. Channels whose next event lies
     /// beyond `event_cycle` are *not due*: their per-cycle tick would take
     /// its O(1) fast path for every cycle through the event, so the whole
     /// stretch folds into one bulk [`Channel::skip_cycles`] without entering
@@ -112,12 +109,12 @@ impl DramSystem {
         debug_assert!(event_cycle >= self.cycle);
         let gap = event_cycle - self.cycle;
         let mut result = ChannelTickResult::default();
-        for (i, channel) in self.channels.iter_mut().enumerate() {
-            // The calendar key is the channel's exact next-event prediction
-            // (refreshed on enqueue and whenever a tick can move it), so a
-            // key beyond the event cycle proves the fast path for the whole
-            // stretch including the tick itself.
-            if self.calendar.key(i) > event_cycle {
+        for (channel, next) in self.channels.iter_mut().zip(&mut self.next_event) {
+            // The cached prediction is exact (refreshed on enqueue and
+            // whenever a tick can move it), so one beyond the event cycle
+            // proves the fast path for the whole stretch including the tick
+            // itself.
+            if *next > event_cycle {
                 channel.skip_cycles(gap + 1);
                 continue;
             }
@@ -125,23 +122,22 @@ impl DramSystem {
             let r = channel.tick(event_cycle);
             result.issued |= r.issued;
             result.completions |= r.completions;
-            // The key came due (or the tick acted): refresh the prediction.
-            let key = channel
+            // The event came due (or the tick acted): refresh the prediction.
+            *next = channel
                 .next_event_cycle(event_cycle + 1)
                 .unwrap_or(u64::MAX);
-            self.calendar.schedule(i, key);
         }
         self.cycle = event_cycle + 1;
         result
     }
 
     /// The earliest cycle `>=` the current cycle at which any channel could
-    /// do observable work, or `None` if the whole system is idle. Answered
-    /// from the calendar queue (see [`CalendarQueue`]); see
-    /// [`Channel::next_event_cycle`] for the exactness argument.
-    pub fn next_event_cycle(&mut self) -> Option<u64> {
-        let now = self.cycle;
-        self.calendar.peek_min(now).map(|(key, _)| key.max(now))
+    /// do observable work, or `None` if the whole system is idle: the
+    /// minimum of the cached per-channel predictions (see
+    /// [`Channel::next_event_cycle`] for the exactness argument).
+    pub fn next_event_cycle(&self) -> Option<u64> {
+        let next = self.next_event.iter().copied().min()?;
+        (next != u64::MAX).then_some(next.max(self.cycle))
     }
 
     /// Advances the clock by `skipped` provably-idle cycles, performing the

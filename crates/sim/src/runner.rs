@@ -605,9 +605,10 @@ impl Stepper for ReferenceStepper {
 /// a single jump: it keeps executing DRAM event ticks *inside*
 /// `advance_idle` — replaying the controller's per-cycle accounting in bulk
 /// between them — until something the controller must react to happens (a
-/// completion, a compute-countdown expiry, or an open-loop arrival). Backed
-/// by the DRAM system's calendar queue for the next-event lookups, hence
-/// the name.
+/// completion, a compute-countdown expiry, or an open-loop arrival). The
+/// name is for the calendar of next events it steps through: the DRAM
+/// system's per-channel predictions, the controller's countdown wakeup and
+/// the next arrival.
 ///
 /// Correctness rests on the window's freeze argument: with the controller
 /// settled, no pending completions, nothing to stage and the enqueue path

@@ -75,18 +75,25 @@ fn event_core_is_cycle_exact_with_zero_warmup() {
     }
 }
 
-/// A starved DRAM queue keeps the equivalence contract: with per-channel
-/// queue capacity cut to 2, the controller's issue pass is rejected
-/// constantly, exercising the enqueue-blocked retry path where the stepper
-/// must not jump past the cycle a freed slot un-blocks the retry
-/// (regression coverage for the next-event staleness bugfix, at the runner
-/// level rather than the channel level).
+/// Unusual DRAM shapes keep the equivalence contract.
+///
+/// - With per-channel queue capacity cut to 2, the controller's issue pass
+///   is rejected constantly, exercising the enqueue-blocked retry path where
+///   the stepper must not jump past the cycle a freed slot un-blocks the
+///   retry (regression coverage for the next-event staleness bugfix, at the
+///   runner level rather than the channel level).
+/// - With 32 channels, more than any hardware profile has, the DRAM system's
+///   next-event lookup spans that many per-channel predictions.
 #[test]
 fn tiny_dram_queues_stay_cycle_exact_under_time_skipping() {
-    let mut cfg = SystemConfig::small_for_tests();
-    cfg.dram.queue_capacity = 2;
-    for scheme in [Scheme::RingOram, Scheme::Palermo] {
-        assert_equivalent(scheme, &Workload::Mcf.into(), &cfg);
+    let mut tiny_queues = SystemConfig::small_for_tests();
+    tiny_queues.dram.queue_capacity = 2;
+    let mut many_channels = SystemConfig::small_for_tests();
+    many_channels.dram.channels = 32;
+    for cfg in [&tiny_queues, &many_channels] {
+        for scheme in [Scheme::RingOram, Scheme::Palermo] {
+            assert_equivalent(scheme, &Workload::Mcf.into(), cfg);
+        }
     }
 }
 
