@@ -37,13 +37,11 @@ impl DramCoord {
     }
 }
 
-/// Precomputed shift widths for an all-power-of-two geometry, letting
-/// [`AddressMapper::map`] run as shifts and masks instead of a chain of
-/// runtime divisions. The mapper sits on every enqueue and every
-/// queue-admission check, so the division chain is measurable in the
-/// end-to-end tick loop.
+/// The address-mapping function: shifts and masks, because
+/// [`DramConfig::validate`] admits only power-of-two geometries. Each field
+/// is the log2 width of one coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pow2Map {
+pub struct AddressMapper {
     burst: u32,
     channels: u32,
     columns: u32,
@@ -52,70 +50,33 @@ struct Pow2Map {
     rows: u32,
 }
 
-/// The address-mapping function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressMapper {
-    config: DramConfig,
-    /// Present when every divisor in the mapping chain is a power of two
-    /// (true of all shipped DDR4 geometries); `None` falls back to the
-    /// general division path.
-    pow2: Option<Pow2Map>,
-}
-
 impl AddressMapper {
-    /// Creates a mapper for the given configuration.
+    /// Creates a mapper for a configuration that passes
+    /// [`DramConfig::validate`].
     pub fn new(config: DramConfig) -> Self {
-        let dims = [
-            config.burst_bytes,
-            u64::from(config.channels),
-            config.columns_per_row(),
-            u64::from(config.bank_groups),
-            u64::from(config.banks_per_group),
-            config.rows,
-        ];
-        let pow2 = dims.iter().all(|d| d.is_power_of_two()).then(|| Pow2Map {
+        debug_assert!(config.validate().is_ok(), "unvalidated DRAM geometry");
+        AddressMapper {
             burst: config.burst_bytes.trailing_zeros(),
             channels: config.channels.trailing_zeros(),
             columns: config.columns_per_row().trailing_zeros(),
             bank_groups: config.bank_groups.trailing_zeros(),
             banks_per_group: config.banks_per_group.trailing_zeros(),
             rows: config.rows.trailing_zeros(),
-        });
-        AddressMapper { config, pow2 }
+        }
     }
 
     /// Maps a byte address to DRAM coordinates.
     pub fn map(&self, addr: u64) -> DramCoord {
-        if let Some(p) = &self.pow2 {
-            let mut a = addr >> p.burst;
-            let channel = (a & ((1 << p.channels) - 1)) as u32;
-            a >>= p.channels;
-            let column = a & ((1 << p.columns) - 1);
-            a >>= p.columns;
-            let bank_group = (a & ((1 << p.bank_groups) - 1)) as u32;
-            a >>= p.bank_groups;
-            let bank = (a & ((1 << p.banks_per_group) - 1)) as u32;
-            a >>= p.banks_per_group;
-            let row = a & ((1u64 << p.rows) - 1);
-            return DramCoord {
-                channel,
-                bank_group,
-                bank,
-                row,
-                column,
-            };
-        }
-        let cfg = &self.config;
-        let mut a = addr / cfg.burst_bytes;
-        let channel = (a % u64::from(cfg.channels)) as u32;
-        a /= u64::from(cfg.channels);
-        let column = a % cfg.columns_per_row();
-        a /= cfg.columns_per_row();
-        let bank_group = (a % u64::from(cfg.bank_groups)) as u32;
-        a /= u64::from(cfg.bank_groups);
-        let bank = (a % u64::from(cfg.banks_per_group)) as u32;
-        a /= u64::from(cfg.banks_per_group);
-        let row = a % cfg.rows;
+        let mut a = addr >> self.burst;
+        let channel = (a & ((1 << self.channels) - 1)) as u32;
+        a >>= self.channels;
+        let column = a & ((1 << self.columns) - 1);
+        a >>= self.columns;
+        let bank_group = (a & ((1 << self.bank_groups) - 1)) as u32;
+        a >>= self.bank_groups;
+        let bank = (a & ((1 << self.banks_per_group) - 1)) as u32;
+        a >>= self.banks_per_group;
+        let row = a & ((1u64 << self.rows) - 1);
         DramCoord {
             channel,
             bank_group,
@@ -173,17 +134,41 @@ mod tests {
     }
 
     #[test]
-    fn pow2_fast_path_matches_division_chain() {
-        // The default geometry takes the shift/mask path; force the general
-        // division path by clearing the precomputed shifts and compare.
-        let fast = mapper();
-        assert!(fast.pow2.is_some(), "default geometry should be pow2");
-        let slow = AddressMapper { pow2: None, ..fast };
-        let mut a: u64 = 0x0123_4567_89AB_CDEF;
-        for _ in 0..10_000 {
-            a = a.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let addr = a >> 20; // keep within a plausible physical range
-            assert_eq!(fast.map(addr), slow.map(addr), "addr {addr:#x}");
+    fn map_matches_the_documented_division_chain_for_every_builtin_profile() {
+        // The layout in the module doc, written out as divisions: burst
+        // offset, then channel, column, bank group, bank and row.
+        fn division_chain(cfg: &DramConfig, addr: u64) -> DramCoord {
+            let mut a = addr / cfg.burst_bytes;
+            let channel = (a % u64::from(cfg.channels)) as u32;
+            a /= u64::from(cfg.channels);
+            let column = a % cfg.columns_per_row();
+            a /= cfg.columns_per_row();
+            let bank_group = (a % u64::from(cfg.bank_groups)) as u32;
+            a /= u64::from(cfg.bank_groups);
+            let bank = (a % u64::from(cfg.banks_per_group)) as u32;
+            a /= u64::from(cfg.banks_per_group);
+            DramCoord {
+                channel,
+                bank_group,
+                bank,
+                row: a % cfg.rows,
+                column,
+            }
+        }
+        for profile in crate::profile::HardwareProfile::builtins() {
+            let cfg = profile.dram;
+            let m = AddressMapper::new(cfg);
+            let mut a: u64 = 0x0123_4567_89AB_CDEF;
+            for _ in 0..10_000 {
+                a = a.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = a >> 20; // keep within a plausible physical range
+                assert_eq!(
+                    m.map(addr),
+                    division_chain(&cfg, addr),
+                    "{}: addr {addr:#x}",
+                    profile.name
+                );
+            }
         }
     }
 

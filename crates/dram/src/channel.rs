@@ -18,7 +18,10 @@
 //! command-bus spacing, tCCD_L, tRRD, tFAW — are applied at decision time as
 //! per-bank-group floors, so issuing on one bank never invalidates another
 //! bank's cache: cold banks are written once when touched and never
-//! rescanned. Global age ordering across banks uses a monotone per-channel
+//! rescanned. A validated geometry makes every bank group an aligned
+//! power-of-two block of leaves, so one tree node holds a group's minimum
+//! and a pass skips a group with nothing due without visiting its banks.
+//! Global age ordering across banks uses a monotone per-channel
 //! sequence number stamped at enqueue, which makes "oldest ready first"
 //! a min-seq reduction over at most B cached candidates instead of a scan
 //! over every queued request.
@@ -154,7 +157,9 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Creates an idle channel.
+    /// Creates an idle channel for a configuration that passes
+    /// [`DramConfig::validate`] (the per-group tree lookups rely on its
+    /// power-of-two bank geometry).
     pub fn new(config: DramConfig) -> Self {
         let banks = config.banks_per_channel() as usize;
         Channel {
@@ -356,9 +361,8 @@ impl Channel {
         }
         let mut best: Option<(u64, usize, u32)> = None;
         let bpg = self.config.banks_per_group as usize;
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            if aligned && self.col_tree.subtree_min(g * bpg, bpg) > cycle {
+            if self.col_tree.subtree_min(g * bpg, bpg) > cycle {
                 continue;
             }
             // The floor is a per-group constant for this cycle: hoist it out
@@ -386,9 +390,8 @@ impl Channel {
         }
         let mut best: Option<(u64, usize)> = None;
         let bpg = self.config.banks_per_group as usize;
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            if aligned && self.act_tree.subtree_min(g * bpg, bpg) > cycle {
+            if self.act_tree.subtree_min(g * bpg, bpg) > cycle {
                 continue;
             }
             let floor = self.act_floor(g as u32);
@@ -431,29 +434,18 @@ impl Channel {
 
     /// Earliest cycle at which any queued request becomes actionable: the
     /// per-class tree minima per bank group combined with that group's
-    /// channel-global floor. O(groups × log B) — no per-request scan.
+    /// channel-global floor. O(groups) — no per-request scan: the
+    /// bank-group-major layout makes each group one subtree, whose minimum
+    /// is a single node lookup.
     fn compute_next_actionable(&self) -> u64 {
         let mut next = self.pre_tree.min();
         let bpg = self.config.banks_per_group as usize;
-        // Bank-group-major layout makes each group an aligned block; when
-        // the group width is a power of two (all shipped geometries) the
-        // block is one subtree and its minimum one O(1) node lookup.
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            let (lo, hi) = (g * bpg, (g + 1) * bpg);
-            let col = if aligned {
-                self.col_tree.subtree_min(lo, bpg)
-            } else {
-                self.col_tree.range_min(lo, hi)
-            };
+            let col = self.col_tree.subtree_min(g * bpg, bpg);
             if col != u64::MAX {
                 next = next.min(col.max(self.col_floor(g as u32)));
             }
-            let act = if aligned {
-                self.act_tree.subtree_min(lo, bpg)
-            } else {
-                self.act_tree.range_min(lo, hi)
-            };
+            let act = self.act_tree.subtree_min(g * bpg, bpg);
             if act != u64::MAX {
                 next = next.min(act.max(self.act_floor(g as u32)));
             }
@@ -555,7 +547,7 @@ impl Channel {
         let queue_next = match self.queue_next {
             Some(at) => at,
             None => {
-                // The per-bank trees make the recompute O(groups × log B).
+                // The per-bank trees make the recompute O(groups).
                 let at = self.compute_next_actionable();
                 self.queue_next = Some(at);
                 at

@@ -8,45 +8,33 @@
 //! bank or its queue membership changes, so a single O(log B) [`MinTree::set`]
 //! keeps the structure current while cold banks are never rescanned. The
 //! channel-global constraints (command-bus spacing, tCCD_L, tRRD, tFAW) are
-//! applied at query time per bank group, which is why [`MinTree::range_min`]
-//! exposes contiguous-range minima: banks are laid out bank-group-major, so
-//! one range query per group yields the group's local minimum to combine
-//! with the group's global floor.
+//! applied at query time per bank group, which is why [`MinTree::subtree_min`]
+//! exposes the minimum of an aligned block: banks are laid out
+//! bank-group-major and every group width is a power of two, so each group
+//! is one subtree whose minimum combines with the group's global floor.
 
 /// Fixed-size tournament (segment) tree over `u64` values with `min` as the
 /// combining operation. Missing values are represented as `u64::MAX`.
 #[derive(Debug, Clone)]
 pub struct MinTree {
-    /// Power-of-two leaf span; leaves live at `vals[n..n + leaves]`.
+    /// Leaf count (a power of two); leaves live at `vals[n..2 * n]`.
     n: usize,
-    leaves: usize,
     vals: Vec<u64>,
 }
 
 impl MinTree {
     /// Creates a tree over `leaves` slots, all initialised to `u64::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `leaves` is a power of two (a validated geometry's
+    /// bank count always is).
     pub fn new(leaves: usize) -> Self {
-        let n = leaves.next_power_of_two().max(1);
+        assert!(leaves.is_power_of_two(), "{leaves} leaves");
         MinTree {
-            n,
-            leaves,
-            vals: vec![u64::MAX; 2 * n],
+            n: leaves,
+            vals: vec![u64::MAX; 2 * leaves],
         }
-    }
-
-    /// Number of slots the tree was built over.
-    pub fn len(&self) -> usize {
-        self.leaves
-    }
-
-    /// Returns `true` if the tree has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.leaves == 0
-    }
-
-    /// Current value of slot `i`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.vals[self.n + i]
     }
 
     /// Sets slot `i` to `v` and rebuilds the O(log B) path to the root.
@@ -72,31 +60,11 @@ impl MinTree {
     }
 
     /// Minimum over the aligned power-of-two block `[lo, lo + len)` as a
-    /// single internal-node lookup: the block is exactly one subtree of the
-    /// padded span, so its running minimum is already materialised. O(1).
+    /// single internal-node lookup: the block is exactly one subtree, so its
+    /// running minimum is already materialised. O(1).
     pub fn subtree_min(&self, lo: usize, len: usize) -> u64 {
         debug_assert!(len.is_power_of_two() && lo.is_multiple_of(len) && lo + len <= self.n);
         self.vals[(self.n + lo) / len]
-    }
-
-    /// Minimum over the half-open slot range `[lo, hi)`.
-    pub fn range_min(&self, lo: usize, hi: usize) -> u64 {
-        debug_assert!(lo <= hi && hi <= self.leaves);
-        let mut best = u64::MAX;
-        let (mut l, mut r) = (self.n + lo, self.n + hi);
-        while l < r {
-            if l % 2 == 1 {
-                best = best.min(self.vals[l]);
-                l += 1;
-            }
-            if r % 2 == 1 {
-                r -= 1;
-                best = best.min(self.vals[r]);
-            }
-            l /= 2;
-            r /= 2;
-        }
-        best
     }
 }
 
@@ -104,34 +72,9 @@ impl MinTree {
 mod tests {
     use super::*;
 
-    #[test]
-    fn starts_empty() {
-        let t = MinTree::new(16);
-        assert_eq!(t.min(), u64::MAX);
-        assert_eq!(t.range_min(0, 16), u64::MAX);
-        assert_eq!(t.len(), 16);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn tracks_global_min_through_updates() {
-        let mut t = MinTree::new(16);
-        t.set(3, 100);
-        t.set(9, 40);
-        t.set(15, 70);
-        assert_eq!(t.min(), 40);
-        t.set(9, u64::MAX); // candidate disappears
-        assert_eq!(t.min(), 70);
-        t.set(0, 5);
-        assert_eq!(t.min(), 5);
-        assert_eq!(t.get(0), 5);
-    }
-
-    #[test]
-    fn range_min_matches_naive_scan() {
-        // Non-power-of-two slot count plus exhaustive range checks against a
-        // reference array.
-        let slots = 13;
+    /// Applies pseudo-random sets (some clearing a slot) to a tree and a
+    /// plain array in step, checking every aligned block after each one.
+    fn check_against_naive_scan(slots: usize) {
         let mut t = MinTree::new(slots);
         let mut vals = vec![u64::MAX; slots];
         let mut state: u64 = 0x9E37_79B9;
@@ -143,45 +86,43 @@ mod tests {
             let v = if step % 7 == 0 { u64::MAX } else { state >> 40 };
             vals[i] = v;
             t.set(i, v);
-            for lo in 0..=slots {
-                for hi in lo..=slots {
-                    let naive = vals[lo..hi].iter().copied().min().unwrap_or(u64::MAX);
-                    assert_eq!(t.range_min(lo, hi), naive, "range [{lo}, {hi})");
+            let mut len = 1;
+            while len <= slots {
+                for lo in (0..slots).step_by(len) {
+                    let naive = vals[lo..lo + len].iter().copied().min().unwrap();
+                    assert_eq!(t.subtree_min(lo, len), naive, "block [{lo}, {})", lo + len);
                 }
+                len *= 2;
             }
-        }
-        assert_eq!(t.min(), vals.iter().copied().min().unwrap());
-    }
-
-    #[test]
-    fn subtree_min_matches_range_min_on_aligned_blocks() {
-        let slots = 16;
-        let mut t = MinTree::new(slots);
-        let mut state: u64 = 0xDEAD_BEEF;
-        for _ in 0..100 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            t.set((state >> 33) as usize % slots, state >> 40);
-            for len in [1usize, 2, 4, 8, 16] {
-                for g in 0..slots / len {
-                    let lo = g * len;
-                    assert_eq!(
-                        t.subtree_min(lo, len),
-                        t.range_min(lo, lo + len),
-                        "block [{lo}, {})",
-                        lo + len
-                    );
-                }
-            }
+            assert_eq!(t.min(), vals.iter().copied().min().unwrap());
         }
     }
 
     #[test]
-    fn single_slot_tree() {
-        let mut t = MinTree::new(1);
+    fn subtree_min_matches_naive_scan() {
+        for slots in [1, 2, 16, 32] {
+            check_against_naive_scan(slots);
+        }
+    }
+
+    #[test]
+    fn starts_empty_and_tracks_updates() {
+        let mut t = MinTree::new(16);
         assert_eq!(t.min(), u64::MAX);
-        t.set(0, 42);
-        assert_eq!(t.min(), 42);
-        assert_eq!(t.range_min(0, 1), 42);
-        assert_eq!(t.range_min(0, 0), u64::MAX);
+        t.set(3, 100);
+        t.set(9, 40);
+        t.set(15, 70);
+        assert_eq!(t.min(), 40);
+        t.set(9, u64::MAX); // candidate disappears
+        assert_eq!(t.min(), 70);
+        assert_eq!(t.subtree_min(8, 8), 70);
+        t.set(0, 5);
+        assert_eq!(t.min(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "13 leaves")]
+    fn non_power_of_two_leaf_count_is_rejected() {
+        MinTree::new(13);
     }
 }
