@@ -574,6 +574,7 @@ impl Channel {
     fn issue_column(&mut self, b: usize, pos: u32, cycle: u64) -> bool {
         let q = self.bank_queues[b]
             .remove(pos as usize)
+            // audit:allow(unwrap, a column pick only returns a position the bank cache took from that bank's queue)
             .expect("candidate position from bank cache");
         self.queue_len -= 1;
         let cfg = self.config;
