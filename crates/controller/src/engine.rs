@@ -143,6 +143,12 @@ impl FinishedRequest {
 /// nodes per level.
 const MAX_PLAN_NODES: usize = u64::BITS as usize;
 
+/// A cycle in which the controller has pending work but issues nothing is
+/// an ORAM-sync stall when fewer than this many DRAM requests are queued:
+/// the memory queues are starved, so the controller's ordering, not DRAM,
+/// is what holds the work back (the Fig. 3 breakdown).
+pub const SYNC_STALL_QUEUE_DEPTH: usize = 4;
+
 /// Mask of node indices `0..=idx`.
 fn mask_through(idx: usize) -> u64 {
     u64::MAX >> (u64::BITS as usize - 1 - idx)
@@ -937,7 +943,7 @@ impl OramController {
         //    controller had work but could not issue anything, while the
         //    memory queues were starved, is an ORAM-sync stall attributed to
         //    the levels whose nodes were dependency-blocked.
-        if issued_this_cycle == 0 && any_pending && queued < 4 {
+        if issued_this_cycle == 0 && any_pending && queued < SYNC_STALL_QUEUE_DEPTH {
             self.stats.sync_stall_cycles += 1;
             for sub in SubOram::ALL {
                 if blocked_levels[sub.index()] {
@@ -950,7 +956,7 @@ impl OramController {
         self.stats.issued_ops += issued_this_cycle as u64;
         activity.ops_issued = issued_this_cycle as u64;
         // Remember the stall-accounting inputs: they stay frozen through any
-        // skipped cycles, so skip_cycles can replay the rule exactly.
+        // skipped cycles, so skip_cycles_window can replay the rule exactly.
         self.last_any_pending = any_pending;
         self.last_blocked_levels = blocked_levels;
         self.enqueue_blocked = enqueue_blocked;
@@ -1012,8 +1018,8 @@ impl OramController {
     ///
     /// A node whose deadline stands `k` clock steps ahead after a quiet tick
     /// completes during the tick at `now + k - 1`; every earlier tick merely
-    /// advances the clock, which [`OramController::skip_cycles`] replays in
-    /// bulk.
+    /// advances the clock, which [`OramController::skip_cycles_window`]
+    /// replays in bulk.
     pub fn next_wakeup(&self, now: u64) -> Option<u64> {
         debug_assert_eq!(
             self.countdown_min,
@@ -1044,34 +1050,23 @@ impl OramController {
         min
     }
 
-    /// Accounts `skipped` provably-quiet cycles in bulk: cycle and stall
+    /// Accounts `total` provably-quiet cycles in bulk: cycle and stall
     /// counters advance exactly as if [`OramController::tick`] had run
-    /// `skipped` times with no completions, no issues and no node finishing,
-    /// and every running compute countdown decrements by `skipped`.
+    /// `total` times with no completions, no issues and no node finishing,
+    /// and every running compute countdown advances by `total`.
+    ///
+    /// `stalled` is how many of those cycles had fewer than
+    /// [`SYNC_STALL_QUEUE_DEPTH`] DRAM requests queued. The queue depth is
+    /// the only stall-rule input a skip does not freeze (`last_any_pending`,
+    /// the blocked-level mask and every countdown stay put), so a stepper
+    /// that executes DRAM commands inside one window counts it per segment
+    /// and flushes the window with one call.
     ///
     /// Callers must only skip cycles strictly before both
     /// [`OramController::next_wakeup`] and the DRAM model's next event, and
-    /// only after a tick that reported no [`TickActivity`]. `dram_queued` is
-    /// the (frozen) total DRAM queue depth used by the stall-accounting rule.
-    pub fn skip_cycles(&mut self, skipped: u64, dram_queued: usize) {
-        let stalled = if dram_queued < 4 { skipped } else { 0 };
-        self.skip_cycles_window(skipped, stalled);
-    }
-
-    /// The windowed bulk form of [`OramController::skip_cycles`]: accounts
-    /// `total` quiet cycles at once, of which `stalled` had a DRAM queue
-    /// depth below the stall threshold. The settled-window stepper replays
-    /// many skip segments per window (one per interior DRAM command), and
-    /// the only per-segment input is the queue depth — everything else
-    /// (`last_any_pending`, the blocked-level mask, every countdown) is
-    /// frozen, so segments fold into two counters and one clock advance.
-    ///
-    /// Callers accumulate `stalled` per segment with the same `< 4` queue
-    /// test [`OramController::tick`] applies, then call this once; the
-    /// countdown safety precondition is that `total` stays strictly below
-    /// every running countdown — deadlines are absolute, so the whole skip
-    /// is one addition to the countdown clock, bounded by the nearest
-    /// deadline.
+    /// only after a settled tick (see [`TickActivity::settled`]). Deadlines
+    /// are absolute, so the whole skip is one addition to the countdown
+    /// clock.
     pub fn skip_cycles_window(&mut self, total: u64, stalled: u64) {
         debug_assert!(stalled <= total);
         self.stats.cycles += total;

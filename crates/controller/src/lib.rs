@@ -22,5 +22,7 @@ pub use area_power::{
     estimate, memory_energy, AreaPowerEstimate, ControllerProvisioning, EnergyBreakdown,
     MEMORY_CLOCK_HZ,
 };
-pub use engine::{ControllerConfig, FinishedRequest, OramController, SchedulePolicy};
+pub use engine::{
+    ControllerConfig, FinishedRequest, OramController, SchedulePolicy, SYNC_STALL_QUEUE_DEPTH,
+};
 pub use stats::ControllerStats;

@@ -31,7 +31,7 @@ use crate::schemes::Scheme;
 use crate::serving::ServingEngine;
 use crate::system::SystemConfig;
 use palermo_analysis::LatencyHistogram;
-use palermo_controller::{memory_energy, EnergyBreakdown, OramController};
+use palermo_controller::{memory_energy, EnergyBreakdown, OramController, SYNC_STALL_QUEUE_DEPTH};
 use palermo_dram::{DramConfig, DramStats, DramSystem, EnergyCoefficients};
 use palermo_oram::crypto::Payload;
 use palermo_oram::error::{OramError, OramResult};
@@ -617,9 +617,10 @@ impl Stepper for ReferenceStepper {
 /// of state only completions or countdown expiries can change. Interior
 /// DRAM ticks issue commands but complete nothing, so the reference loop
 /// would have run one inert controller tick per cycle — exactly what
-/// [`OramController::skip_cycles`] replays, segmented at each interior DRAM
-/// tick so the stall-accounting rule always sees the queue depth the
-/// reference controller tick would have seen. Queue-full retries are the
+/// [`OramController::skip_cycles_window`] replays, with the stall cycles
+/// counted per segment between interior DRAM ticks so the stall-accounting
+/// rule always sees the queue depth the reference controller tick would
+/// have seen. Queue-full retries are the
 /// one exception (a freed slot un-blocks the controller without a
 /// completion), so a blocked enqueue falls back to the single-jump move.
 #[derive(Debug, Clone, Copy, Default)]
@@ -654,8 +655,9 @@ impl Stepper for CalendarStepper {
                 None => wakeup,
             };
             if next != u64::MAX && next > now {
-                controller.skip_cycles(next - now, dram.queued());
-                dram.skip_cycles(next - now);
+                let skipped = next - now;
+                controller.skip_cycles_window(skipped, stalled_part(dram, skipped));
+                dram.skip_cycles(skipped);
             }
             return;
         }
@@ -678,9 +680,7 @@ impl Stepper for CalendarStepper {
                 if wakeup != u64::MAX && wakeup > now {
                     let seg = wakeup - now;
                     total += seg;
-                    if dram.queued() < 4 {
-                        stalled += seg;
-                    }
+                    stalled += stalled_part(dram, seg);
                     dram.skip_cycles(seg);
                 }
                 controller.skip_cycles_window(total, stalled);
@@ -698,9 +698,7 @@ impl Stepper for CalendarStepper {
             // execute the one DRAM tick the reference loop would have.
             let seg = dram_next - now + 1;
             total += seg;
-            if dram.queued() < 4 {
-                stalled += seg;
-            }
+            stalled += stalled_part(dram, seg);
             let result = dram.skip_to_and_tick(dram_next);
             if result.completions {
                 // The controller routes these on the next real tick.
@@ -709,6 +707,16 @@ impl Stepper for CalendarStepper {
             }
             debug_assert!(result.issued, "DRAM event tick at {dram_next} did nothing");
         }
+    }
+}
+
+/// How many of `seg` inert controller cycles count as ORAM-sync stalls at
+/// the DRAM's current queue depth, which stays frozen through the segment.
+fn stalled_part(dram: &DramSystem, seg: u64) -> u64 {
+    if dram.queued() < SYNC_STALL_QUEUE_DEPTH {
+        seg
+    } else {
+        0
     }
 }
 
