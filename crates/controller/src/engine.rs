@@ -20,45 +20,9 @@
 //!   behind the predecessor's PosMap1 read.
 
 use crate::stats::ControllerStats;
-use palermo_dram::{DramSystem, MemRequest};
+use palermo_dram::{DramSystem, MemOpKind, MemRequest};
 use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNode, PlanNodeId};
 use palermo_oram::types::SubOram;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-/// Multiplicative hasher for the sequential `u64` ids the engine keys its
-/// maps by; the default SipHash costs more than the map operation itself on
-/// the per-DRAM-op hot path.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            // audit:allow(wrapping, FNV-style byte mixing is modular by design)
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // audit:allow(wrapping, Fibonacci hashing is modular by design)
-        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-// The sanctioned escape hatch for audit lint D01: `IdHasher` above is a pure
-// function of the key — no `RandomState` — so the map's bucket order, and
-// therefore any iteration over it, is a deterministic function of the
-// insert/remove history alone: identical across runs, executors and
-// steppers. New keyed-id maps on hot paths should reuse this pattern rather
-// than reach for `HashMap::new()`.
-// audit:allow(map-iter, deterministic IdHasher; order is a pure function of op history)
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
-
 /// Inter-request scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
@@ -148,6 +112,14 @@ const MAX_PLAN_NODES: usize = u64::BITS as usize;
 /// the memory queues are starved, so the controller's ordering, not DRAM,
 /// is what holds the work back (the Fig. 3 breakdown).
 pub const SYNC_STALL_QUEUE_DEPTH: usize = 4;
+
+/// The DRAM request id of an operation of plan node `node_idx` of request
+/// `request_id`. A read completion routes itself back: the DRAM model never
+/// keys on ids, and a request cannot retire while one of its reads is
+/// outstanding, so the request id names a live in-flight request.
+fn dram_id(request_id: u64, node_idx: usize) -> u64 {
+    request_id * MAX_PLAN_NODES as u64 + node_idx as u64
+}
 
 /// Mask of node indices `0..=idx`.
 fn mask_through(idx: usize) -> u64 {
@@ -483,13 +455,10 @@ impl TickActivity {
 #[derive(Debug)]
 pub struct OramController {
     config: ControllerConfig,
+    /// Requests in flight, oldest first.
     inflight: Vec<InflightRequest>,
-    by_request_id: IdMap<usize>,
     /// Most recently submitted request id per level (for sibling chaining).
     last_at_level: [Option<u64>; SubOram::COUNT],
-    /// DRAM request id -> (request id, node index).
-    outstanding_dram: IdMap<(u64, u32)>,
-    next_dram_id: u64,
     finished: Vec<FinishedRequest>,
     stats: ControllerStats,
     /// Reused buffer for draining DRAM completions without per-tick allocs.
@@ -524,10 +493,7 @@ impl OramController {
         OramController {
             config,
             inflight: Vec::new(),
-            by_request_id: IdMap::default(),
             last_at_level: [None; SubOram::COUNT],
-            outstanding_dram: IdMap::default(),
-            next_dram_id: 0,
             finished: Vec::new(),
             stats: ControllerStats::default(),
             completion_buf: Vec::new(),
@@ -573,7 +539,8 @@ impl OramController {
     ///
     /// # Panics
     ///
-    /// Panics if the plan has more than 64 nodes.
+    /// Panics if the plan has more than 64 nodes, or a request id of 2^58
+    /// or more (its DRAM ids would overflow).
     pub fn try_submit(&mut self, plan: AccessPlan, cycle: u64) -> Result<(), AccessPlan> {
         if !self.can_accept() {
             return Err(plan);
@@ -584,6 +551,11 @@ impl OramController {
             plan.request_id,
             plan.nodes.len()
         );
+        assert!(
+            plan.request_id < u64::MAX / MAX_PLAN_NODES as u64,
+            "request id {} leaves no room for a node index in its DRAM ids",
+            plan.request_id
+        );
         let mut predecessor = [None; SubOram::COUNT];
         for sub in SubOram::ALL {
             if plan.nodes.iter().any(|n| n.sub == sub) {
@@ -591,8 +563,6 @@ impl OramController {
                 self.last_at_level[sub.index()] = Some(plan.request_id);
             }
         }
-        self.by_request_id
-            .insert(plan.request_id, self.inflight.len());
         self.stats.requests_accepted += 1;
         let mut req = InflightRequest::new(plan, cycle, predecessor);
         for i in 0..req.nodes.len() {
@@ -609,11 +579,19 @@ impl OramController {
         std::mem::take(&mut self.finished)
     }
 
+    /// The in-flight slot of request `request_id`, found by scanning: there
+    /// are at most `pe_columns` slots.
+    fn slot_of(&self, request_id: u64) -> Option<usize> {
+        self.inflight
+            .iter()
+            .position(|r| r.plan.request_id == request_id)
+    }
+
     fn predecessor_allows(&self, req: &InflightRequest, sub: SubOram) -> bool {
         let Some(pred_id) = req.predecessor[sub.index()] else {
             return true;
         };
-        let Some(&pred_idx) = self.by_request_id.get(&pred_id) else {
+        let Some(pred_idx) = self.slot_of(pred_id) else {
             return true; // predecessor already retired
         };
         let pred = &self.inflight[pred_idx];
@@ -717,29 +695,31 @@ impl OramController {
         self.stats.cycles += 1;
         let mut activity = TickActivity::default();
 
-        // 1. Route DRAM completions back to their plan nodes.
+        // 1. Route DRAM read completions back to their plan nodes (posted
+        //    writes carry no controller state).
         let mut completions = std::mem::take(&mut self.completion_buf);
         dram.drain_completed_into(&mut completions);
         for completion in &completions {
-            if let Some((req_id, node_idx)) = self.outstanding_dram.remove(&completion.id.0) {
-                if let Some(&idx) = self.by_request_id.get(&req_id) {
-                    let req = &mut self.inflight[idx];
-                    let node = &mut req.nodes[node_idx as usize];
-                    if !completion.kind.eq(&palermo_dram::MemOpKind::Write) {
-                        node.outstanding_reads = node.outstanding_reads.saturating_sub(1);
-                        activity.completions_routed += 1;
-                        if node.outstanding_reads == 0 {
-                            // Min-merge so the conditional sweep below knows
-                            // whether this deadline is already due.
-                            if let Some(exp) =
-                                req.track_countdown(node_idx as usize, self.countdown_clock)
-                            {
-                                self.countdown_min = self.countdown_min.min(exp);
-                            }
-                            self.notify_successors(idx);
-                        }
-                    }
+            if completion.kind == MemOpKind::Write {
+                continue;
+            }
+            // Invert `dram_id`.
+            let req_id = completion.id.0 / MAX_PLAN_NODES as u64;
+            let node_idx = (completion.id.0 % MAX_PLAN_NODES as u64) as usize;
+            let Some(idx) = self.slot_of(req_id) else {
+                continue;
+            };
+            let req = &mut self.inflight[idx];
+            let node = &mut req.nodes[node_idx];
+            node.outstanding_reads = node.outstanding_reads.saturating_sub(1);
+            activity.completions_routed += 1;
+            if node.outstanding_reads == 0 {
+                // Min-merge so the conditional sweep below knows whether
+                // this deadline is already due.
+                if let Some(exp) = req.track_countdown(node_idx, self.countdown_clock) {
+                    self.countdown_min = self.countdown_min.min(exp);
                 }
+                self.notify_successors(idx);
             }
         }
         completions.clear();
@@ -854,23 +834,22 @@ impl OramController {
                 // controller will take this cycle.
                 let plan_node = &req.plan.nodes[node_idx];
                 let node = &mut req.nodes[node_idx];
+                let id = dram_id(req.plan.request_id, node_idx);
                 let mut rejected = false;
                 while issued_this_cycle < width {
                     let Some((addr, is_write)) = node.next_op(plan_node) else {
                         break;
                     };
-                    let dram_id = self.next_dram_id;
                     let mem_req = if is_write {
-                        MemRequest::write(dram_id, addr)
+                        MemRequest::write(id, addr)
                     } else {
-                        MemRequest::read(dram_id, addr)
+                        MemRequest::read(id, addr)
                     };
                     if !dram.try_enqueue(mem_req) {
                         enqueue_blocked = true;
                         rejected = true;
                         break;
                     }
-                    self.next_dram_id += 1;
                     issued_this_cycle += 1;
                     req.dram_ops += 1;
                     if is_write {
@@ -880,8 +859,6 @@ impl OramController {
                         node.reads_issued += 1;
                         node.outstanding_reads += 1;
                         self.stats.dram_reads_issued += 1;
-                        self.outstanding_dram
-                            .insert(dram_id, (req.plan.request_id, node_idx as u32));
                     }
                 }
                 if rejected {
@@ -968,7 +945,6 @@ impl OramController {
             if self.inflight[idx].is_finished() {
                 self.notify_successors(idx);
                 let req = self.inflight.remove(idx);
-                self.by_request_id.remove(&req.plan.request_id);
                 self.stats.requests_finished += 1;
                 activity.requests_retired += 1;
                 self.finished.push(FinishedRequest {
@@ -980,13 +956,6 @@ impl OramController {
                 });
             } else {
                 idx += 1;
-            }
-        }
-        // Rebuild the index map after removals (indices shifted).
-        if !self.finished.is_empty() {
-            self.by_request_id.clear();
-            for (i, req) in self.inflight.iter().enumerate() {
-                self.by_request_id.insert(req.plan.request_id, i);
             }
         }
 
