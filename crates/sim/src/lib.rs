@@ -28,9 +28,7 @@ pub use schemes::Scheme;
 pub use serving::{
     AdmissionOutcome, AdmissionPolicy, AdmissionPolicyKind, Arrival, ArrivalProcess, ServingEngine,
 };
-pub use shard::{
-    PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem, SingleSystem, SystemShape,
-};
+pub use shard::{PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem};
 pub use system::SystemConfig;
 
 pub use palermo_dram::{

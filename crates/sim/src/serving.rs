@@ -372,9 +372,6 @@ struct Source {
     process: Box<dyn ArrivalProcess>,
     tenant: u32,
     next_arrival: u64,
-    /// Cycle of the last *resolved* arrival (the `prev` handed to the
-    /// process for the next draw).
-    last_arrival: u64,
 }
 
 /// The open-loop serving engine: merged arrival sources feeding a bounded
@@ -419,7 +416,6 @@ impl ServingEngine {
                     process,
                     tenant: i as u32,
                     next_arrival: first,
-                    last_arrival: 0,
                 }
             })
             .collect();
@@ -458,7 +454,6 @@ impl ServingEngine {
     /// Resolves the arrival of source `i` and schedules its next one.
     fn resolve(&mut self, i: usize, arrived_at: u64) {
         let s = &mut self.sources[i];
-        s.last_arrival = arrived_at;
         let gap = s.process.next_gap(arrived_at);
         debug_assert!(gap >= 1, "arrival processes must advance time");
         s.next_arrival = arrived_at.saturating_add(gap.max(1));

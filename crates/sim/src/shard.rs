@@ -44,57 +44,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A runnable system shape: the simulator's second axis of composition.
-///
-/// [`SingleSystem`] is the classic one-controller shape;
-/// [`ShardedSystem`] is K of them behind a router. Both produce a
-/// [`RunMetrics`] from a clock-advance strategy, so experiment code can
-/// hold either behind one trait object.
-pub trait SystemShape {
-    /// Number of independent ORAM instances this shape drives.
-    fn shard_count(&self) -> u32;
-
-    /// Runs the shape to completion under the given clock-advance strategy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol-configuration and workload-spec build errors.
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics>;
-}
-
-/// The classic one-controller system, as a [`SystemShape`].
-///
-/// Thin value wrapper over [`crate::runner::run_workload_spec_stepped`]:
-/// exists so call sites that select a shape at runtime can treat single and
-/// sharded systems uniformly.
-#[derive(Debug, Clone)]
-pub struct SingleSystem {
-    scheme: Scheme,
-    spec: WorkloadSpec,
-    config: SystemConfig,
-}
-
-impl SingleSystem {
-    /// Wraps one (scheme, spec, config) triple as a runnable shape.
-    pub fn new(scheme: Scheme, spec: WorkloadSpec, config: SystemConfig) -> Self {
-        SingleSystem {
-            scheme,
-            spec,
-            config,
-        }
-    }
-}
-
-impl SystemShape for SingleSystem {
-    fn shard_count(&self) -> u32 {
-        1
-    }
-
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
-        crate::runner::run_workload_spec_stepped(self.scheme, &self.spec, &self.config, stepper)
-    }
-}
-
 /// K independent ORAM systems over a partitioned address space.
 ///
 /// Constructed from a sharded [`WorkloadSpec`] (`shard:<K>:<router>:<inner>`,
@@ -358,16 +307,6 @@ impl ShardedSystem {
     }
 }
 
-impl SystemShape for ShardedSystem {
-    fn shard_count(&self) -> u32 {
-        self.shards()
-    }
-
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
-        ShardStepper::run(&SerialShardStepper, self, stepper)
-    }
-}
-
 /// Accumulates one field-wise DRAM sum (shards own disjoint channels, so
 /// every counter adds; the channel count is per shard and identical across
 /// shards).
@@ -583,16 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn single_system_shape_matches_the_direct_runner() {
-        let spec = WorkloadSpec::from_name("random").unwrap();
-        let shape = SingleSystem::new(Scheme::RingOram, spec.clone(), tiny());
-        assert_eq!(shape.shard_count(), 1);
-        let via_shape = shape.run(&CalendarStepper).unwrap();
-        let direct = crate::runner::run_workload_spec(Scheme::RingOram, &spec, &tiny()).unwrap();
-        assert_eq!(via_shape, direct);
-    }
-
-    #[test]
     fn pooled_stepping_is_byte_identical_to_serial() {
         let spec = sharded("shard:2:range:mcf");
         let system = ShardedSystem::new(Scheme::Palermo, &spec, &tiny()).unwrap();
@@ -697,7 +626,7 @@ mod tests {
         palermo_workloads::format::save_text(&path, &entries).unwrap();
         let spec = sharded(&format!("shard:2:hash:replay:{}", path.display()));
         let system = ShardedSystem::new(Scheme::Palermo, &spec, &tiny()).unwrap();
-        let first = system.run(&CalendarStepper).unwrap();
+        let first = SerialShardStepper.run(&system, &CalendarStepper).unwrap();
         assert!(first.oram_requests > 0);
         std::fs::remove_file(&path).unwrap();
         let steppers: [&dyn ShardStepper; 2] = [&SerialShardStepper, &PooledShardStepper::new(2)];
