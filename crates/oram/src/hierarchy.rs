@@ -205,7 +205,9 @@ impl HierarchicalOram {
                 }
             }
         }
-        if config.prefetch.span() == 0 {
+        if let PrefetchMode::SameLeaf { length: 0 } | PrefetchMode::WideBlock { length: 0 } =
+            config.prefetch
+        {
             return Err(OramError::InvalidParams {
                 reason: "prefetch length must be at least 1".into(),
             });
@@ -234,7 +236,7 @@ impl HierarchicalOram {
         };
 
         let wide = match config.prefetch {
-            PrefetchMode::WideBlock { length } => length.max(1),
+            PrefetchMode::WideBlock { length } => length,
             _ => 1,
         };
         let mut levels = Vec::with_capacity(SubOram::COUNT);
@@ -271,7 +273,7 @@ impl HierarchicalOram {
                         bucket_z: config.path_bucket_z,
                         group_size: match config.prefetch {
                             PrefetchMode::SameLeaf { length } if sub == SubOram::Data => {
-                                u64::from(length.max(1))
+                                u64::from(length)
                             }
                             _ => 1,
                         },
@@ -806,6 +808,24 @@ mod tests {
             pos2_rate: 0.0,
         });
         assert!(HierarchicalOram::new(cfg).is_err());
+    }
+
+    #[test]
+    fn zero_prefetch_length_rejected() {
+        for prefetch in [
+            PrefetchMode::SameLeaf { length: 0 },
+            PrefetchMode::WideBlock { length: 0 },
+        ] {
+            let mut cfg = tiny_config(ProtocolFlavor::Palermo);
+            cfg.prefetch = prefetch;
+            assert!(
+                matches!(
+                    HierarchicalOram::new(cfg),
+                    Err(OramError::InvalidParams { .. })
+                ),
+                "{prefetch:?} accepted"
+            );
+        }
     }
 
     #[test]
