@@ -25,9 +25,7 @@ pub use runner::{
     ShardMetrics, Stepper, TenantMetrics,
 };
 pub use schemes::Scheme;
-pub use serving::{
-    AdmissionOutcome, AdmissionPolicy, AdmissionPolicyKind, Arrival, ArrivalProcess, ServingEngine,
-};
+pub use serving::{AdmissionPolicyKind, Arrival, ServingEngine};
 pub use shard::{PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem};
 pub use system::SystemConfig;
 

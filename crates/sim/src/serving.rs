@@ -2,13 +2,14 @@
 //!
 //! Closed-loop runs pull the next access the instant an in-flight slot
 //! frees, so the simulator always observes the system at exactly 100%
-//! load. This module decouples *arrival* from *service*: a seeded
-//! [`ArrivalProcess`] places request arrivals on the simulated clock, a
-//! bounded queue holds them until the pipeline can take them, and a
-//! pluggable [`AdmissionPolicy`] decides what happens when the queue is
-//! full. The runner accounts the queue wait of every admitted request
-//! separately from its service latency, which is what turns a run into a
-//! point on a latency-vs-offered-load curve (`figures::load_curve`).
+//! load. This module decouples *arrival* from *service*: one seeded
+//! process per [`ArrivalSpec`] places request arrivals on the simulated
+//! clock, a bounded queue holds them until the pipeline can take them, and
+//! the [`AdmissionPolicyKind`] of the [`crate::system::SystemConfig`]
+//! decides what happens when the queue is full. The runner accounts the
+//! queue wait of every admitted request separately from its service
+//! latency, which is what turns a run into a point on a
+//! latency-vs-offered-load curve (`figures::load_curve`).
 //!
 //! Everything here lives on the *simulated* clock and draws randomness
 //! from seeded [`OramRng`] streams expanded per process with
@@ -25,8 +26,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// seed.
 const ARRIVAL_SEED_SALT: u64 = 0xA881_4EA1_0C0F_FEE5;
 
-/// One request arrival generated by an [`ArrivalProcess`], waiting in the
-/// admission queue.
+/// One request arrival, waiting in the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Simulated cycle at which the request arrived (queue-wait epoch).
@@ -35,18 +35,6 @@ pub struct Arrival {
     /// one process per tenant; with a single aggregate process it is 0 and
     /// the inner stream's own tenant selection decides at pull time.
     pub tenant: u32,
-}
-
-/// A deterministic point process on the simulated clock.
-///
-/// Implementations are seeded state machines: given the cycle of the
-/// previous arrival they return the gap (≥ 1 cycle) to the next one, so an
-/// arrival sequence depends only on the spec and the seed — never on how
-/// often or at which cycles the engine polls.
-pub trait ArrivalProcess {
-    /// Gap in cycles (≥ 1) between the arrival at `prev_arrival_cycle` and
-    /// the next arrival.
-    fn next_gap(&mut self, prev_arrival_cycle: u64) -> u64;
 }
 
 /// Draws an exponential variate with the given mean, rounded up to whole
@@ -59,286 +47,184 @@ fn exp_cycles(rng: &mut OramRng, mean: f64) -> u64 {
     gap.ceil().max(1.0) as u64
 }
 
-/// Memoryless arrivals at a fixed mean rate ([`ArrivalSpec::Poisson`]).
-pub struct PoissonProcess {
-    mean_gap_cycles: f64,
+/// The instantaneous rate of a diurnal process at cycle `t`, requests per
+/// kilocycle: a raised cosine that starts at the base (trough) and crests
+/// mid-period.
+fn diurnal_rate(base_per_kcycle: f64, peak_per_kcycle: f64, period_cycles: u64, t: u64) -> f64 {
+    let phase = (t % period_cycles) as f64 / period_cycles as f64;
+    let swing = peak_per_kcycle - base_per_kcycle;
+    base_per_kcycle + swing * 0.5 * (1.0 - (std::f64::consts::TAU * phase).cos())
+}
+
+/// A seeded point process on the simulated clock: given the cycle of the
+/// previous arrival it returns the gap (≥ 1 cycle) to the next one, so an
+/// arrival sequence depends only on the spec and the seed — never on how
+/// often or at which cycles the engine polls.
+struct Process {
+    spec: ArrivalSpec,
     rng: OramRng,
-}
-
-impl PoissonProcess {
-    /// A Poisson process at `rate_per_kcycle` requests per kilocycle.
-    pub fn new(rate_per_kcycle: f64, seed: u64) -> Self {
-        PoissonProcess {
-            mean_gap_cycles: 1000.0 / rate_per_kcycle,
-            rng: OramRng::new(seed),
-        }
-    }
-}
-
-impl ArrivalProcess for PoissonProcess {
-    fn next_gap(&mut self, _prev_arrival_cycle: u64) -> u64 {
-        exp_cycles(&mut self.rng, self.mean_gap_cycles)
-    }
-}
-
-/// Markov-modulated on/off arrivals ([`ArrivalSpec::Bursty`]): Poisson at
-/// the burst rate while ON, silent while OFF, with exponentially
-/// distributed phase durations. Starts in an ON phase at cycle 0.
-pub struct BurstyProcess {
-    mean_gap_cycles: f64,
-    mean_on_cycles: f64,
-    mean_off_cycles: f64,
-    /// Absolute cycle at which the current phase ends.
+    /// Bursty only: absolute cycle at which the current phase ends.
     phase_end: u64,
+    /// Bursty only: whether the current phase is ON.
     in_on: bool,
-    rng: OramRng,
 }
 
-impl BurstyProcess {
-    /// A bursty process firing at `rate_per_kcycle` during ON phases.
-    pub fn new(rate_per_kcycle: f64, mean_on_cycles: u64, mean_off_cycles: u64, seed: u64) -> Self {
+impl Process {
+    fn new(spec: ArrivalSpec, seed: u64) -> Self {
         let mut rng = OramRng::new(seed);
-        let mean_on = mean_on_cycles as f64;
-        let first_on_end = exp_cycles(&mut rng, mean_on);
-        BurstyProcess {
-            mean_gap_cycles: 1000.0 / rate_per_kcycle,
-            mean_on_cycles: mean_on,
-            mean_off_cycles: mean_off_cycles as f64,
-            phase_end: first_on_end,
-            in_on: true,
+        // A bursty process starts in an ON phase at cycle 0.
+        let phase_end = match spec {
+            ArrivalSpec::Bursty { mean_on_cycles, .. } => {
+                exp_cycles(&mut rng, mean_on_cycles as f64)
+            }
+            ArrivalSpec::Poisson { .. } | ArrivalSpec::Diurnal { .. } => 0,
+        };
+        Process {
+            spec,
             rng,
+            phase_end,
+            in_on: true,
         }
     }
-}
 
-impl ArrivalProcess for BurstyProcess {
+    /// Gap in cycles (≥ 1) between the arrival at `prev_arrival_cycle` and
+    /// the next arrival.
     fn next_gap(&mut self, prev_arrival_cycle: u64) -> u64 {
-        let mut t = prev_arrival_cycle;
-        loop {
-            if self.in_on {
-                // Memorylessness makes restarting the exponential at `t`
-                // (last arrival or ON-phase start) exact.
-                let cand = t.saturating_add(exp_cycles(&mut self.rng, self.mean_gap_cycles));
-                if cand <= self.phase_end {
-                    return cand - prev_arrival_cycle;
+        match self.spec {
+            // Memoryless arrivals at a fixed mean rate.
+            ArrivalSpec::Poisson { rate_per_kcycle } => {
+                exp_cycles(&mut self.rng, 1000.0 / rate_per_kcycle)
+            }
+            // Markov-modulated on/off: Poisson at the burst rate while ON,
+            // silent while OFF, with exponentially distributed phases.
+            ArrivalSpec::Bursty {
+                rate_per_kcycle,
+                mean_on_cycles,
+                mean_off_cycles,
+            } => {
+                let mut t = prev_arrival_cycle;
+                loop {
+                    if self.in_on {
+                        // Memorylessness makes restarting the exponential at
+                        // `t` (last arrival or ON-phase start) exact.
+                        let gap = exp_cycles(&mut self.rng, 1000.0 / rate_per_kcycle);
+                        let cand = t.saturating_add(gap);
+                        if cand <= self.phase_end {
+                            return cand - prev_arrival_cycle;
+                        }
+                        // No arrival fits in the ON phase; enter an OFF phase.
+                        t = self.phase_end;
+                        self.in_on = false;
+                        let off = exp_cycles(&mut self.rng, mean_off_cycles as f64);
+                        self.phase_end = t.saturating_add(off);
+                    } else {
+                        // Skip the silent OFF phase and start the next ON phase.
+                        t = self.phase_end;
+                        self.in_on = true;
+                        let on = exp_cycles(&mut self.rng, mean_on_cycles as f64);
+                        self.phase_end = t.saturating_add(on);
+                    }
                 }
-                // No arrival fits in the ON phase; enter an OFF phase.
-                t = self.phase_end;
-                self.in_on = false;
-                self.phase_end = t.saturating_add(exp_cycles(&mut self.rng, self.mean_off_cycles));
-            } else {
-                // Skip the silent OFF phase and start the next ON phase.
-                t = self.phase_end;
-                self.in_on = true;
-                self.phase_end = t.saturating_add(exp_cycles(&mut self.rng, self.mean_on_cycles));
+            }
+            // A non-homogeneous Poisson process following the raised-cosine
+            // rate curve, sampled by thinning: candidate arrivals at the
+            // peak rate, each accepted with probability rate(t)/peak. This
+            // terminates with probability 1 because the curve reaches the
+            // peak once per period.
+            ArrivalSpec::Diurnal {
+                base_per_kcycle,
+                peak_per_kcycle,
+                period_cycles,
+            } => {
+                let mut t = prev_arrival_cycle;
+                loop {
+                    let gap = exp_cycles(&mut self.rng, 1000.0 / peak_per_kcycle);
+                    t = t.saturating_add(gap);
+                    let accept = 1.0 - self.rng.next_f64(); // (0, 1]
+                    let rate = diurnal_rate(base_per_kcycle, peak_per_kcycle, period_cycles, t);
+                    if accept * peak_per_kcycle <= rate {
+                        return t - prev_arrival_cycle;
+                    }
+                }
             }
         }
     }
 }
 
-/// Rate-curve arrivals ([`ArrivalSpec::Diurnal`]): a non-homogeneous
-/// Poisson process whose rate follows a raised cosine between base and
-/// peak, sampled by thinning against the peak rate.
-pub struct DiurnalProcess {
-    base_per_kcycle: f64,
-    peak_per_kcycle: f64,
-    period_cycles: u64,
-    peak_mean_gap_cycles: f64,
-    rng: OramRng,
-}
-
-impl DiurnalProcess {
-    /// A diurnal process cycling between `base` and `peak` requests per
-    /// kilocycle over `period_cycles`.
-    pub fn new(base_per_kcycle: f64, peak_per_kcycle: f64, period_cycles: u64, seed: u64) -> Self {
-        DiurnalProcess {
-            base_per_kcycle,
-            peak_per_kcycle,
-            period_cycles,
-            peak_mean_gap_cycles: 1000.0 / peak_per_kcycle,
-            rng: OramRng::new(seed),
-        }
-    }
-
-    /// The instantaneous rate at cycle `t`, requests per kilocycle. The
-    /// curve starts at the base (trough) and crests mid-period.
-    pub fn rate_at(&self, t: u64) -> f64 {
-        let phase = (t % self.period_cycles) as f64 / self.period_cycles as f64;
-        let swing = self.peak_per_kcycle - self.base_per_kcycle;
-        self.base_per_kcycle + swing * 0.5 * (1.0 - (std::f64::consts::TAU * phase).cos())
-    }
-}
-
-impl ArrivalProcess for DiurnalProcess {
-    fn next_gap(&mut self, prev_arrival_cycle: u64) -> u64 {
-        // Thinning: candidate arrivals at the peak rate, each accepted with
-        // probability rate(t)/peak. Terminates with probability 1 because
-        // the curve is at the peak once per period.
-        let mut t = prev_arrival_cycle;
-        loop {
-            t = t.saturating_add(exp_cycles(&mut self.rng, self.peak_mean_gap_cycles));
-            let accept = 1.0 - self.rng.next_f64(); // (0, 1]
-            if accept * self.peak_per_kcycle <= self.rate_at(t) {
-                return t - prev_arrival_cycle;
-            }
-        }
-    }
-}
-
-/// Builds the seeded process a spec describes.
-pub fn build_process(spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalProcess> {
-    match *spec {
-        ArrivalSpec::Poisson { rate_per_kcycle } => {
-            Box::new(PoissonProcess::new(rate_per_kcycle, seed))
-        }
-        ArrivalSpec::Bursty {
-            rate_per_kcycle,
-            mean_on_cycles,
-            mean_off_cycles,
-        } => Box::new(BurstyProcess::new(
-            rate_per_kcycle,
-            mean_on_cycles,
-            mean_off_cycles,
-            seed,
-        )),
-        ArrivalSpec::Diurnal {
-            base_per_kcycle,
-            peak_per_kcycle,
-            period_cycles,
-        } => Box::new(DiurnalProcess::new(
-            base_per_kcycle,
-            peak_per_kcycle,
-            period_cycles,
-            seed,
-        )),
-    }
-}
-
-/// What an [`AdmissionPolicy`] does with an arrival that finds the queue
-/// full.
+/// What happens to an arrival that finds the admission queue full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionOutcome {
+enum Full {
     /// Backpressure: the arrival (and every arrival behind it, preserving
     /// FIFO order) waits until a pop frees space. Nothing is dropped.
     Defer,
     /// Drop the incoming arrival; the queue is untouched.
     DropIncoming,
-    /// Evict the queued entry at `victim` (0 = oldest) and admit the
+    /// Evict the queued entry at this index (0 = oldest) and admit the
     /// incoming arrival in its stead.
-    Evict {
-        /// Index into the queue of the entry to drop.
-        victim: usize,
-    },
-}
-
-/// Decides the fate of arrivals that find the admission queue full.
-///
-/// Policies see the queue contents read-only and must be deterministic
-/// functions of them — the decision is replayed identically by both
-/// steppers and all executors.
-pub trait AdmissionPolicy {
-    /// Called once per full-queue arrival (and again on every retry of a
-    /// deferred arrival).
-    fn on_full(&mut self, queue: &VecDeque<Arrival>, incoming: &Arrival) -> AdmissionOutcome;
-}
-
-/// Backpressure: never drop, stall the arrival stream instead (the
-/// open-loop source degrades to closed-loop while the queue is full). The
-/// admitted request keeps its original arrival cycle, so the blocked time
-/// shows up as queue wait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockPolicy;
-
-impl AdmissionPolicy for BlockPolicy {
-    fn on_full(&mut self, _queue: &VecDeque<Arrival>, _incoming: &Arrival) -> AdmissionOutcome {
-        AdmissionOutcome::Defer
-    }
-}
-
-/// Classic drop-tail: the incoming arrival is discarded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DropTailPolicy;
-
-impl AdmissionPolicy for DropTailPolicy {
-    fn on_full(&mut self, _queue: &VecDeque<Arrival>, _incoming: &Arrival) -> AdmissionOutcome {
-        AdmissionOutcome::DropIncoming
-    }
-}
-
-/// Per-tenant fair drop: when the queue is full, the tenant hogging the
-/// most queue slots pays. If the hog (ties broken toward the lowest tenant
-/// id) holds strictly more slots than the incoming arrival's tenant, the
-/// hog's *newest* queued request is evicted and the incoming one admitted;
-/// otherwise the incoming arrival is dropped (which includes the case
-/// where the incoming tenant is itself the hog — then fair drop degrades
-/// to drop-tail, as it does for single-tenant streams).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FairDropPolicy;
-
-impl AdmissionPolicy for FairDropPolicy {
-    fn on_full(&mut self, queue: &VecDeque<Arrival>, incoming: &Arrival) -> AdmissionOutcome {
-        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for a in queue {
-            *counts.entry(a.tenant).or_insert(0) += 1;
-        }
-        // BTreeMap iterates in tenant order, so `>` keeps the lowest id on
-        // ties — a deterministic choice.
-        let mut hog: Option<(u32, usize)> = None;
-        for (&tenant, &count) in &counts {
-            if hog.is_none_or(|(_, best)| count > best) {
-                hog = Some((tenant, count));
-            }
-        }
-        let Some((hog_tenant, hog_count)) = hog else {
-            // Full queue with no entries only happens at capacity 0; the
-            // incoming arrival cannot be seated anywhere.
-            return AdmissionOutcome::DropIncoming;
-        };
-        let incoming_count = counts.get(&incoming.tenant).copied().unwrap_or(0);
-        if hog_count > incoming_count {
-            // Newest entry of the hog = highest queue index with its tag.
-            // The hog was counted from this queue, so the search always
-            // finds it; the fallback only guards the accounting.
-            match queue.iter().rposition(|a| a.tenant == hog_tenant) {
-                Some(victim) => AdmissionOutcome::Evict { victim },
-                None => AdmissionOutcome::DropIncoming,
-            }
-        } else {
-            AdmissionOutcome::DropIncoming
-        }
-    }
+    Evict(usize),
 }
 
 /// The admission policies selectable through
-/// [`crate::system::SystemConfig`] (a `Copy` enum so the config stays
-/// `Copy`; [`AdmissionPolicyKind::build`] instantiates the policy object).
+/// [`crate::system::SystemConfig`]: what happens to an arrival that finds
+/// the admission queue full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicyKind {
-    /// [`BlockPolicy`]: backpressure, never drops.
+    /// Backpressure: never drop, stall the arrival stream instead (the
+    /// open-loop source degrades to closed-loop while the queue is full).
+    /// The admitted request keeps its original arrival cycle, so the
+    /// blocked time shows up as queue wait.
     Block,
-    /// [`DropTailPolicy`]: drop the incoming arrival.
+    /// Classic drop-tail: the incoming arrival is discarded.
     #[default]
     DropTail,
-    /// [`FairDropPolicy`]: the queue-hogging tenant pays first.
+    /// Per-tenant fair drop: the tenant hogging the most queue slots pays.
+    /// If the hog (ties broken toward the lowest tenant id) holds strictly
+    /// more slots than the incoming arrival's tenant, the hog's *newest*
+    /// queued request is evicted and the incoming one admitted; otherwise
+    /// the incoming arrival is dropped (which includes the case where the
+    /// incoming tenant is itself the hog — then fair drop degrades to
+    /// drop-tail, as it does for single-tenant streams).
     FairDrop,
 }
 
 impl AdmissionPolicyKind {
-    /// Instantiates the policy object.
-    pub fn build(self) -> Box<dyn AdmissionPolicy> {
-        match self {
-            AdmissionPolicyKind::Block => Box::new(BlockPolicy),
-            AdmissionPolicyKind::DropTail => Box::new(DropTailPolicy),
-            AdmissionPolicyKind::FairDrop => Box::new(FairDropPolicy),
-        }
-    }
-
     /// Short stable name (used in labels and docs).
     pub fn name(self) -> &'static str {
         match self {
             AdmissionPolicyKind::Block => "block",
             AdmissionPolicyKind::DropTail => "drop-tail",
             AdmissionPolicyKind::FairDrop => "fair-drop",
+        }
+    }
+
+    /// Decides the fate of `incoming` when `queue` is full. A function of
+    /// the queue contents alone, so both steppers and all executors replay
+    /// it identically; called again on every retry of a deferred arrival.
+    fn on_full(self, queue: &VecDeque<Arrival>, incoming: &Arrival) -> Full {
+        match self {
+            AdmissionPolicyKind::Block => Full::Defer,
+            AdmissionPolicyKind::DropTail => Full::DropIncoming,
+            AdmissionPolicyKind::FairDrop => {
+                // Per tenant: queued slots and the index of its newest entry.
+                let mut held: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+                for (i, a) in queue.iter().enumerate() {
+                    let (count, newest) = held.entry(a.tenant).or_insert((0, 0));
+                    *count += 1;
+                    *newest = i;
+                }
+                // Walk tenants in id order and keep the first to hold the
+                // most slots, provided it holds more than the incoming
+                // arrival's tenant.
+                let mut most = held.get(&incoming.tenant).map_or(0, |&(count, _)| count);
+                let mut outcome = Full::DropIncoming;
+                for &(count, newest) in held.values() {
+                    if count > most {
+                        most = count;
+                        outcome = Full::Evict(newest);
+                    }
+                }
+                outcome
+            }
         }
     }
 }
@@ -369,7 +255,7 @@ impl ServingCounters {
 /// One arrival source: a process, its tenant route, and the precomputed
 /// cycle of its next arrival.
 struct Source {
-    process: Box<dyn ArrivalProcess>,
+    process: Process,
     tenant: u32,
     next_arrival: u64,
 }
@@ -386,7 +272,7 @@ pub struct ServingEngine {
     sources: Vec<Source>,
     queue: VecDeque<Arrival>,
     capacity: usize,
-    policy: Box<dyn AdmissionPolicy>,
+    policy: AdmissionPolicyKind,
     /// Whether arrivals route to specific tenants (one process per tenant).
     route_per_tenant: bool,
     counters: ServingCounters,
@@ -409,8 +295,8 @@ impl ServingEngine {
             .arrivals
             .iter()
             .enumerate()
-            .map(|(i, a)| {
-                let mut process = build_process(a, sm.next_u64());
+            .map(|(i, &a)| {
+                let mut process = Process::new(a, sm.next_u64());
                 let first = process.next_gap(0);
                 Source {
                     process,
@@ -423,7 +309,7 @@ impl ServingEngine {
             sources,
             queue: VecDeque::new(),
             capacity: capacity.max(1),
-            policy: policy.build(),
+            policy,
             route_per_tenant,
             counters: ServingCounters {
                 dropped_by_tenant: if route_per_tenant {
@@ -483,46 +369,25 @@ impl ServingEngine {
                 self.resolve(i, at);
                 continue;
             }
-            match self.policy.on_full(&self.queue, &incoming) {
-                AdmissionOutcome::Defer => {
-                    // Backpressure: this (earliest) arrival and everything
-                    // behind it wait; retried on the next advance after a
-                    // pop frees space. Not counted until resolved.
-                    return;
+            let dropped_tenant = match self.policy.on_full(&self.queue, &incoming) {
+                // Backpressure: this (earliest) arrival and everything
+                // behind it wait; retried on the next advance after a pop
+                // frees space. Not counted until resolved.
+                Full::Defer => return,
+                Full::DropIncoming => incoming.tenant,
+                Full::Evict(victim) => {
+                    let evicted = self.queue[victim].tenant;
+                    self.queue.remove(victim);
+                    self.queue.push_back(incoming);
+                    evicted
                 }
-                AdmissionOutcome::DropIncoming => {
-                    self.counters.arrivals += 1;
-                    self.counters.dropped += 1;
-                    if self.route_per_tenant {
-                        self.counters.dropped_by_tenant[incoming.tenant as usize] += 1;
-                    }
-                    self.resolve(i, at);
-                }
-                AdmissionOutcome::Evict { victim } => {
-                    // A policy naming an out-of-range victim is buggy; fall
-                    // back to dropping the evicted-or-incoming arrival so
-                    // the conservation identity survives either way.
-                    let dropped_tenant = match self.queue.remove(victim) {
-                        Some(evicted) => {
-                            self.queue.push_back(incoming);
-                            evicted.tenant
-                        }
-                        None => {
-                            debug_assert!(
-                                false,
-                                "admission policy evicted index {victim} outside the queue"
-                            );
-                            incoming.tenant
-                        }
-                    };
-                    self.counters.arrivals += 1;
-                    self.counters.dropped += 1;
-                    if self.route_per_tenant {
-                        self.counters.dropped_by_tenant[dropped_tenant as usize] += 1;
-                    }
-                    self.resolve(i, at);
-                }
+            };
+            self.counters.arrivals += 1;
+            self.counters.dropped += 1;
+            if self.route_per_tenant {
+                self.counters.dropped_by_tenant[dropped_tenant as usize] += 1;
             }
+            self.resolve(i, at);
         }
     }
 
@@ -566,7 +431,8 @@ mod tests {
         }
     }
 
-    fn collect_arrivals(process: &mut dyn ArrivalProcess, n: usize) -> Vec<u64> {
+    fn collect_arrivals(spec: ArrivalSpec, seed: u64, n: usize) -> Vec<u64> {
+        let mut process = Process::new(spec, seed);
         let mut out = Vec::with_capacity(n);
         let mut t = 0u64;
         for _ in 0..n {
@@ -578,8 +444,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_gap_matches_the_rate() {
-        let mut p = PoissonProcess::new(0.8, 42);
-        let arrivals = collect_arrivals(&mut p, 4000);
+        let arrivals = collect_arrivals(poisson(0.8), 42, 4000);
         let mean_gap = *arrivals.last().unwrap() as f64 / arrivals.len() as f64;
         // Expected mean gap = 1000 / 0.8 = 1250 cycles; allow 10% sampling
         // slack at 4000 draws.
@@ -606,9 +471,9 @@ mod tests {
                 period_cycles: 100_000,
             },
         ] {
-            let a = collect_arrivals(build_process(&spec, 7).as_mut(), 500);
-            let b = collect_arrivals(build_process(&spec, 7).as_mut(), 500);
-            let c = collect_arrivals(build_process(&spec, 8).as_mut(), 500);
+            let a = collect_arrivals(spec, 7, 500);
+            let b = collect_arrivals(spec, 7, 500);
+            let c = collect_arrivals(spec, 8, 500);
             assert_eq!(a, b, "{spec:?} not reproducible");
             assert_ne!(a, c, "{spec:?} ignores its seed");
         }
@@ -617,8 +482,12 @@ mod tests {
     #[test]
     fn bursty_duty_cycle_shapes_the_long_run_rate() {
         // 25% duty cycle at rate 2.0 → long-run rate 0.5/kcycle.
-        let mut p = BurstyProcess::new(2.0, 50_000, 150_000, 3);
-        let arrivals = collect_arrivals(&mut p, 6000);
+        let bursty = ArrivalSpec::Bursty {
+            rate_per_kcycle: 2.0,
+            mean_on_cycles: 50_000,
+            mean_off_cycles: 150_000,
+        };
+        let arrivals = collect_arrivals(bursty, 3, 6000);
         let span = *arrivals.last().unwrap() as f64;
         let rate = arrivals.len() as f64 * 1000.0 / span;
         assert!((rate - 0.5).abs() < 0.1, "long-run rate {rate}");
@@ -626,13 +495,17 @@ mod tests {
 
     #[test]
     fn diurnal_rate_curve_crests_mid_period() {
-        let p = DiurnalProcess::new(0.2, 1.8, 1_000_000, 1);
-        assert!((p.rate_at(0) - 0.2).abs() < 1e-9);
-        assert!((p.rate_at(500_000) - 1.8).abs() < 1e-9);
-        assert!((p.rate_at(1_000_000) - 0.2).abs() < 1e-9);
+        let rate_at = |t| diurnal_rate(0.2, 1.8, 1_000_000, t);
+        assert!((rate_at(0) - 0.2).abs() < 1e-9);
+        assert!((rate_at(500_000) - 1.8).abs() < 1e-9);
+        assert!((rate_at(1_000_000) - 0.2).abs() < 1e-9);
         // More arrivals land in the crest half-period than in the trough.
-        let mut p = DiurnalProcess::new(0.2, 1.8, 1_000_000, 9);
-        let arrivals = collect_arrivals(&mut p, 4000);
+        let diurnal = ArrivalSpec::Diurnal {
+            base_per_kcycle: 0.2,
+            peak_per_kcycle: 1.8,
+            period_cycles: 1_000_000,
+        };
+        let arrivals = collect_arrivals(diurnal, 9, 4000);
         let (mut crest, mut trough) = (0u64, 0u64);
         for a in arrivals {
             let phase = a % 1_000_000;
@@ -754,33 +627,24 @@ mod tests {
             .into_iter()
             .map(|(arrived_at, tenant)| Arrival { arrived_at, tenant })
             .collect();
-        let mut policy = FairDropPolicy;
+        let policy = AdmissionPolicyKind::FairDrop;
         let incoming = Arrival {
             arrived_at: 500,
             tenant: 1,
         };
-        assert_eq!(
-            policy.on_full(&queue, &incoming),
-            AdmissionOutcome::Evict { victim: 3 }
-        );
+        assert_eq!(policy.on_full(&queue, &incoming), Full::Evict(3));
         // The hog itself gets plain drop-tail treatment.
         let incoming_hog = Arrival {
             arrived_at: 500,
             tenant: 0,
         };
-        assert_eq!(
-            policy.on_full(&queue, &incoming_hog),
-            AdmissionOutcome::DropIncoming
-        );
+        assert_eq!(policy.on_full(&queue, &incoming_hog), Full::DropIncoming);
         // Balanced occupancy (2 vs 2): no eviction either.
         let balanced: VecDeque<Arrival> = [(100, 0), (200, 0), (300, 1), (400, 1)]
             .into_iter()
             .map(|(arrived_at, tenant)| Arrival { arrived_at, tenant })
             .collect();
-        assert_eq!(
-            policy.on_full(&balanced, &incoming),
-            AdmissionOutcome::DropIncoming
-        );
+        assert_eq!(policy.on_full(&balanced, &incoming), Full::DropIncoming);
     }
 
     #[test]
