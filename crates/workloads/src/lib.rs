@@ -47,8 +47,7 @@ pub use arrival::{ArrivalSpec, OpenLoopSpec};
 pub use capture::CaptureEncoding;
 pub use llc::{Llc, LlcConfig};
 pub use mix::{
-    MixSpec, MixStream, PhaseWindow, PhasedMixSpec, PhasedMixStream, PhasedTenantSpec,
-    TenantSelection, TenantSpec,
+    MixSpec, MixStream, PhaseWindow, PhasedMixSpec, PhasedTenantSpec, TenantSelection, TenantSpec,
 };
 pub use replay::TraceReplay;
 pub use shard::{ShardRouter, ShardRouterKind, ShardSpec, ShardStream};

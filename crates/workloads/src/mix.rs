@@ -12,7 +12,10 @@
 //!   interleaved schedule where tenant `i` appears `weight_i` times per
 //!   round) or *Zipf-weighted* (tenant popularity follows a Zipf
 //!   distribution over the tenant list — first tenant hottest — the shape
-//!   HPC workload-characterisation studies report for mixed cloud traffic);
+//!   HPC workload-characterisation studies report for mixed cloud traffic).
+//!   A [`PhasedMixSpec`] builds the same stream with a *phased* schedule:
+//!   weighted round-robin over the tenants whose activity window holds the
+//!   current access index;
 //! * **Deterministic per-tenant seeding** — every child stream and the
 //!   selection sampler get independent seeds expanded from the mix seed
 //!   with SplitMix64, so the same seed reproduces the same mixed trace
@@ -152,16 +155,20 @@ struct Tenant {
     footprint: u64,
 }
 
-/// Builds the tenant streams with deterministic per-tenant seeds and lays
-/// them out side by side (prefix-sum partitioning). Shared by [`MixStream`]
-/// and [`PhasedMixStream`] so both spec kinds partition and seed
-/// identically.
+/// Builds the tenant streams with an equal share of the footprint hint and
+/// lays them out side by side (prefix-sum partitioning). The seeds come
+/// from one SplitMix64 expansion of the mix seed: the selection seed first,
+/// then one seed per tenant, so both spec kinds partition and seed
+/// identically. Returns the tenants, their combined footprint and the
+/// selection seed.
 fn build_tenants<'a>(
-    children: impl Iterator<Item = &'a WorkloadSpec>,
-    n: usize,
+    children: impl ExactSizeIterator<Item = &'a WorkloadSpec>,
     footprint_hint: u64,
-    sm: &mut SplitMix64,
-) -> OramResult<(Vec<Tenant>, u64)> {
+    seed: u64,
+) -> OramResult<(Vec<Tenant>, u64, u64)> {
+    let n = children.len();
+    let mut sm = SplitMix64::new(seed);
+    let selection_seed = sm.next_u64();
     let per_tenant_hint = (footprint_hint / n as u64).max(1);
     let mut tenants = Vec::with_capacity(n);
     let mut base = 0u64;
@@ -182,7 +189,7 @@ fn build_tenants<'a>(
                 ),
             })?;
     }
-    Ok((tenants, base))
+    Ok((tenants, base, selection_seed))
 }
 
 /// Builds the interleaved weighted-round-robin order: round `r` serves every
@@ -211,10 +218,19 @@ enum Schedule {
     Wrr { order: Vec<usize>, cursor: usize },
     /// Zipf-weighted random selection.
     Zipf { sampler: Zipf, rng: OramRng },
+    /// Interleaved weighted round-robin that skips tenants outside their
+    /// activity window. `clock` counts the accesses emitted so far; the
+    /// windows are read against it.
+    Phased {
+        order: Vec<usize>,
+        cursor: usize,
+        windows: Vec<PhaseWindow>,
+        clock: u64,
+    },
 }
 
 /// The composed multi-tenant access stream. Build one from a [`MixSpec`]
-/// (usually via [`WorkloadSpec::build`]).
+/// or a [`PhasedMixSpec`] (usually via [`WorkloadSpec::build`]).
 #[derive(Clone)]
 pub struct MixStream {
     tenants: Vec<Tenant>,
@@ -234,16 +250,10 @@ impl MixStream {
     /// address space.
     pub fn new(spec: &MixSpec, footprint_hint: u64, seed: u64) -> OramResult<Self> {
         spec.validate()?;
-        let n = spec.tenants.len();
-        // Independent seed expansion: the selection stream first, then one
-        // seed per tenant, all derived from the mix seed alone.
-        let mut sm = SplitMix64::new(seed);
-        let selection_seed = sm.next_u64();
-        let (tenants, total) = build_tenants(
+        let (tenants, total_footprint, selection_seed) = build_tenants(
             spec.tenants.iter().map(|t| &t.workload),
-            n,
             footprint_hint,
-            &mut sm,
+            seed,
         )?;
         let schedule = match spec.selection {
             TenantSelection::WeightedRoundRobin => Schedule::Wrr {
@@ -251,14 +261,43 @@ impl MixStream {
                 cursor: 0,
             },
             TenantSelection::Zipf { theta } => Schedule::Zipf {
-                sampler: Zipf::new(n as u64, theta),
+                sampler: Zipf::new(tenants.len() as u64, theta),
                 rng: OramRng::new(selection_seed),
             },
         };
         Ok(MixStream {
             tenants,
             schedule,
-            total_footprint: total,
+            total_footprint,
+        })
+    }
+
+    /// Instantiates a phased mix. Children are built, seeded and laid out
+    /// exactly as by [`MixStream::new`], so a phased mix whose windows are
+    /// all `[0, MAX)` emits the same stream as the equivalent round-robin
+    /// [`MixSpec`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PhasedMixSpec::validate`] failures, child build errors
+    /// and footprint overflow.
+    pub fn phased(spec: &PhasedMixSpec, footprint_hint: u64, seed: u64) -> OramResult<Self> {
+        spec.validate()?;
+        let (tenants, total_footprint, _) = build_tenants(
+            spec.tenants.iter().map(|t| &t.workload),
+            footprint_hint,
+            seed,
+        )?;
+        let schedule = Schedule::Phased {
+            order: wrr_order(spec.tenants.iter().map(|t| t.weight)),
+            cursor: 0,
+            windows: spec.tenants.iter().map(|t| t.window).collect(),
+            clock: 0,
+        };
+        Ok(MixStream {
+            tenants,
+            schedule,
+            total_footprint,
         })
     }
 
@@ -307,11 +346,38 @@ impl AccessStream for MixStream {
                 idx
             }
             Schedule::Zipf { sampler, rng } => sampler.sample(rng) as usize,
+            Schedule::Phased {
+                order,
+                cursor,
+                windows,
+                clock,
+            } => {
+                // Validation guarantees at least one tenant is active at
+                // every access index and every tenant appears in the order,
+                // so a full lap always finds a server.
+                let mut picked = None;
+                for _ in 0..order.len() {
+                    let cand = order[*cursor];
+                    *cursor = (*cursor + 1) % order.len();
+                    if windows[cand].contains(*clock) {
+                        picked = Some(cand);
+                        break;
+                    }
+                }
+                *clock += 1;
+                picked.expect("validated phase windows cover every access index")
+            }
         };
         self.pull_from(idx)
     }
 
     fn next_tagged_for(&mut self, tenant: u32) -> TaggedEntry {
+        // A phased mix keeps its windowed selection, as single-tenant
+        // streams do: per-tenant arrivals are rejected over it at
+        // validation, so the requested tenant carries no route.
+        if matches!(self.schedule, Schedule::Phased { .. }) {
+            return self.next_tagged();
+        }
         assert!(
             (tenant as usize) < self.tenants.len(),
             "tenant {tenant} out of range for a {}-tenant mix",
@@ -500,116 +566,6 @@ at least one tenant must have an open-ended window"
     }
 }
 
-/// The composed phased multi-tenant stream. Build one from a
-/// [`PhasedMixSpec`] (usually via [`WorkloadSpec::build`]).
-#[derive(Clone)]
-pub struct PhasedMixStream {
-    tenants: Vec<Tenant>,
-    windows: Vec<PhaseWindow>,
-    order: Vec<usize>,
-    cursor: usize,
-    /// Accesses emitted so far — the clock the activity windows are read
-    /// against.
-    clock: u64,
-    total_footprint: u64,
-}
-
-impl PhasedMixStream {
-    /// Instantiates a phased mix. Seeding and partitioning mirror
-    /// [`MixStream::new`] exactly (one SplitMix64 expansion, selection slot
-    /// first, then one seed per tenant), so a phased mix whose windows are
-    /// all `[0, MAX)` emits the same per-tenant streams as the equivalent
-    /// round-robin [`MixSpec`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhasedMixSpec::validate`] failures, child build errors
-    /// and footprint overflow.
-    pub fn new(spec: &PhasedMixSpec, footprint_hint: u64, seed: u64) -> OramResult<Self> {
-        spec.validate()?;
-        let mut sm = SplitMix64::new(seed);
-        let _selection_seed = sm.next_u64(); // reserved, as in MixStream
-        let (tenants, total) = build_tenants(
-            spec.tenants.iter().map(|t| &t.workload),
-            spec.tenants.len(),
-            footprint_hint,
-            &mut sm,
-        )?;
-        Ok(PhasedMixStream {
-            tenants,
-            windows: spec.tenants.iter().map(|t| t.window).collect(),
-            order: wrr_order(spec.tenants.iter().map(|t| t.weight)),
-            cursor: 0,
-            clock: 0,
-            total_footprint: total,
-        })
-    }
-
-    /// The `[base, base + footprint)` address slice owned by tenant `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn tenant_partition(&self, i: usize) -> (u64, u64) {
-        let t = &self.tenants[i];
-        (t.base, t.base + t.footprint)
-    }
-
-    /// Accesses emitted so far (the window clock).
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-}
-
-impl AccessStream for PhasedMixStream {
-    fn next_access(&mut self) -> TraceEntry {
-        self.next_tagged().entry
-    }
-
-    fn next_tagged(&mut self) -> TaggedEntry {
-        // Walk the interleaved WRR order, skipping tenants outside their
-        // activity window. Validation guarantees at least one tenant is
-        // active at every access index and every tenant appears in the
-        // order, so a full lap always finds a server.
-        let mut picked = None;
-        for _ in 0..self.order.len() {
-            let cand = self.order[self.cursor];
-            self.cursor = (self.cursor + 1) % self.order.len();
-            if self.windows[cand].contains(self.clock) {
-                picked = Some(cand);
-                break;
-            }
-        }
-        let idx = picked.expect("validated phase windows cover every access index");
-        self.clock += 1;
-        let tenant = &mut self.tenants[idx];
-        let entry = tenant.stream.next_access();
-        debug_assert!(
-            entry.addr.0 < tenant.footprint,
-            "phased tenant {idx} violated its footprint bound"
-        );
-        TaggedEntry {
-            entry: TraceEntry {
-                addr: PhysAddr::new(tenant.base + entry.addr.0),
-                op: entry.op,
-            },
-            tenant: idx as u32,
-        }
-    }
-
-    fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.total_footprint
-    }
-
-    fn tenant_partition(&self, i: usize) -> Option<(u64, u64)> {
-        self.tenants.get(i).map(|t| (t.base, t.footprint))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,7 +745,7 @@ mod tests {
             .tenant(Workload::Redis.into(), 2, PhaseWindow::ALWAYS)
             .tenant(Workload::Llm.into(), 1, PhaseWindow::from_start(100))
             .tenant(Workload::Streaming.into(), 1, PhaseWindow::until(200));
-        let mut mix = PhasedMixStream::new(&spec, 64 << 20, 7).unwrap();
+        let mut mix = MixStream::phased(&spec, 64 << 20, 7).unwrap();
         assert_eq!(mix.tenant_count(), 3);
         let windows = [
             PhaseWindow::ALWAYS,
@@ -798,7 +754,6 @@ mod tests {
         ];
         let mut seen = [0u64; 3];
         for t in 0..1000u64 {
-            assert_eq!(mix.clock(), t);
             let tagged = mix.next_tagged();
             let idx = tagged.tenant as usize;
             assert!(
@@ -822,7 +777,7 @@ mod tests {
             .tenant(Workload::Llm.into(), 1, PhaseWindow::ALWAYS)
             .tenant(Workload::Streaming.into(), 1, PhaseWindow::ALWAYS);
         let mut a = MixStream::new(&flat, 48 << 20, 23).unwrap();
-        let mut b = PhasedMixStream::new(&phased, 48 << 20, 23).unwrap();
+        let mut b = MixStream::phased(&phased, 48 << 20, 23).unwrap();
         assert_eq!(a.footprint_bytes(), b.footprint_bytes());
         for _ in 0..2000 {
             assert_eq!(a.next_tagged(), b.next_tagged());
@@ -865,7 +820,7 @@ mod tests {
         let spec = PhasedMixSpec::new()
             .tenant(Workload::Random.into(), 1, PhaseWindow::ALWAYS)
             .tenant(Workload::Redis.into(), 3, PhaseWindow::until(10));
-        let mut mix = PhasedMixStream::new(&spec, 16 << 20, 3).unwrap();
+        let mut mix = MixStream::phased(&spec, 16 << 20, 3).unwrap();
         for _ in 0..10 {
             mix.next_tagged();
         }
@@ -875,6 +830,20 @@ mod tests {
                 tagged.tenant, 0,
                 "tenant 1 served access {t} after departing"
             );
+        }
+    }
+
+    #[test]
+    fn phased_mix_ignores_the_requested_tenant() {
+        // Per-tenant arrivals never drive a phased mix, so a tenant-directed
+        // pull keeps the windowed selection, as the trait default does.
+        let spec = PhasedMixSpec::new()
+            .tenant(Workload::Random.into(), 1, PhaseWindow::ALWAYS)
+            .tenant(Workload::Redis.into(), 3, PhaseWindow::until(10));
+        let mut a = MixStream::phased(&spec, 16 << 20, 3).unwrap();
+        let mut b = MixStream::phased(&spec, 16 << 20, 3).unwrap();
+        for _ in 0..100 {
+            assert_eq!(a.next_tagged_for(1), b.next_tagged());
         }
     }
 

@@ -333,7 +333,7 @@ impl WorkloadSpec {
                 footprint_hint,
                 seed,
             )?)),
-            WorkloadSpec::PhasedMix(m) => Ok(Box::new(crate::mix::PhasedMixStream::new(
+            WorkloadSpec::PhasedMix(m) => Ok(Box::new(crate::mix::MixStream::phased(
                 m,
                 footprint_hint,
                 seed,
