@@ -6,14 +6,15 @@
 //! scoped OS threads and *deterministic* result collection: results land in
 //! grid order regardless of which worker finishes first, and each run's
 //! randomness is derived solely from its spec's seed, so the metrics are
-//! byte-identical to a [`SerialExecutor`] run of the same grid.
+//! byte-identical to a [`SerialExecutor`] run of the same grid. The worker
+//! pool itself, [`run_indexed`], also fans the shards of one sharded run
+//! across threads ([`crate::PooledShardStepper`]).
 
 use super::results::RunRecord;
 use super::RunSpec;
-use palermo_oram::error::{OramError, OramResult};
+use palermo_oram::error::OramResult;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// An execution strategy for a batch of independent run specs.
 pub trait Executor {
@@ -36,13 +37,53 @@ impl Executor for SerialExecutor {
     }
 }
 
+/// Runs `job(i)` for every `i` in `0..n` on up to `threads` scoped OS
+/// threads and returns the results in index order.
+///
+/// Workers claim indices from a shared atomic counter (dynamic load
+/// balancing: long jobs don't serialise behind short ones). Each worker
+/// hands its `(index, result)` pairs back through its join handle, and the
+/// pairs are sorted by index, so the output order never depends on which
+/// worker finishes first. A panicking job re-raises its panic here.
+pub(crate) fn run_indexed<T: Send>(
+    threads: usize,
+    n: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Fans independent runs across a fixed number of OS threads using
 /// [`std::thread::scope`] (no external dependencies).
 ///
-/// Workers claim specs from a shared atomic counter (dynamic load
-/// balancing: long runs don't serialise behind short ones) and store each
-/// result at the spec's own index, so the output order — and, because every
-/// run is seeded from its spec alone, every metric — is identical to what
+/// Workers claim specs dynamically through [`run_indexed`], which returns
+/// the results in spec order, so the output order — and, because every run
+/// is seeded from its spec alone, every metric — is identical to what
 /// [`SerialExecutor`] produces.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPoolExecutor {
@@ -81,38 +122,8 @@ impl Default for ThreadPoolExecutor {
 
 impl Executor for ThreadPoolExecutor {
     fn execute(&self, specs: Vec<RunSpec>) -> OramResult<Vec<RunRecord>> {
-        let n = specs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<OramResult<RunRecord>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = specs[i].run();
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
+        run_indexed(self.threads, specs.len(), |i| specs[i].run())
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .unwrap_or_else(|| {
-                        // Unreachable: the scope joins every worker and the
-                        // counter hands each index to exactly one of them.
-                        Err(OramError::InvalidParams {
-                            reason: "executor worker dropped a run".into(),
-                        })
-                    })
-            })
             .collect()
     }
 }
@@ -123,6 +134,7 @@ mod tests {
     use crate::experiment::Experiment;
     use crate::schemes::Scheme;
     use crate::system::SystemConfig;
+    use palermo_oram::error::OramError;
     use palermo_workloads::Workload;
 
     fn tiny() -> SystemConfig {
@@ -185,6 +197,19 @@ mod tests {
             .run(&ThreadPoolExecutor::new(2))
             .unwrap_err();
         assert!(matches!(err, OramError::InvalidParams { .. }));
+    }
+
+    #[test]
+    fn pooled_results_come_back_in_index_order() {
+        let squares = run_indexed(3, 50, |i| i * i);
+        assert_eq!(squares, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        assert!(run_indexed(4, 0, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 7 failed")]
+    fn a_panicking_job_re_raises_its_panic() {
+        run_indexed(2, 10, |i| assert!(i != 7, "job {i} failed"));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! * The merge folds shard results in shard-index order only — no
 //!   completion-order or thread-order dependence anywhere.
 
+use crate::experiment::executor::run_indexed;
 use crate::runner::{run_core, RunMetrics, ShardMetrics, Stepper, TenantMetrics};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
@@ -41,8 +42,6 @@ use palermo_oram::error::{OramError, OramResult};
 use palermo_oram::rng::SplitMix64;
 use palermo_workloads::{AccessStream, OpenLoopSpec, ShardRouter, ShardStream, WorkloadSpec};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// K independent ORAM systems over a partitioned address space.
 ///
@@ -383,10 +382,10 @@ impl ShardStepper for SerialShardStepper {
 /// [`std::thread::scope`] — the intra-run parallelism the shards' total
 /// independence buys.
 ///
-/// Workers claim shard indices from a shared atomic counter and store each
-/// result at the shard's own index, so the merge consumes results in shard
-/// order regardless of which worker finishes first — the same deterministic
-/// collection discipline as [`crate::ThreadPoolExecutor`], one level down.
+/// Workers claim shard indices dynamically from the same worker pool as
+/// [`crate::ThreadPoolExecutor`], one level down, which returns the results
+/// in shard order regardless of which worker finishes first, so the merge
+/// sees the same sequence as under [`SerialShardStepper`].
 #[derive(Debug, Clone, Copy)]
 pub struct PooledShardStepper {
     threads: usize,
@@ -424,37 +423,11 @@ impl Default for PooledShardStepper {
 
 impl ShardStepper for PooledShardStepper {
     fn run(&self, system: &ShardedSystem, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
-        let n = system.shards() as usize;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<OramResult<RunMetrics>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = system.run_shard(i as u32, stepper);
-                    // audit:allow(unwrap, a poisoned slot means a worker already panicked, which aborts the run anyway)
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        let runs = slots
-            .into_iter()
-            .map(|slot| {
-                // audit:allow(unwrap, a poisoned slot means a worker already panicked, which aborts the run anyway)
-                let run = slot.into_inner().expect("result slot poisoned");
-                run.unwrap_or_else(|| {
-                    // Unreachable: the scope joins every worker and the
-                    // counter hands each index to exactly one of them.
-                    Err(OramError::InvalidParams {
-                        reason: "shard worker dropped a run".into(),
-                    })
-                })
-            })
-            .collect::<OramResult<Vec<_>>>()?;
+        let runs = run_indexed(self.threads, system.shards() as usize, |i| {
+            system.run_shard(i as u32, stepper)
+        })
+        .into_iter()
+        .collect::<OramResult<Vec<_>>>()?;
         Ok(system.merge(runs))
     }
 }
