@@ -69,6 +69,31 @@ pub struct CustomProtocol {
     pub prefetch_length: u32,
 }
 
+impl CustomProtocol {
+    /// Lowers a standard `scheme` to its protocol and controller on
+    /// `config`'s system, with the given prefetch length.
+    ///
+    /// # Errors
+    ///
+    /// Propagates protocol-configuration errors.
+    pub(crate) fn of_scheme(
+        scheme: Scheme,
+        config: &SystemConfig,
+        prefetch_length: u32,
+    ) -> OramResult<Self> {
+        Ok(CustomProtocol {
+            hierarchy: scheme.hierarchy_config(
+                config.hierarchy_params()?,
+                config.seed,
+                prefetch_length,
+                config.stash_capacity,
+            )?,
+            controller: scheme.controller_config(config.pe_columns),
+            prefetch_length,
+        })
+    }
+}
+
 /// A fully-resolved description of one simulation run.
 ///
 /// A `RunSpec` is self-contained: executing it needs no context beyond the

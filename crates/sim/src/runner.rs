@@ -26,7 +26,7 @@
 //! belongs to the typed [`crate::experiment`] surface built on top of
 //! this module.
 
-use crate::experiment::{CustomProtocol, Executor, Experiment};
+use crate::experiment::CustomProtocol;
 use crate::schemes::Scheme;
 use crate::serving::ServingEngine;
 use crate::system::SystemConfig;
@@ -37,7 +37,7 @@ use palermo_oram::crypto::Payload;
 use palermo_oram::error::{OramError, OramResult};
 use palermo_oram::hierarchy::HierarchicalOram;
 use palermo_oram::types::{OramOp, PhysAddr};
-use palermo_workloads::{AccessStream, Llc, OpenLoopSpec, Workload, WorkloadSpec};
+use palermo_workloads::{AccessStream, Llc, OpenLoopSpec, WorkloadSpec};
 
 /// Controller clock frequency in Hz (Table III: 1.6 GHz, shared with the
 /// DRAM command clock).
@@ -267,6 +267,43 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// All-zero metrics of a run of `scheme` on `workload`, labelled with
+    /// its prefetch length and `config`'s hardware; the runner and the
+    /// shard merge fill in the rest.
+    pub(crate) fn empty(
+        scheme: Scheme,
+        workload: WorkloadSpec,
+        prefetch_length: u32,
+        config: &SystemConfig,
+    ) -> Self {
+        RunMetrics {
+            scheme,
+            workload,
+            oram_requests: 0,
+            workload_accesses: 0,
+            dummy_requests: 0,
+            cycles: 0,
+            latencies: Vec::new(),
+            behaviour_latency: Vec::new(),
+            stash_samples: Vec::new(),
+            stash_high_water: 0,
+            dram: DramStats::default(),
+            sync_stall_by_level: [0; 3],
+            sync_stall_cycles: 0,
+            llc_hit_rate: 0.0,
+            prefetch_length,
+            submitted_requests: 0,
+            per_tenant: Vec::new(),
+            arrivals: 0,
+            dropped_arrivals: 0,
+            queue_waits: Vec::new(),
+            per_shard: Vec::new(),
+            hardware: config.hardware.clone(),
+            energy: config.energy,
+            dram_config: config.dram,
+        }
+    }
+
     /// Measured LLC-miss (ORAM-request) throughput in requests per second.
     pub fn requests_per_second(&self) -> f64 {
         if self.cycles == 0 {
@@ -780,26 +817,22 @@ pub fn run_workload_spec_stepped(
             stepper,
         );
     }
-    let params = config.hierarchy_params()?;
-    let prefetch_length = if scheme.uses_prefetch() {
+    let protocol =
+        CustomProtocol::of_scheme(scheme, config, prefetch_length(scheme, spec, config))?;
+    run_protocol(scheme, protocol, spec, config, stepper)
+}
+
+/// The prefetch length `scheme` runs `spec` with: the configured override,
+/// else the spec's default, for prefetch-capable schemes; 1 otherwise.
+pub(crate) fn prefetch_length(scheme: Scheme, spec: &WorkloadSpec, config: &SystemConfig) -> u32 {
+    if scheme.uses_prefetch() {
         config
             .prefetch_override
             .unwrap_or_else(|| spec.default_prefetch_length())
             .max(1)
     } else {
         1
-    };
-    let protocol = CustomProtocol {
-        hierarchy: scheme.hierarchy_config(
-            params,
-            config.seed,
-            prefetch_length,
-            config.stash_capacity,
-        )?,
-        controller: scheme.controller_config(config.pe_columns),
-        prefetch_length,
-    };
-    run_protocol(scheme, protocol, spec, config, stepper)
+    }
 }
 
 /// Simulates one unsharded spec under an explicit protocol/controller
@@ -831,13 +864,11 @@ configuration; use run_workload_spec, which derives a configuration per shard"
     let mut stream = spec.build(config.stream_footprint_hint(), config.stream_seed())?;
     run_core(
         scheme,
-        protocol.hierarchy,
-        protocol.controller,
+        protocol,
         spec,
         spec.open_loop(),
         stream.as_mut(),
         config,
-        protocol.prefetch_length,
         stepper,
     )
 }
@@ -855,16 +886,14 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 ///
 /// Propagates protocol-configuration errors and rejects non-Table II
 /// streams whose footprint overruns the protected space.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 pub(crate) fn run_core(
     scheme: Scheme,
-    hierarchy_cfg: palermo_oram::hierarchy::HierarchyConfig,
-    controller_cfg: palermo_controller::ControllerConfig,
+    protocol: CustomProtocol,
     label_spec: &WorkloadSpec,
     open: Option<&OpenLoopSpec>,
     stream: &mut dyn AccessStream,
     config: &SystemConfig,
-    prefetch_length: u32,
     stepper: &dyn Stepper,
 ) -> OramResult<RunMetrics> {
     config
@@ -873,8 +902,9 @@ pub(crate) fn run_core(
         .map_err(|e| OramError::InvalidParams {
             reason: format!("invalid DRAM configuration: {e}"),
         })?;
-    let mut oram = HierarchicalOram::new(hierarchy_cfg)?;
-    let mut controller = OramController::new(controller_cfg);
+    let prefetch_length = protocol.prefetch_length;
+    let mut oram = HierarchicalOram::new(protocol.hierarchy)?;
+    let mut controller = OramController::new(protocol.controller);
     let mut dram = DramSystem::new(config.dram);
     let mut llc = Llc::new(config.llc);
 
@@ -935,38 +965,12 @@ or raise protected_bytes)",
     let mut dram_at_start = dram.stats();
     let mut ctrl_at_start = *controller.stats();
 
-    let mut metrics = RunMetrics {
-        scheme,
-        workload: label_spec.clone(),
-        oram_requests: 0,
-        workload_accesses: 0,
-        dummy_requests: 0,
-        cycles: 0,
-        latencies: Vec::new(),
-        behaviour_latency: Vec::new(),
-        stash_samples: Vec::new(),
-        stash_high_water: 0,
-        dram: DramStats::default(),
-        sync_stall_by_level: [0; 3],
-        sync_stall_cycles: 0,
-        llc_hit_rate: 0.0,
-        prefetch_length,
-        submitted_requests: 0,
-        per_tenant: if config.collect_per_tenant {
-            (0..stream.tenant_count())
-                .map(|i| TenantMetrics::new(i as u32))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        arrivals: 0,
-        dropped_arrivals: 0,
-        queue_waits: Vec::new(),
-        per_shard: Vec::new(),
-        hardware: config.hardware.clone(),
-        energy: config.energy,
-        dram_config: config.dram,
-    };
+    let mut metrics = RunMetrics::empty(scheme, label_spec.clone(), prefetch_length, config);
+    if config.collect_per_tenant {
+        metrics.per_tenant = (0..stream.tenant_count())
+            .map(|i| TenantMetrics::new(i as u32))
+            .collect();
+    }
 
     let sample_every = (config.measured_requests / 100).max(1);
 
@@ -1202,31 +1206,10 @@ or raise protected_bytes)",
     Ok(metrics)
 }
 
-/// Runs every workload of Table II under one scheme on the given executor,
-/// returning the metrics in [`Workload::ALL`] order.
-///
-/// # Errors
-///
-/// Propagates the first (in grid order) error encountered.
-pub fn run_all_workloads(
-    scheme: Scheme,
-    config: &SystemConfig,
-    executor: &dyn Executor,
-) -> OramResult<Vec<RunMetrics>> {
-    let results = Experiment::new(config.clone())
-        .schemes([scheme])
-        .workloads(Workload::ALL)
-        .run(executor)?;
-    Ok(results
-        .into_records()
-        .into_iter()
-        .map(|r| r.metrics)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use palermo_workloads::Workload;
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::small_for_tests();

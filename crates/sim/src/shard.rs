@@ -33,11 +33,12 @@
 //!   completion-order or thread-order dependence anywhere.
 
 use crate::experiment::executor::run_indexed;
-use crate::runner::{run_core, RunMetrics, ShardMetrics, Stepper, TenantMetrics};
+use crate::experiment::CustomProtocol;
+use crate::runner::{prefetch_length, run_core, RunMetrics, ShardMetrics, Stepper, TenantMetrics};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::LatencyHistogram;
-use palermo_dram::{DramConfig, DramStats, EnergyCoefficients};
+use palermo_dram::DramStats;
 use palermo_oram::error::{OramError, OramResult};
 use palermo_oram::rng::SplitMix64;
 use palermo_workloads::{AccessStream, OpenLoopSpec, ShardRouter, ShardStream, WorkloadSpec};
@@ -132,15 +133,6 @@ impl ShardedSystem {
             inner: shard_spec.inner.clone(),
         });
 
-        let prefetch_length = if scheme.uses_prefetch() {
-            config
-                .prefetch_override
-                .unwrap_or_else(|| spec.default_prefetch_length())
-                .max(1)
-        } else {
-            1
-        };
-
         Ok(ShardedSystem {
             scheme,
             spec: spec.clone(),
@@ -148,7 +140,7 @@ impl ShardedSystem {
             shard_configs,
             open,
             prototype,
-            prefetch_length,
+            prefetch_length: prefetch_length(scheme, spec, config),
         })
     }
 
@@ -183,26 +175,17 @@ impl ShardedSystem {
     /// Propagates protocol-configuration errors.
     pub fn run_shard(&self, shard: u32, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
         let config = &self.shard_configs[shard as usize];
-        let params = config.hierarchy_params()?;
-        let hierarchy_cfg = self.scheme.hierarchy_config(
-            params,
-            config.seed,
-            self.prefetch_length,
-            config.stash_capacity,
-        )?;
-        let controller_cfg = self.scheme.controller_config(config.pe_columns);
+        let protocol = CustomProtocol::of_scheme(self.scheme, config, self.prefetch_length)?;
         // Every shard filters a fresh clone of the *global* stream, so the
         // union of what the shards consume is exactly the unsharded stream.
         let mut stream = ShardStream::new(self.prototype.clone(), self.router.clone(), shard);
         run_core(
             self.scheme,
-            hierarchy_cfg,
-            controller_cfg,
+            protocol,
             &self.spec,
             self.open.as_ref(),
             &mut stream,
             config,
-            self.prefetch_length,
             stepper,
         )
     }
@@ -218,38 +201,13 @@ impl ShardedSystem {
     /// [`RunMetrics::tenant_conservation_ok`] by construction.
     fn merge(&self, runs: Vec<RunMetrics>) -> RunMetrics {
         debug_assert_eq!(runs.len(), self.shards() as usize);
-        let mut merged = RunMetrics {
-            scheme: self.scheme,
-            workload: self.spec.clone(),
-            oram_requests: 0,
-            workload_accesses: 0,
-            dummy_requests: 0,
-            cycles: 0,
-            latencies: Vec::new(),
-            behaviour_latency: Vec::new(),
-            stash_samples: Vec::new(),
-            stash_high_water: 0,
-            dram: DramStats::default(),
-            sync_stall_by_level: [0; 3],
-            sync_stall_cycles: 0,
-            llc_hit_rate: 0.0,
-            prefetch_length: self.prefetch_length,
-            submitted_requests: 0,
-            per_tenant: Vec::new(),
-            arrivals: 0,
-            dropped_arrivals: 0,
-            queue_waits: Vec::new(),
-            per_shard: Vec::new(),
-            hardware: runs
-                .first()
-                .map_or_else(|| "ddr4-3200".to_string(), |r| r.hardware.clone()),
-            energy: runs
-                .first()
-                .map_or_else(EnergyCoefficients::default, |r| r.energy),
-            dram_config: runs
-                .first()
-                .map_or_else(DramConfig::ddr4_3200_quad_channel, |r| r.dram_config),
-        };
+        // Every shard runs on the global configuration's hardware.
+        let mut merged = RunMetrics::empty(
+            self.scheme,
+            self.spec.clone(),
+            self.prefetch_length,
+            &self.shard_configs[0],
+        );
         // LLC hit rate is a ratio, not a count: recover the aggregate by
         // weighting each shard's rate with its access volume (falling back
         // to a plain mean over shards when nothing completed anywhere).
@@ -522,15 +480,8 @@ mod tests {
         shard: u32,
     ) -> RunMetrics {
         let config = system.shard_config(shard);
-        let hierarchy_cfg = system
-            .scheme
-            .hierarchy_config(
-                config.hierarchy_params().unwrap(),
-                config.seed,
-                system.prefetch_length,
-                config.stash_capacity,
-            )
-            .unwrap();
+        let protocol =
+            CustomProtocol::of_scheme(system.scheme, config, system.prefetch_length).unwrap();
         let inner = system
             .spec
             .sharded()
@@ -541,13 +492,11 @@ mod tests {
         let mut stream = ShardStream::new(inner, system.router.clone(), shard);
         run_core(
             system.scheme,
-            hierarchy_cfg,
-            system.scheme.controller_config(config.pe_columns),
+            protocol,
             &system.spec,
             system.open.as_ref(),
             &mut stream,
             config,
-            system.prefetch_length,
             &CalendarStepper,
         )
         .unwrap()

@@ -175,14 +175,6 @@ impl SystemConfig {
     pub fn total_requests(&self) -> u64 {
         self.measured_requests + self.warmup_requests
     }
-
-    /// Returns a copy with the measured/warm-up request budget scaled by
-    /// `factor` (used by benches to keep iteration times reasonable).
-    pub fn scaled_requests(mut self, factor: f64) -> Self {
-        self.measured_requests = ((self.measured_requests as f64 * factor) as u64).max(10);
-        self.warmup_requests = ((self.warmup_requests as f64 * factor) as u64).max(5);
-        self
-    }
 }
 
 impl Default for SystemConfig {
@@ -245,14 +237,5 @@ mod tests {
                 .pe_columns,
             16
         );
-    }
-
-    #[test]
-    fn scaling_respects_minimums() {
-        let cfg = SystemConfig::small_for_tests().scaled_requests(0.01);
-        assert_eq!(cfg.measured_requests, 10);
-        assert_eq!(cfg.warmup_requests, 5);
-        let cfg = SystemConfig::paper_default().scaled_requests(2.0);
-        assert_eq!(cfg.measured_requests, 1200);
     }
 }

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: the full workload → LLC → protocol →
 //! controller → DRAM pipeline, exercised through the facade crate.
 
-use palermo::sim::experiment::SerialExecutor;
-use palermo::sim::runner::{run_all_workloads, run_workload_spec};
+use palermo::sim::experiment::{Experiment, SerialExecutor};
+use palermo::sim::runner::run_workload_spec;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::Workload;
@@ -80,9 +80,14 @@ fn all_workloads_run_under_palermo() {
     let mut cfg = tiny();
     cfg.measured_requests = 20;
     cfg.warmup_requests = 5;
-    let all = run_all_workloads(Scheme::Palermo, &cfg, &SerialExecutor).unwrap();
+    let all = Experiment::new(cfg.clone())
+        .schemes([Scheme::Palermo])
+        .workloads(Workload::ALL)
+        .run(&SerialExecutor)
+        .unwrap();
     assert_eq!(all.len(), Workload::ALL.len());
-    for m in &all {
+    for record in all.iter() {
+        let m = &record.metrics;
         assert_eq!(m.oram_requests, cfg.measured_requests, "{}", m.workload);
     }
 }
