@@ -282,13 +282,24 @@ impl ServingEngine {
     /// Builds the engine for an open-loop spec: one seeded source per
     /// arrival process (seeds expanded with SplitMix64 from the run seed,
     /// salted so arrival randomness is decorrelated from protocol and
-    /// workload randomness).
+    /// workload randomness) in front of a queue holding up to `capacity`
+    /// admitted arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is 0: such a queue could admit nothing. The
+    /// runner rejects a zero `serving_queue_capacity` with an error before
+    /// it builds the engine.
     pub fn new(
         spec: &OpenLoopSpec,
         capacity: usize,
         policy: AdmissionPolicyKind,
         seed: u64,
     ) -> Self {
+        assert!(
+            capacity > 0,
+            "an admission queue needs a capacity of at least 1"
+        );
         let mut sm = SplitMix64::new(seed ^ ARRIVAL_SEED_SALT);
         let route_per_tenant = spec.arrivals.len() > 1;
         let sources = spec
@@ -308,7 +319,7 @@ impl ServingEngine {
         ServingEngine {
             sources,
             queue: VecDeque::new(),
-            capacity: capacity.max(1),
+            capacity,
             policy,
             route_per_tenant,
             counters: ServingCounters {
@@ -645,6 +656,12 @@ mod tests {
             .map(|(arrived_at, tenant)| Arrival { arrived_at, tenant })
             .collect();
         assert_eq!(policy.on_full(&balanced, &incoming), Full::DropIncoming);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity of at least 1")]
+    fn a_zero_capacity_queue_is_a_precondition_violation() {
+        two_tenant_engine(AdmissionPolicyKind::DropTail, 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! treating the next pending arrival as a wakeup source, it would jump
 //! past arrivals and diverge from (or fall behind) the per-cycle reference.
 
+use palermo::oram::error::OramError;
 use palermo::sim::runner::{
     run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
@@ -97,5 +98,28 @@ fn overload_drops_are_accounted_exactly() {
     assert!(
         metrics.achieved_rate_per_kcycle() < metrics.offered_rate_per_kcycle().unwrap(),
         "achieved throughput must plateau below a 10 req/kcycle offered rate"
+    );
+}
+
+/// A zero-capacity admission queue could admit nothing, so an open-loop
+/// run rejects it by name instead of silently running with capacity 1.
+/// Closed-loop runs have no admission queue and ignore the field.
+#[test]
+fn zero_capacity_admission_queue_is_rejected() {
+    let mut cfg = SystemConfig::small_for_tests();
+    cfg.serving_queue_capacity = 0;
+    let open = WorkloadSpec::from_name("open:poisson:2:mcf").unwrap();
+    let err = run_workload_spec(Scheme::Palermo, &open, &cfg).unwrap_err();
+    assert!(
+        matches!(&err, OramError::InvalidParams { reason } if reason.contains("serving_queue_capacity")),
+        "{err}"
+    );
+    let sharded = WorkloadSpec::from_name("open:poisson:2:shard:2:hash:mcf").unwrap();
+    assert!(run_workload_spec(Scheme::Palermo, &sharded, &cfg).is_err());
+
+    let closed = WorkloadSpec::from_name("mcf").unwrap();
+    assert_eq!(
+        run_workload_spec(Scheme::Palermo, &closed, &cfg).unwrap(),
+        run_workload_spec(Scheme::Palermo, &closed, &SystemConfig::small_for_tests()).unwrap()
     );
 }
