@@ -30,8 +30,8 @@
 //! replay:/tmp/capture.trace          trace replay from a file
 //! mix:rr:redis*2+llm+stream          weighted-round-robin 3-tenant mix
 //! mix:zipf0.9:redis+redis+llm        Zipf-weighted tenant selection
-//! mix:phase:redis*2+llm@500..+kv@0..2000   phased mix: llm arrives at
-//!                                    access 500, kv departs at access 2000
+//! mix:phase:redis*2+llm@500..+rm1@0..2000  phased mix: llm arrives at
+//!                                    access 500, rm1 departs at access 2000
 //! open:poisson:0.8:mcf               open-loop Poisson arrivals (req/kcycle)
 //! open:poisson:0.5+bursty:2:5e4:15e4 is NOT valid — durations are plain
 //!                                    integers: open:bursty:2:50000:150000:llm

@@ -270,3 +270,70 @@ fn sweeps_compose_with_workload_specs() {
     assert!(specs[0].label.ends_with("/pe=2"));
     assert!(specs[0].label.contains("mix:rr:"));
 }
+
+/// The lines of the first ```` ```text ```` block after `marker` in `doc`,
+/// with any `//!` doc-comment prefix removed.
+fn text_block<'a>(doc: &'a str, marker: &str) -> Vec<&'a str> {
+    let start = doc
+        .find(marker)
+        .unwrap_or_else(|| panic!("`{marker}` not found"));
+    doc[start..]
+        .lines()
+        .map(|l| {
+            l.strip_prefix("//!")
+                .map_or(l, |rest| rest.strip_prefix(' ').unwrap_or(rest))
+        })
+        .skip_while(|&l| l != "```text")
+        .skip(1)
+        .take_while(|&l| l != "```")
+        .collect()
+}
+
+/// Every spec name in the grammar tables of the `spec` and `arrival`
+/// module docs and of README's open-loop section parses, and renders back
+/// to the same text; the one name the `spec` table marks "NOT valid" is
+/// rejected. A table row starts at column 0 with the name; indented rows
+/// continue the description above them.
+#[test]
+fn documented_spec_names_parse_and_round_trip() {
+    let tables = [
+        (
+            "crates/workloads/src/spec.rs",
+            text_block(include_str!("../crates/workloads/src/spec.rs"), "//!"),
+        ),
+        (
+            "crates/workloads/src/arrival.rs",
+            text_block(include_str!("../crates/workloads/src/arrival.rs"), "//!"),
+        ),
+        (
+            "README.md",
+            text_block(include_str!("../README.md"), "## Open-loop serving"),
+        ),
+    ];
+    let mut invalid = Vec::new();
+    for (file, rows) in &tables {
+        let names: Vec<(&str, bool)> = rows
+            .iter()
+            .filter(|row| row.starts_with(|c: char| !c.is_whitespace()))
+            .map(|row| {
+                let name = row.split_whitespace().next().unwrap_or_default();
+                (name, row.contains("NOT valid"))
+            })
+            .collect();
+        assert!(names.len() >= 4, "{file}: grammar table not found");
+        for (name, documented_invalid) in names {
+            let parsed = WorkloadSpec::from_name(name);
+            if documented_invalid {
+                assert!(
+                    parsed.is_none(),
+                    "{file}: `{name}` is marked NOT valid but parses"
+                );
+                invalid.push(name);
+                continue;
+            }
+            let spec = parsed.unwrap_or_else(|| panic!("{file}: `{name}` does not parse"));
+            assert_eq!(spec.name(), name, "{file}: `{name}` does not round-trip");
+        }
+    }
+    assert_eq!(invalid, ["open:poisson:0.5+bursty:2:5e4:15e4"]);
+}
