@@ -1412,32 +1412,12 @@ mod tests {
 
     #[test]
     fn metrics_empty_helpers_are_safe() {
-        let m = RunMetrics {
-            scheme: Scheme::Palermo,
-            workload: WorkloadSpec::Table2(Workload::Random),
-            oram_requests: 0,
-            workload_accesses: 0,
-            dummy_requests: 0,
-            cycles: 0,
-            latencies: vec![],
-            behaviour_latency: vec![],
-            stash_samples: vec![],
-            stash_high_water: 0,
-            dram: DramStats::default(),
-            sync_stall_by_level: [0; 3],
-            sync_stall_cycles: 0,
-            llc_hit_rate: 0.0,
-            prefetch_length: 1,
-            submitted_requests: 0,
-            per_tenant: vec![],
-            arrivals: 0,
-            dropped_arrivals: 0,
-            queue_waits: vec![],
-            per_shard: vec![],
-            hardware: "ddr4-3200".to_string(),
-            energy: EnergyCoefficients::default(),
-            dram_config: DramConfig::ddr4_3200_quad_channel(),
-        };
+        let m = RunMetrics::empty(
+            Scheme::Palermo,
+            WorkloadSpec::Table2(Workload::Random),
+            1,
+            &SystemConfig::paper_default(),
+        );
         assert_eq!(m.requests_per_second(), 0.0);
         assert_eq!(m.mean_latency(), 0.0);
         assert_eq!(m.dummy_fraction(), 0.0);
