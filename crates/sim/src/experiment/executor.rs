@@ -6,9 +6,9 @@
 //! scoped OS threads and *deterministic* result collection: results land in
 //! grid order regardless of which worker finishes first, and each run's
 //! randomness is derived solely from its spec's seed, so the metrics are
-//! byte-identical to a [`SerialExecutor`] run of the same grid. The worker
-//! pool itself, [`run_indexed`], also fans the shards of one sharded run
-//! across threads ([`crate::PooledShardStepper`]).
+//! byte-identical to a [`SerialExecutor`] run of the same grid. The same
+//! worker pool also fans the shards of one sharded run across threads
+//! ([`crate::PooledShardStepper`]).
 
 use super::results::RunRecord;
 use super::RunSpec;
@@ -81,10 +81,10 @@ pub(crate) fn run_indexed<T: Send>(
 /// Fans independent runs across a fixed number of OS threads using
 /// [`std::thread::scope`] (no external dependencies).
 ///
-/// Workers claim specs dynamically through [`run_indexed`], which returns
-/// the results in spec order, so the output order — and, because every run
-/// is seeded from its spec alone, every metric — is identical to what
-/// [`SerialExecutor`] produces.
+/// Workers claim specs dynamically from a shared counter and the pool
+/// returns the results in spec order, so the output order — and, because
+/// every run is seeded from its spec alone, every metric — is identical to
+/// what [`SerialExecutor`] produces.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPoolExecutor {
     threads: usize,
