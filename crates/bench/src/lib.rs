@@ -1,11 +1,13 @@
 //! # palermo-bench
 //!
-//! The Criterion benchmark harness that regenerates every table and figure
-//! of the Palermo evaluation. Each `benches/figNN_*.rs` target measures the
-//! wall-clock cost of the corresponding experiment at a reduced request
-//! budget *and* prints the experiment's result table once, so running
-//! `cargo bench` both exercises the simulator and reproduces the paper's
-//! rows (`bench/README.md` records the measured trajectory).
+//! The two Criterion benches behind the tick-loop wall-clock gate.
+//! `fig03_ring_baseline` times RingORAM runs on the Table III system, with
+//! and without per-tenant attribution, and `shard_scaling` times one
+//! sharded run under serial and pooled shard stepping. Each also prints its
+//! result table once. `examples/bench_compare.rs` checks their means
+//! against `bench/BENCH_tick_loop.json` (`bench/README.md` records the
+//! measured trajectory). The paper's figures are reproduced by the
+//! examples, not here.
 //!
 //! The shared helpers here keep the per-bench request budgets small enough
 //! for Criterion's repeated sampling while remaining large enough for the
