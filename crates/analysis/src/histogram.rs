@@ -1,89 +1,4 @@
-//! Fixed-bin histograms for latency distributions (Fig. 9) and the integer
-//! latency histogram behind the per-tenant QoS metrics.
-
-/// A histogram with uniformly sized bins over `[lo, hi)` plus overflow and
-/// underflow bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` uniform bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "hi must exceed lo");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total samples recorded (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Samples below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterates over `(bin_center, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-    }
-
-    /// The fraction of in-range samples falling within `[a, b)`.
-    pub fn fraction_between(&self, a: f64, b: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let within: u64 = self
-            .iter()
-            .filter(|(center, _)| *center >= a && *center < b)
-            .map(|(_, c)| c)
-            .sum();
-        within as f64 / self.count as f64
-    }
-}
+//! The integer latency histogram behind the per-tenant QoS metrics.
 
 /// Number of fixed-width buckets in a [`LatencyHistogram`].
 pub const LATENCY_BUCKETS: usize = 512;
@@ -92,10 +7,10 @@ pub const LATENCY_BUCKET_CYCLES: u64 = 128;
 
 /// A fixed-bucket integer histogram for per-request latencies (cycles).
 ///
-/// Unlike [`Histogram`] this accumulator is all-integer, so two runs that
-/// observe the same latencies produce **byte-identical** histograms — the
-/// property the per-tenant determinism tests (serial vs pooled executor,
-/// event vs reference stepper) assert on. The layout is fixed at
+/// The accumulator is all-integer, so two runs that observe the same
+/// latencies produce **byte-identical** histograms — the property the
+/// per-tenant determinism tests (serial vs pooled executor, event vs
+/// reference stepper) assert on. The layout is fixed at
 /// [`LATENCY_BUCKETS`] buckets of [`LATENCY_BUCKET_CYCLES`] cycles each
 /// (bucket `i` covers `[i*W, (i+1)*W)`); anything beyond the last edge lands
 /// in a dedicated overflow bucket whose percentile estimate falls back to
@@ -244,53 +159,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_into_correct_bins() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.5);
-        h.record(5.5);
-        h.record(9.9);
-        h.record(-1.0);
-        h.record(10.0);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        let bins: Vec<u64> = h.iter().map(|(_, c)| c).collect();
-        assert_eq!(bins[0], 1);
-        assert_eq!(bins[5], 1);
-        assert_eq!(bins[9], 1);
-        assert_eq!(bins.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn bin_centers_are_monotonic() {
-        let h = Histogram::new(100.0, 200.0, 4);
-        let centers: Vec<f64> = h.iter().map(|(c, _)| c).collect();
-        assert_eq!(centers, vec![112.5, 137.5, 162.5, 187.5]);
-    }
-
-    #[test]
-    fn fraction_between_works() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let frac = h.fraction_between(0.0, 50.0);
-        assert!((frac - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hi must exceed lo")]
-    fn inverted_range_panics() {
-        Histogram::new(1.0, 1.0, 4);
-    }
 
     #[test]
     fn latency_histogram_empty_is_safe() {

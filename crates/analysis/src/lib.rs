@@ -4,7 +4,7 @@
 //! formatting used by the Palermo evaluation harness.
 //!
 //! * [`stats`] — online summaries, geometric means, quantiles;
-//! * [`histogram`] — fixed-bin histograms for latency distributions (Fig. 9);
+//! * [`histogram`] — the integer latency histogram behind per-tenant QoS;
 //! * [`mutual_info`] — Equation 1 / Table I: the attacker's information gain
 //!   from observing ORAM response timings;
 //! * [`report`] — plain-text / CSV tables printed by the figure runners.
@@ -17,7 +17,7 @@ pub mod mutual_info;
 pub mod report;
 pub mod stats;
 
-pub use histogram::{Histogram, LatencyHistogram};
+pub use histogram::LatencyHistogram;
 pub use mutual_info::{estimate_from_samples, ObservationProbabilities};
 pub use report::Table;
 pub use stats::{geometric_mean, median, quantile, Summary};

@@ -29,12 +29,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -121,13 +115,6 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         assert_eq!(csv.lines().nth(1).unwrap(), "1,,");
         assert_eq!(csv.lines().nth(2).unwrap(), "1,2,3");
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = Table::new("", &["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert!(t.to_csv().contains("1.5,2.25"));
     }
 
     #[test]

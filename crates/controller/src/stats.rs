@@ -27,58 +27,3 @@ pub struct ControllerStats {
     /// may be attributed to several levels if several were blocked).
     pub sync_stall_by_level: [u64; SubOram::COUNT],
 }
-
-impl ControllerStats {
-    /// Fraction of cycles lost to ORAM-sync stalls.
-    pub fn sync_stall_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.sync_stall_cycles as f64 / self.cycles as f64
-    }
-
-    /// Fraction of sync stalls attributed to a given sub-ORAM (relative to
-    /// the sum of per-level attributions).
-    pub fn sync_share(&self, sub: SubOram) -> f64 {
-        let total: u64 = self.sync_stall_by_level.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.sync_stall_by_level[sub.index()] as f64 / total as f64
-    }
-
-    /// Average DRAM operations issued per cycle.
-    pub fn issue_rate(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.issued_ops as f64 / self.cycles as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fractions_are_safe_and_consistent() {
-        let stats = ControllerStats {
-            cycles: 1000,
-            sync_stall_cycles: 720,
-            sync_stall_by_level: [300, 250, 200],
-            issued_ops: 400,
-            ..ControllerStats::default()
-        };
-        assert!((stats.sync_stall_fraction() - 0.72).abs() < 1e-12);
-        assert!((stats.sync_share(SubOram::Data) - 300.0 / 750.0).abs() < 1e-12);
-        assert!((stats.issue_rate() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let stats = ControllerStats::default();
-        assert_eq!(stats.sync_stall_fraction(), 0.0);
-        assert_eq!(stats.sync_share(SubOram::Pos1), 0.0);
-        assert_eq!(stats.issue_rate(), 0.0);
-    }
-}

@@ -631,16 +631,6 @@ impl HardwareProfile {
     pub fn builtins() -> Vec<HardwareProfile> {
         vec![Self::ddr4_3200(), Self::ddr5_6400(), Self::hbm2e()]
     }
-
-    /// Looks up a built-in profile by name.
-    pub fn named(name: &str) -> Option<HardwareProfile> {
-        match name {
-            "ddr4-3200" => Some(Self::ddr4_3200()),
-            "ddr5-6400" => Some(Self::ddr5_6400()),
-            "hbm2e" => Some(Self::hbm2e()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -652,9 +642,7 @@ mod tests {
         for profile in HardwareProfile::builtins() {
             assert!(profile.dram.validate().is_ok(), "{}", profile.name);
             assert!(valid_name(&profile.name));
-            assert_eq!(HardwareProfile::named(&profile.name), Some(profile.clone()));
         }
-        assert_eq!(HardwareProfile::named("nope"), None);
         assert_eq!(
             HardwareProfile::BUILTIN_NAMES.len(),
             HardwareProfile::builtins().len()

@@ -97,14 +97,6 @@ impl DramStats {
         }
         self.row_conflicts as f64 / total as f64
     }
-
-    /// Average read latency in cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        self.read_latency_sum as f64 / self.reads as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +135,6 @@ mod tests {
         assert!((s.avg_queue_occupancy() - 20.0).abs() < 1e-9);
         assert!((s.row_hit_rate() - 80.0 / 150.0).abs() < 1e-9);
         assert!((s.bank_conflict_rate() - 30.0 / 150.0).abs() < 1e-9);
-        assert!((s.avg_read_latency() - 46.0).abs() < 1e-9);
         let cfg = DramConfig::default();
         assert!(s.achieved_gbps(&cfg) > 0.0);
         assert!(s.achieved_gbps(&cfg) <= cfg.peak_gbps());
@@ -156,6 +147,5 @@ mod tests {
         assert_eq!(s.avg_queue_occupancy(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
         assert_eq!(s.bank_conflict_rate(), 0.0);
-        assert_eq!(s.avg_read_latency(), 0.0);
     }
 }

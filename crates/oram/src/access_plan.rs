@@ -41,18 +41,6 @@ impl PhaseKind {
         PhaseKind::EvictPath,
         PhaseKind::Finalize,
     ];
-
-    /// Two-letter abbreviation used in traces and figures (CP, LM, ER, RP, EP, FN).
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            PhaseKind::CheckPosMap => "CP",
-            PhaseKind::LoadMetadata => "LM",
-            PhaseKind::EarlyReshuffle => "ER",
-            PhaseKind::ReadPath => "RP",
-            PhaseKind::EvictPath => "EP",
-            PhaseKind::Finalize => "FN",
-        }
-    }
 }
 
 /// Index of a plan node within its [`AccessPlan`].
@@ -330,14 +318,6 @@ mod tests {
             }],
         };
         assert!(!plan.is_well_formed());
-    }
-
-    #[test]
-    fn phase_abbreviations_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for p in PhaseKind::ALL {
-            assert!(seen.insert(p.abbrev()));
-        }
     }
 
     #[test]

@@ -10,12 +10,16 @@
 use crate::access_plan::{AccessPlan, AccessPlanBuilder, PhaseKind, PlanNodeId};
 use crate::crypto::Payload;
 use crate::error::{OramError, OramResult};
-use crate::level::{LevelConfig, LevelOutcome, LevelProtocol, LevelStats};
+use crate::level::{LevelConfig, LevelOutcome, LevelProtocol};
 use crate::params::HierarchyParams;
 use crate::path_level::{PathLevel, PathLevelOptions};
 use crate::ring_level::RingLevel;
 use crate::rng::OramRng;
 use crate::types::{BlockId, OramOp, PhysAddr, SubOram};
+
+/// Fixed on-chip processing latency charged to each ReadPath phase
+/// (decryption and permutation bookkeeping), in controller cycles.
+const DECRYPT_CYCLES: u32 = 4;
 
 /// Which protocol family drives each sub-ORAM and how plan nodes are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,9 +96,6 @@ pub struct HierarchyConfig {
     /// Stash occupancy at which a background eviction (dummy request) is
     /// injected; `None` disables background evictions.
     pub background_evict_threshold: Option<usize>,
-    /// Fixed on-chip processing latency charged to each ReadPath phase
-    /// (decryption and permutation bookkeeping), in controller cycles.
-    pub decrypt_cycles: u32,
 }
 
 impl HierarchyConfig {
@@ -116,7 +117,6 @@ impl HierarchyConfig {
             fat_tree: false,
             posmap_bypass: None,
             background_evict_threshold: None,
-            decrypt_cycles: 4,
         })
     }
 }
@@ -304,23 +304,9 @@ impl HierarchicalOram {
         &self.config
     }
 
-    /// Number of cache lines each data access brings on chip.
-    pub fn prefetch_span(&self) -> u32 {
-        self.config.prefetch.span()
-    }
-
     /// Aggregate hierarchy statistics.
     pub fn stats(&self) -> HierarchyStats {
         self.stats
-    }
-
-    /// Per-level protocol statistics, indexed by [`SubOram::index`].
-    pub fn level_stats(&self) -> [LevelStats; SubOram::COUNT] {
-        [
-            self.levels[0].as_dyn().stats(),
-            self.levels[1].as_dyn().stats(),
-            self.levels[2].as_dyn().stats(),
-        ]
     }
 
     /// Current data-level stash occupancy (the quantity plotted in Fig. 12).
@@ -476,7 +462,6 @@ impl HierarchicalOram {
     /// Lowers per-level outcomes into plan nodes with flavor-appropriate
     /// intra-request dependency edges.
     fn lower(&self, builder: &mut AccessPlanBuilder, outcomes: &mut [Option<LevelOutcome>; 3]) {
-        let decrypt = self.config.decrypt_cycles;
         let palermo = self.config.flavor == ProtocolFlavor::Palermo;
         let path_family = self.config.flavor == ProtocolFlavor::PathOram;
 
@@ -511,7 +496,7 @@ impl HierarchicalOram {
                     outcome.rp_reads.clone(),
                     Vec::new(),
                     posmap_dep.clone(),
-                    decrypt,
+                    DECRYPT_CYCLES,
                 );
                 let wb = builder.push(
                     sub,
@@ -557,7 +542,7 @@ impl HierarchicalOram {
                         outcome.rp_reads.clone(),
                         Vec::new(),
                         vec![er.unwrap_or(lm)],
-                        decrypt,
+                        DECRYPT_CYCLES,
                     )
                 } else {
                     // RingORAM: LM -> RP -> (EP) -> ER.
@@ -567,7 +552,7 @@ impl HierarchicalOram {
                         outcome.rp_reads.clone(),
                         Vec::new(),
                         vec![lm],
-                        decrypt,
+                        DECRYPT_CYCLES,
                     )
                 };
                 prev_level_rp = Some(rp_id);
@@ -632,7 +617,6 @@ mod tests {
             fat_tree: false,
             posmap_bypass: None,
             background_evict_threshold: None,
-            decrypt_cycles: 4,
         }
     }
 
@@ -734,7 +718,7 @@ mod tests {
         let mut cfg = tiny_config(ProtocolFlavor::Palermo);
         cfg.prefetch = PrefetchMode::WideBlock { length: 4 };
         let oram = HierarchicalOram::new(cfg).unwrap();
-        assert_eq!(oram.prefetch_span(), 4);
+        assert_eq!(oram.config().prefetch.span(), 4);
         assert_eq!(oram.config().params.data.num_blocks, 4096 / 4);
     }
 

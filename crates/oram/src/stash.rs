@@ -75,11 +75,6 @@ impl Stash {
         self.overflow_events
     }
 
-    /// Returns `true` if occupancy is at or above `threshold`.
-    pub fn is_above(&self, threshold: usize) -> bool {
-        self.len() >= threshold
-    }
-
     /// Returns a reference to the entry for `block`, if present.
     pub fn get(&self, block: BlockId) -> Option<&StashEntry> {
         self.entries.get(&block)
@@ -240,16 +235,5 @@ mod tests {
             fwd.eviction_candidates(2, depth),
             rev.eviction_candidates(2, depth)
         );
-    }
-
-    #[test]
-    fn threshold_check() {
-        let mut s = Stash::new(8);
-        for i in 0..6 {
-            s.insert(BlockId(i), entry(0));
-        }
-        assert!(s.is_above(6));
-        assert!(s.is_above(5));
-        assert!(!s.is_above(7));
     }
 }

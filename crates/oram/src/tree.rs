@@ -81,15 +81,6 @@ impl TreeGeometry {
             .collect()
     }
 
-    /// The parent of `node`, or `None` for the root.
-    pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        if node.0 == 0 {
-            None
-        } else {
-            Some(NodeId((node.0 - 1) / 2))
-        }
-    }
-
     /// The two children of `node`, or `None` for leaf-level nodes.
     pub fn children(&self, node: NodeId) -> Option<(NodeId, NodeId)> {
         let left = 2 * node.0 + 1;
@@ -126,12 +117,6 @@ impl TreeGeometry {
                                                           // shared most-significant bits is how deep the paths stay together.
         let shared_bits = (self.levels - 1) - (highest_diff_bit + 1);
         shared_bits + 1
-    }
-
-    /// The deepest level at which a block mapped to `block_leaf` may be
-    /// placed when writing back along the path of `path_leaf`.
-    pub fn deepest_shared_level(&self, path_leaf: LeafId, block_leaf: LeafId) -> u32 {
-        self.common_path_depth(path_leaf, block_leaf) - 1
     }
 
     /// The eviction leaf for the `g`-th `EvictPath`, following RingORAM's
@@ -214,12 +199,11 @@ mod tests {
         for n in 0..g.num_nodes() {
             let node = NodeId(n);
             if let Some((l, r)) = g.children(node) {
-                assert_eq!(g.parent(l), Some(node));
-                assert_eq!(g.parent(r), Some(node));
+                assert_eq!((l.0 - 1) / 2, n);
+                assert_eq!((r.0 - 1) / 2, n);
                 assert_eq!(g.level_of(l), g.level_of(node) + 1);
             }
         }
-        assert_eq!(g.parent(NodeId(0)), None);
     }
 
     #[test]
@@ -276,13 +260,5 @@ mod tests {
         assert_eq!(g.eviction_leaf(0), LeafId(0));
         assert_eq!(g.eviction_leaf(1), LeafId(8));
         assert_eq!(g.eviction_leaf(2), LeafId(4));
-    }
-
-    #[test]
-    fn deepest_shared_level_for_writeback() {
-        let g = geom(8);
-        assert_eq!(g.deepest_shared_level(LeafId(0), LeafId(0)), 3);
-        assert_eq!(g.deepest_shared_level(LeafId(0), LeafId(7)), 0);
-        assert_eq!(g.deepest_shared_level(LeafId(2), LeafId(3)), 2);
     }
 }

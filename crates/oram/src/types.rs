@@ -144,26 +144,6 @@ impl SubOram {
         }
     }
 
-    /// Returns the sub-ORAM with the given row index, if it exists.
-    pub fn from_index(idx: usize) -> Option<SubOram> {
-        match idx {
-            0 => Some(SubOram::Data),
-            1 => Some(SubOram::Pos1),
-            2 => Some(SubOram::Pos2),
-            _ => None,
-        }
-    }
-
-    /// The sub-ORAM holding this level's position map, or `None` when the
-    /// position map is small enough to be stored on chip (`PosMap3`).
-    pub fn posmap_holder(self) -> Option<SubOram> {
-        match self {
-            SubOram::Data => Some(SubOram::Pos1),
-            SubOram::Pos1 => Some(SubOram::Pos2),
-            SubOram::Pos2 => None,
-        }
-    }
-
     /// Short human-readable name used in reports (`data`, `pos1`, `pos2`).
     pub fn name(self) -> &'static str {
         match self {
@@ -196,21 +176,6 @@ mod tests {
     #[should_panic(expected = "block size must be non-zero")]
     fn phys_addr_zero_block_size_panics() {
         let _ = PhysAddr::new(0).cache_line(0);
-    }
-
-    #[test]
-    fn sub_oram_round_trip() {
-        for sub in SubOram::ALL {
-            assert_eq!(SubOram::from_index(sub.index()), Some(sub));
-        }
-        assert_eq!(SubOram::from_index(3), None);
-    }
-
-    #[test]
-    fn sub_oram_posmap_chain() {
-        assert_eq!(SubOram::Data.posmap_holder(), Some(SubOram::Pos1));
-        assert_eq!(SubOram::Pos1.posmap_holder(), Some(SubOram::Pos2));
-        assert_eq!(SubOram::Pos2.posmap_holder(), None);
     }
 
     #[test]

@@ -388,16 +388,6 @@ impl RunMetrics {
         self.tenant_dram_share(i) * self.energy_j()
     }
 
-    /// Tenant `i`'s energy per *its own* DRAM burst, joules; 0 when the
-    /// tenant issued none.
-    pub fn tenant_energy_per_access_j(&self, i: usize) -> f64 {
-        let ops = self.per_tenant.get(i).map_or(0, |t| t.dram_ops);
-        if ops == 0 {
-            return 0.0;
-        }
-        self.tenant_energy_j(i) / ops as f64
-    }
-
     /// Checks the per-tenant conservation invariant: when per-tenant
     /// attribution ran, the per-tenant `submitted`/`completed`/
     /// `workload_accesses`/latency and queue-wait sums/histogram counts
@@ -449,12 +439,6 @@ impl RunMetrics {
                 .iter()
                 .enumerate()
                 .all(|(i, s)| s.shard as usize == i && s.latency.count() == s.oram_requests)
-    }
-
-    /// Open-loop arrivals admitted in the measured window
-    /// (`arrivals - dropped_arrivals`). 0 for closed-loop runs.
-    pub fn admitted_arrivals(&self) -> u64 {
-        self.arrivals - self.dropped_arrivals
     }
 
     /// Fraction of measured-window arrivals the admission policy dropped

@@ -140,11 +140,6 @@ impl Llc {
         }
     }
 
-    /// Inserts a line given any byte address inside it.
-    pub fn fill_addr(&mut self, addr: PhysAddr) {
-        self.fill_line(self.line_of(addr));
-    }
-
     /// Demand hits observed so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn prefetch_fill_avoids_future_miss() {
         let mut llc = tiny();
-        llc.fill_addr(PhysAddr::new(128));
+        llc.fill_line(2);
         assert!(llc.access(PhysAddr::new(128)));
         assert_eq!(llc.misses(), 0);
     }
