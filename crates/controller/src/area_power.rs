@@ -95,8 +95,8 @@ const CRYPTO_W_PER_COLUMN: f64 = 0.022;
 /// Computes the area/power estimate for a controller provisioning.
 pub fn estimate(provisioning: &ControllerProvisioning) -> AreaPowerEstimate {
     let mb = |bytes: u64| bytes as f64 / (1u64 << 20) as f64;
-    let pes = f64::from(provisioning.pe_rows * provisioning.pe_columns);
     let columns = f64::from(provisioning.pe_columns);
+    let pes = f64::from(provisioning.pe_rows) * columns;
 
     let components = vec![
         ComponentEstimate {
@@ -236,6 +236,19 @@ mod tests {
         });
         assert!(large.total_area_mm2() > small.total_area_mm2());
         assert!(large.total_power_w() > small.total_power_w());
+    }
+
+    #[test]
+    fn a_mesh_beyond_u32_pe_count_does_not_overflow() {
+        let est = estimate(&ControllerProvisioning {
+            pe_rows: u32::MAX,
+            pe_columns: u32::MAX,
+            ..ControllerProvisioning::default()
+        });
+        assert!(est.total_area_mm2().is_finite());
+        assert!(
+            est.total_area_mm2() > estimate(&ControllerProvisioning::default()).total_area_mm2()
+        );
     }
 
     #[test]

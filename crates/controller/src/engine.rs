@@ -489,7 +489,17 @@ pub struct OramController {
 
 impl OramController {
     /// Creates an idle controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.pe_columns` is 0: such a controller could accept
+    /// no request. The runner rejects a zero-column configuration with an
+    /// error before it builds the controller.
     pub fn new(config: ControllerConfig) -> Self {
+        assert!(
+            config.pe_columns > 0,
+            "a controller needs at least one PE column"
+        );
         OramController {
             config,
             inflight: Vec::new(),

@@ -303,9 +303,10 @@ fn canonical_key(key: &str) -> Option<&'static str> {
 
 impl HardwareProfile {
     /// Parses the `key = value` profile format. Strict by design: unknown
-    /// keys, duplicate keys, missing keys, malformed values and
-    /// structurally invalid configurations are all typed errors — nothing
-    /// is ever defaulted or ignored.
+    /// keys, duplicate keys, missing keys, malformed values (including a
+    /// `pe_rows` or `pe_columns` of 0) and structurally invalid
+    /// configurations are all typed errors — nothing is ever defaulted or
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -358,6 +359,10 @@ impl HardwareProfile {
                 partial.f64s.push((key, v));
             } else {
                 let v: u64 = value.parse().map_err(|_| invalid())?;
+                // A mesh without rows or columns could serve no request.
+                if v == 0 && (key == "pe_rows" || key == "pe_columns") {
+                    return Err(invalid());
+                }
                 partial.u64s.push((key, v));
             }
         }
@@ -735,6 +740,25 @@ mod tests {
             HardwareProfile::parse(&nan),
             Err(ProfileError::InvalidValue { .. })
         ));
+    }
+
+    #[test]
+    fn an_empty_pe_mesh_is_rejected() {
+        let base = HardwareProfile::ddr4_3200().to_file_string();
+        let last = base.lines().count() + 1;
+        for key in ["pe_rows", "pe_columns"] {
+            let text = format!("{base}{key} = 0\n");
+            assert_eq!(
+                HardwareProfile::parse(&text),
+                Err(ProfileError::InvalidValue {
+                    line: last,
+                    key: key.to_string(),
+                    value: "0".to_string(),
+                })
+            );
+            let one = format!("{base}{key} = 1\n");
+            assert!(HardwareProfile::parse(&one).is_ok(), "{key} = 1");
+        }
     }
 
     #[test]

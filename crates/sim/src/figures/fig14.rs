@@ -104,7 +104,8 @@ pub fn run_z_sweep(
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from the protocol layer.
+/// Propagates configuration errors from the protocol layer, including the
+/// one for a 0 in `columns`: a mesh needs at least one column.
 pub fn run_pe_sweep(
     config: &SystemConfig,
     columns: &[usize],
@@ -115,7 +116,7 @@ pub fn run_pe_sweep(
         .workloads([Workload::Random]);
     for &c in columns {
         experiment = experiment.sweep_config(format!("pe={c}"), move |cfg| {
-            cfg.pe_columns = c.max(1);
+            cfg.pe_columns = c;
         });
     }
     let results = experiment.run(executor)?;

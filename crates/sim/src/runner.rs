@@ -868,9 +868,10 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 ///
 /// # Errors
 ///
-/// Propagates protocol-configuration errors, rejects an open-loop run
-/// whose admission queue has capacity 0, and rejects non-Table II streams
-/// whose footprint overruns the protected space.
+/// Propagates protocol-configuration errors, rejects a controller with no
+/// PE column, rejects an open-loop run whose admission queue has capacity
+/// 0, and rejects non-Table II streams whose footprint overruns the
+/// protected space.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_core(
     scheme: Scheme,
@@ -887,6 +888,11 @@ pub(crate) fn run_core(
         .map_err(|e| OramError::InvalidParams {
             reason: format!("invalid DRAM configuration: {e}"),
         })?;
+    if protocol.controller.pe_columns == 0 {
+        return Err(OramError::InvalidParams {
+            reason: format!("pe_columns must be at least 1 for {scheme}'s controller"),
+        });
+    }
     if open.is_some() && config.serving_queue_capacity == 0 {
         return Err(OramError::InvalidParams {
             reason: "serving_queue_capacity must be at least 1 for an open-loop run".into(),

@@ -9,9 +9,11 @@
 //! hardcoded default configuration exactly.
 
 use palermo::dram::{DramConfig, HardwareProfile};
+use palermo::oram::error::OramError;
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
 };
+use palermo::sim::figures::fig14;
 use palermo::sim::runner::{
     run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
@@ -165,4 +167,28 @@ fn invalid_dram_configuration_is_a_typed_runner_error() {
     let msg = err.to_string();
     assert!(msg.contains("invalid DRAM configuration"), "{msg}");
     assert!(msg.contains("t_faw"), "{msg}");
+}
+
+/// A PE mesh without columns could accept no request, so the three mesh
+/// schemes reject it by name instead of stepping forever. A profile's
+/// provisioning override can carry the 0 (the file parser rejects it, the
+/// struct does not); RingORAM's serial controller ignores the field.
+#[test]
+fn zero_pe_columns_are_a_typed_runner_error() {
+    let mut profile = HardwareProfile::ddr4_3200();
+    profile.provisioning.pe_columns = Some(0);
+    let cfg = SystemConfig::small_for_tests().with_hardware(&profile);
+    assert_eq!(cfg.pe_columns, 0);
+    let random = Workload::Random.into();
+    for scheme in [Scheme::Palermo, Scheme::PalermoSw, Scheme::PalermoPrefetch] {
+        let err = run_workload_spec(scheme, &random, &cfg).unwrap_err();
+        assert!(
+            matches!(&err, OramError::InvalidParams { reason } if reason.contains("pe_columns")),
+            "{scheme}: {err}"
+        );
+    }
+    assert!(run_workload_spec(Scheme::RingOram, &random, &cfg).is_ok());
+    let err = fig14::run_pe_sweep(&SystemConfig::small_for_tests(), &[0], &SerialExecutor)
+        .expect_err("a 0-column point must not run as 1 column");
+    assert!(err.to_string().contains("pe_columns"), "{err}");
 }
