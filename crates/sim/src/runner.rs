@@ -869,9 +869,9 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 /// # Errors
 ///
 /// Propagates protocol-configuration errors, rejects a controller with no
-/// PE column, rejects an open-loop run whose admission queue has capacity
-/// 0, and rejects non-Table II streams whose footprint overruns the
-/// protected space.
+/// PE column, rejects an open-loop run whose admission queue has capacity 0
+/// or whose arrivals all lie beyond the 64-bit cycle clock, and rejects
+/// non-Table II streams whose footprint overruns the protected space.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_core(
     scheme: Scheme,
@@ -1169,6 +1169,18 @@ or raise protected_bytes)",
             .as_ref()
             .filter(|_| submitted < total_requests)
             .and_then(|e| e.next_arrival_cycle(arrivals_advanced_to));
+        // An empty queue and no arrival left on the clock would leave the
+        // remaining requests unsubmitted forever.
+        let stranded = external_next == Some(u64::MAX)
+            && serving.as_ref().is_some_and(ServingEngine::exhausted);
+        if stranded {
+            return Err(OramError::InvalidParams {
+                reason: format!(
+                    "open-loop spec '{label_spec}' schedules no arrival within the 64-bit \
+cycle clock, so its remaining requests could never be submitted"
+                ),
+            });
+        }
         stepper.advance_idle(&mut controller, &mut dram, quiescent, external_next);
     }
 

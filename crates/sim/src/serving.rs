@@ -425,6 +425,13 @@ impl ServingEngine {
             .min()
     }
 
+    /// Whether no request can ever be popped again: the queue is empty and
+    /// every source's next arrival saturated to `u64::MAX`, beyond the
+    /// 64-bit cycle clock (say `open:poisson:1e-300:mcf`).
+    pub fn exhausted(&self) -> bool {
+        self.queue.is_empty() && self.sources.iter().all(|s| s.next_arrival == u64::MAX)
+    }
+
     /// The cumulative admission counters (snapshot and delta to window).
     pub fn counters(&self) -> &ServingCounters {
         &self.counters

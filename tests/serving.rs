@@ -9,7 +9,7 @@
 
 use palermo::oram::error::OramError;
 use palermo::sim::runner::{
-    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper, Stepper,
 };
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -51,6 +51,33 @@ fn sparse_poisson_stream_is_cycle_exact_under_time_skipping() {
         assert_eq!(calendar.dropped_arrivals, 0);
         assert_eq!(calendar.queue_waits.iter().max(), Some(&0));
     }
+}
+
+/// A rate so low that the first gap saturates the 64-bit clock leaves no
+/// arrival to wait for, so the run rejects the spec by name instead of
+/// stepping forever, under both steppers and in every shard. One starved
+/// tenant beside a live one is not stranded: the live tenant's arrivals
+/// still complete the run.
+#[test]
+fn arrivals_beyond_the_clock_are_rejected() {
+    let cfg = tiny();
+    for name in [
+        "open:poisson:1e-300:mcf",
+        "open:poisson:1e-300:shard:2:hash:mcf",
+    ] {
+        let spec = WorkloadSpec::from_name(name).unwrap();
+        for stepper in [&CalendarStepper as &dyn Stepper, &ReferenceStepper] {
+            let err = run_workload_spec_stepped(Scheme::Palermo, &spec, &cfg, stepper).unwrap_err();
+            assert!(
+                matches!(&err, OramError::InvalidParams { reason } if reason.contains(&spec.to_string())),
+                "{name}: {err}"
+            );
+        }
+    }
+    let mixed = WorkloadSpec::from_name("open:poisson:1e-300+poisson:2:mix:rr:redis+llm").unwrap();
+    let metrics = run_workload_spec(Scheme::Palermo, &mixed, &cfg).unwrap();
+    assert_eq!(metrics.per_tenant[0].submitted, 0);
+    assert_eq!(metrics.oram_requests, cfg.measured_requests);
 }
 
 /// Bursty and diurnal arrival processes run cycle-exactly too — their
