@@ -106,13 +106,14 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 }
 
 /// Computes the `q`-th quantile (0 ≤ q ≤ 1) of a sample using the
-/// nearest-rank method. Returns 0 for an empty slice.
+/// nearest-rank method, ordering samples by [`f64::total_cmp`]. Returns 0
+/// for an empty slice.
 pub fn quantile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
     let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted.sort_by(f64::total_cmp);
     let q = q.clamp(0.0, 1.0);
     let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
     sorted[idx]

@@ -201,14 +201,13 @@ impl RingLevel {
         self.evict_counter += 1;
         self.stats.path_evictions += 1;
 
-        let path = self.geometry.path(leaf);
         let mut aggregate = BucketOps {
-            node: *path.last().expect("path is never empty"),
+            node: self.geometry.leaf_node(leaf),
             ..BucketOps::default()
         };
         // Reset deepest-first so blocks settle as close to the leaves as
         // possible, which is what keeps the stash bounded.
-        for node in path.into_iter().rev() {
+        for node in self.geometry.path(leaf).into_iter().rev() {
             let ops = self.reset_bucket(node);
             aggregate.reads.extend(ops.reads);
             aggregate.writes.extend(ops.writes);

@@ -125,7 +125,7 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Vec<TraceEntry>, String> {
             bytes[4]
         ));
     }
-    let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8 header bytes"));
+    let count = u64::from_le_bytes(std::array::from_fn(|i| bytes[5 + i]));
     let body = &bytes[BINARY_HEADER_BYTES..];
     let expected = (count as usize).checked_mul(BINARY_RECORD_BYTES);
     if expected != Some(body.len()) {
@@ -142,7 +142,7 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Vec<TraceEntry>, String> {
             1 => OramOp::Write,
             other => return Err(format!("record {i}: unknown op byte {other}")),
         };
-        let addr = u64::from_le_bytes(record[1..].try_into().expect("8 address bytes"));
+        let addr = u64::from_le_bytes(std::array::from_fn(|i| record[1 + i]));
         entries.push(TraceEntry {
             addr: palermo_oram::types::PhysAddr::new(addr),
             op,
