@@ -31,18 +31,6 @@ pub enum PhaseKind {
     Finalize,
 }
 
-impl PhaseKind {
-    /// All phases in canonical protocol order.
-    pub const ALL: [PhaseKind; 6] = [
-        PhaseKind::CheckPosMap,
-        PhaseKind::LoadMetadata,
-        PhaseKind::EarlyReshuffle,
-        PhaseKind::ReadPath,
-        PhaseKind::EvictPath,
-        PhaseKind::Finalize,
-    ];
-}
-
 /// Index of a plan node within its [`AccessPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanNodeId(pub u32);

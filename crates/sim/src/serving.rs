@@ -428,7 +428,7 @@ impl ServingEngine {
     /// Whether no request can ever be popped again: the queue is empty and
     /// every source's next arrival saturated to `u64::MAX`, beyond the
     /// 64-bit cycle clock (say `open:poisson:1e-300:mcf`).
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.queue.is_empty() && self.sources.iter().all(|s| s.next_arrival == u64::MAX)
     }
 
