@@ -4,9 +4,9 @@
 //!
 //! Every experiment has exactly one entry point returning structured rows
 //! (`run`; [`fig14`] has one per sweep) and a `table` function rendering
-//! them in the layout the paper uses, so the examples
-//! (`cargo run --example fig10`) and the Criterion benches share the same
-//! code path. Each runner builds its grid through
+//! them in the layout the paper uses; each figure's example (for instance
+//! `cargo run --example fig10_end_to_end`) and `tests/figures_smoke.rs`
+//! call them. Each runner builds its grid through
 //! [`crate::experiment::Experiment`] and takes the
 //! [`crate::experiment::Executor`] to run it on: callers pass
 //! [`crate::experiment::SerialExecutor`] for in-order execution, and the

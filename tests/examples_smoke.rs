@@ -1,8 +1,9 @@
 //! Workspace smoke test: every `examples/` target must keep compiling.
 //!
-//! The 17 examples are the user-facing entry points that reproduce the
-//! paper's figures; this test makes `cargo test` fail fast if any of them
-//! rots, without having to execute their (much longer) full runs.
+//! The 20 examples are the user-facing entry points: the paper's figures,
+//! the application demos and the bench checker. This test makes
+//! `cargo test` fail fast if any of them rots, without having to execute
+//! their (much longer) full runs.
 
 use std::process::Command;
 

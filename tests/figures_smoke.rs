@@ -3,7 +3,7 @@
 //! Each figure runner is executed on a heavily shrunken configuration so
 //! that a regression anywhere in the figure pipelines (workload generation,
 //! scheme wiring, table rendering) is caught by the tier-1 test suite in
-//! seconds rather than only by a full `cargo bench` reproduction run.
+//! seconds rather than only by a full-size run of the figure's example.
 
 use palermo::sim::experiment::SerialExecutor;
 use palermo::sim::figures::{fig03, fig04, fig09, fig10, fig11, fig12, fig13, fig14, fig15};
