@@ -20,7 +20,7 @@
 //!   behind the predecessor's PosMap1 read.
 
 use crate::stats::ControllerStats;
-use palermo_dram::{DramSystem, MemOpKind, MemRequest};
+use palermo_dram::{DramSystem, MemCompletion, MemOpKind, MemRequest};
 use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNode, PlanNodeId};
 use palermo_oram::types::SubOram;
 /// Inter-request scheduling policy.
@@ -416,10 +416,12 @@ impl InflightRequest {
 
 /// What one [`OramController::tick`] observably did.
 ///
-/// The event-driven runner only skips cycles after a tick in which nothing
-/// happened: a quiet tick proves the controller state is frozen except for
-/// compute countdowns (predicted by [`OramController::next_wakeup`]) and
-/// DRAM-side events (predicted by the DRAM model).
+/// The event-driven runner only skips cycles after a settled tick (see
+/// [`TickActivity::settled`]): it proves the controller state frozen except
+/// for compute countdowns (predicted by [`OramController::next_wakeup`])
+/// and the DRAM events the controller reacts to (see
+/// [`OramController::absorb_completions`] and
+/// [`OramController::retry_would_issue`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickActivity {
     /// DRAM read completions routed back to a live plan node (posted-write
@@ -462,7 +464,7 @@ pub struct OramController {
     finished: Vec<FinishedRequest>,
     stats: ControllerStats,
     /// Reused buffer for draining DRAM completions without per-tick allocs.
-    completion_buf: Vec<palermo_dram::MemCompletion>,
+    completion_buf: Vec<MemCompletion>,
     /// Whether the last tick saw nodes with pending memory operations
     /// (the `any_pending` input to the stall-accounting rule).
     last_any_pending: bool,
@@ -517,11 +519,67 @@ impl OramController {
     }
 
     /// Whether the last tick had a DRAM operation ready to issue but was
-    /// turned away by a full channel queue. While this holds, a DRAM command
-    /// issue frees queue space the controller may use on the very next
-    /// cycle, so the runner must not skip over it.
+    /// turned away by a full channel queue. A column command frees a slot
+    /// only in its own channel's queue, so this alone does not mean the
+    /// next tick can issue: [`OramController::retry_would_issue`] tells
+    /// whether a turned-away operation's channel has room now.
     pub fn enqueue_blocked(&self) -> bool {
         self.enqueue_blocked
+    }
+
+    /// Consumes the DRAM completions pending in `dram` if the next tick
+    /// would react to none of them: posted-write completions carry no
+    /// controller state and are dropped, and a read that leaves reads of its
+    /// plan node outstanding only decrements the node's count. Returns
+    /// `false` when some read in the batch is the last outstanding read of
+    /// its node (it starts the node's countdown and may open a successor's
+    /// hand-off gate); the whole batch then stays, unchanged, for the next
+    /// tick's step 1 to route.
+    ///
+    /// Every reader of an outstanding count asks only whether it is zero,
+    /// so the next tick acts exactly as it would have after routing an
+    /// absorbed batch itself; after a settled tick (see
+    /// [`TickActivity::settled`]) that tick stays inert.
+    pub fn absorb_completions(&mut self, dram: &mut DramSystem) -> bool {
+        let mut batch = std::mem::take(&mut self.completion_buf);
+        dram.drain_completed_into(&mut batch);
+        // Reads of one node share its DRAM id: a read is its node's last
+        // when the node has no more reads outstanding than the batch
+        // returns up to and including it.
+        let absorbable = batch.iter().enumerate().all(|(i, c)| {
+            self.read_target(c).is_none_or(|(idx, node_idx)| {
+                let returned = 1 + batch[..i]
+                    .iter()
+                    .filter(|e| e.kind == MemOpKind::Read && e.id == c.id)
+                    .count();
+                self.inflight[idx].nodes[node_idx].outstanding_reads > returned
+            })
+        });
+        if absorbable {
+            for c in &batch {
+                if let Some((idx, node_idx)) = self.read_target(c) {
+                    self.inflight[idx].nodes[node_idx].outstanding_reads -= 1;
+                }
+            }
+            batch.clear();
+        }
+        self.completion_buf = batch;
+        absorbable
+    }
+
+    /// Whether the next tick's issue pass would enqueue an operation that a
+    /// full DRAM queue turned away: some turned-away node's next operation
+    /// targets a channel that has room now. Between ticks queues only
+    /// drain, so after a settled tick this is the only way an issue pass
+    /// with frozen readiness can issue.
+    pub fn retry_would_issue(&self, dram: &DramSystem) -> bool {
+        self.inflight.iter().any(|req| {
+            bits(req.dram_rejected).any(|i| {
+                req.nodes[i]
+                    .next_op(&req.plan.nodes[i])
+                    .is_some_and(|(addr, _)| dram.can_accept(addr))
+            })
+        })
     }
 
     /// The configuration this controller was built with.
@@ -595,6 +653,17 @@ impl OramController {
         self.inflight
             .iter()
             .position(|r| r.plan.request_id == request_id)
+    }
+
+    /// The in-flight slot and plan-node index a read completion routes to,
+    /// by inverting [`dram_id`]; `None` for a posted-write completion.
+    fn read_target(&self, completion: &MemCompletion) -> Option<(usize, usize)> {
+        if completion.kind == MemOpKind::Write {
+            return None;
+        }
+        let req_id = completion.id.0 / MAX_PLAN_NODES as u64;
+        let node_idx = (completion.id.0 % MAX_PLAN_NODES as u64) as usize;
+        Some((self.slot_of(req_id)?, node_idx))
     }
 
     fn predecessor_allows(&self, req: &InflightRequest, sub: SubOram) -> bool {
@@ -706,17 +775,12 @@ impl OramController {
         let mut activity = TickActivity::default();
 
         // 1. Route DRAM read completions back to their plan nodes (posted
-        //    writes carry no controller state).
+        //    writes carry no controller state), starting with any batch
+        //    `absorb_completions` left in the buffer.
         let mut completions = std::mem::take(&mut self.completion_buf);
         dram.drain_completed_into(&mut completions);
         for completion in &completions {
-            if completion.kind == MemOpKind::Write {
-                continue;
-            }
-            // Invert `dram_id`.
-            let req_id = completion.id.0 / MAX_PLAN_NODES as u64;
-            let node_idx = (completion.id.0 % MAX_PLAN_NODES as u64) as usize;
-            let Some(idx) = self.slot_of(req_id) else {
+            let Some((idx, node_idx)) = self.read_target(completion) else {
                 continue;
             };
             let req = &mut self.inflight[idx];
@@ -1156,9 +1220,24 @@ mod tests {
         plans: Vec<AccessPlan>,
         limit: u64,
     ) -> Vec<FinishedRequest> {
+        drive(controller, dram, plans, limit, false).0
+    }
+
+    /// Runs `plans` to completion one cycle at a time. With `absorb`, every
+    /// DRAM tick that completes something is followed by
+    /// [`OramController::absorb_completions`]; the counts returned are the
+    /// batches it absorbed and the batches it left for the next tick.
+    fn drive(
+        controller: &mut OramController,
+        dram: &mut DramSystem,
+        plans: Vec<AccessPlan>,
+        limit: u64,
+        absorb: bool,
+    ) -> (Vec<FinishedRequest>, u64, u64) {
         let mut queue: std::collections::VecDeque<AccessPlan> = plans.into();
         let total = queue.len();
         let mut finished = Vec::new();
+        let (mut absorbed, mut left) = (0, 0);
         while finished.len() < total {
             if let Some(plan) = queue.pop_front() {
                 if let Err(plan) = controller.try_submit(plan, dram.cycle()) {
@@ -1166,11 +1245,17 @@ mod tests {
                 }
             }
             controller.tick(dram);
-            dram.tick();
+            if dram.tick().completions && absorb {
+                if controller.absorb_completions(dram) {
+                    absorbed += 1;
+                } else {
+                    left += 1;
+                }
+            }
             finished.extend(controller.drain_finished());
             assert!(dram.cycle() < limit, "simulation did not converge");
         }
-        finished
+        (finished, absorbed, left)
     }
 
     #[test]
@@ -1447,5 +1532,149 @@ mod tests {
             assert!(dram.cycle() < 100_000, "request never retired");
         }
         assert_eq!(ctrl.drain_finished().len(), 1);
+    }
+
+    /// Request 0 with one Pos2 node that reads `reads` and then writes
+    /// `writes`.
+    fn one_node_plan(reads: Vec<u64>, writes: Vec<u64>) -> AccessPlan {
+        let mut b = AccessPlanBuilder::new(0, PhysAddr::new(0), OramOp::Read);
+        b.push(
+            SubOram::Pos2,
+            PhaseKind::EvictPath,
+            reads,
+            writes,
+            vec![],
+            0,
+        );
+        b.build()
+    }
+
+    /// A Palermo controller that has issued `one_node_plan(reads, writes)`
+    /// in its first tick, with the DRAM system it issued to.
+    fn issued(reads: Vec<u64>, writes: Vec<u64>) -> (OramController, DramSystem) {
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        assert!(ctrl.try_submit(one_node_plan(reads, writes), 0).is_ok());
+        ctrl.tick(&mut dram);
+        (ctrl, dram)
+    }
+
+    /// Ticks `dram` alone until one of its ticks completes something.
+    fn tick_until_completion(dram: &mut DramSystem) {
+        while !dram.tick().completions {
+            assert!(dram.cycle() < 100_000, "no DRAM completion");
+        }
+    }
+
+    #[test]
+    fn absorbing_drops_posted_writes() {
+        // Block `i` maps to channel `i % 4`. The write (block 1) posts at
+        // its column command, while the read (block 0, issued in the same
+        // cycle on its own channel) is still on its way back.
+        let (mut ctrl, mut dram) = issued(vec![0], vec![64]);
+        tick_until_completion(&mut dram);
+        let before = format!("{:?}", ctrl.inflight);
+        assert!(ctrl.absorb_completions(&mut dram));
+        assert!(ctrl.completion_buf.is_empty());
+        assert!(dram.drain_completed().is_empty());
+        assert_eq!(format!("{:?}", ctrl.inflight), before);
+        assert_eq!(ctrl.inflight[0].nodes[0].outstanding_reads, 1);
+    }
+
+    #[test]
+    fn absorbing_a_partial_read_only_decrements_its_node() {
+        // Blocks 0 and 4 share channel 0 and return on different cycles.
+        let (mut ctrl, mut dram) = issued(vec![0, 256], vec![]);
+        tick_until_completion(&mut dram);
+        let mut expected = ctrl.inflight.clone();
+        expected[0].nodes[0].outstanding_reads -= 1;
+        let (stats, countdown_min) = (ctrl.stats, ctrl.countdown_min);
+        assert!(ctrl.absorb_completions(&mut dram));
+        assert!(ctrl.completion_buf.is_empty());
+        assert_eq!(format!("{:?}", ctrl.inflight), format!("{expected:?}"));
+        assert_eq!(ctrl.inflight[0].nodes[0].outstanding_reads, 1);
+        assert_eq!((ctrl.stats, ctrl.countdown_min), (stats, countdown_min));
+    }
+
+    #[test]
+    fn a_batch_holding_a_nodes_last_read_is_left_for_the_next_tick() {
+        let (mut ctrl, mut dram) = issued(vec![0, 256], vec![]);
+        tick_until_completion(&mut dram);
+        assert!(ctrl.absorb_completions(&mut dram));
+        tick_until_completion(&mut dram);
+        let before = format!("{:?}", ctrl.inflight);
+        assert!(!ctrl.absorb_completions(&mut dram));
+        assert_eq!(ctrl.completion_buf.len(), 1);
+        assert!(dram.drain_completed().is_empty());
+        assert_eq!(format!("{:?}", ctrl.inflight), before);
+        // The next tick routes the batch it was left, which completes the
+        // node and with it the request.
+        assert_eq!(ctrl.tick(&mut dram).completions_routed, 1);
+        assert_eq!(ctrl.drain_finished().len(), 1);
+
+        // Absorbing after every DRAM tick, and leaving the batches it must,
+        // retires the same requests at the same cycles with the same
+        // statistics as routing every completion in the next tick.
+        let configs = [
+            ControllerConfig::serial_default(),
+            ControllerConfig::palermo_default(),
+            ControllerConfig::palermo_sw_default(),
+        ];
+        for config in configs {
+            let run = |absorb: bool| {
+                let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+                let mut ctrl = OramController::new(config);
+                let plans = (0..8)
+                    .map(|i| simple_plan(i, scattered_base(i), 4))
+                    .collect();
+                let (finished, absorbed, left) =
+                    drive(&mut ctrl, &mut dram, plans, 1_000_000, absorb);
+                (finished, *ctrl.stats(), absorbed, left)
+            };
+            let (finished, stats, _, _) = run(false);
+            let (absorbing_finished, absorbing_stats, absorbed, left) = run(true);
+            assert!(
+                absorbed > 0 && left > 0,
+                "{config:?}: {absorbed} absorbed, {left} left"
+            );
+            assert_eq!(absorbing_finished, finished, "{config:?}");
+            assert_eq!(absorbing_stats, stats, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn a_retry_is_due_only_once_a_rejected_ops_channel_has_room() {
+        // The node's reads (blocks 0 and 4) share channel 0, whose one-deep
+        // queue takes only the first. An outside read enqueued a few cycles
+        // earlier fills channel 1, which therefore drains first.
+        let mut dram_config = DramConfig::ddr4_3200_quad_channel();
+        dram_config.queue_capacity = 1;
+        let mut dram = DramSystem::new(dram_config);
+        assert!(dram.try_enqueue(MemRequest::read(1 << 40, 64)));
+        for _ in 0..4 {
+            dram.tick();
+        }
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        assert!(ctrl
+            .try_submit(one_node_plan(vec![0, 256], vec![]), dram.cycle())
+            .is_ok());
+        ctrl.tick(&mut dram);
+        assert!(ctrl.enqueue_blocked());
+        let mut other_channel_drained = false;
+        while !dram.can_accept(0) {
+            assert!(
+                !ctrl.retry_would_issue(&dram),
+                "retry due at cycle {} with channel 0 still full",
+                dram.cycle()
+            );
+            dram.tick();
+            other_channel_drained |= dram.can_accept(64);
+            assert!(dram.cycle() < 100_000, "channel 0 never drained");
+        }
+        assert!(other_channel_drained, "channel 1 did not drain first");
+        assert!(ctrl.retry_would_issue(&dram));
+        let reads = ctrl.stats().dram_reads_issued;
+        ctrl.tick(&mut dram);
+        assert_eq!(ctrl.stats().dram_reads_issued, reads + 1);
     }
 }
