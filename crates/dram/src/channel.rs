@@ -453,11 +453,6 @@ impl Channel {
         next
     }
 
-    /// Returns `true` if completions are waiting to be drained.
-    pub fn has_pending_completions(&self) -> bool {
-        !self.completed.is_empty()
-    }
-
     /// Drains completions accumulated since the last call.
     pub fn drain_completed(&mut self) -> Vec<MemCompletion> {
         std::mem::take(&mut self.completed)

@@ -151,11 +151,6 @@ impl DramSystem {
         self.cycle += skipped;
     }
 
-    /// Returns `true` if any channel holds completions not yet drained.
-    pub fn has_pending_completions(&self) -> bool {
-        self.channels.iter().any(|c| c.has_pending_completions())
-    }
-
     /// Collects all completions produced since the previous call.
     pub fn drain_completed(&mut self) -> Vec<MemCompletion> {
         let mut out = Vec::new();

@@ -9,16 +9,17 @@
 //!
 //! # Event-driven time skipping
 //!
-//! The loop is *event-driven*: after any iteration in which neither the
-//! controller nor the DRAM model did observable work and no new plan is
-//! about to be staged, the clock jumps straight to the next cycle at which
-//! anything can change — the minimum of the DRAM model's
-//! `next_event_cycle()` (bank timing expiry, bus free, data return) and the
-//! controller's `next_wakeup()` (compute countdown expiry). Skipped cycles
-//! are accounted *exactly* as if they had been ticked (cycle counters, queue
-//! occupancy, sync-stall attribution), so all metrics are byte-identical to
-//! the per-cycle reference loop; [`ReferenceStepper`] keeps that reference
-//! loop alive as a test double and `tests/stepper_equivalence.rs` proves the
+//! The loop is *event-driven*: after any iteration in which the controller
+//! settled and no new plan is about to be staged, the clock jumps straight
+//! to the next cycle at which the controller can react to anything — the
+//! first DRAM event it does not ignore (the DRAM model's
+//! `next_event_cycle()` predicts bank timing expiry, bus free and data
+//! return) or the controller's `next_wakeup()` (compute countdown expiry),
+//! whichever comes first. Skipped cycles are accounted *exactly* as if they
+//! had been ticked (cycle counters, queue occupancy, sync-stall
+//! attribution), so all metrics are byte-identical to the per-cycle
+//! reference loop; [`ReferenceStepper`] keeps that reference loop alive as a
+//! test double and `tests/stepper_equivalence.rs` proves the
 //! [`CalendarStepper`] equivalent to it over the full scheme × workload
 //! grid.
 //!
@@ -582,11 +583,14 @@ impl InFlightTable {
 /// strategies (both implementations are zero-sized), so this costs nothing.
 pub trait Stepper: Sync {
     /// Possibly advance time after one reference iteration. `quiescent` is
-    /// `true` only when the iteration proved the system state frozen until
-    /// the next predictable event: the controller tick settled (no retire,
-    /// issue pass fully drained), the DRAM tick produced no completions, no
-    /// DRAM-rejected enqueue could retry against freed queue space, and the
-    /// runner will not stage a new plan next iteration.
+    /// `true` only when the controller tick settled (no retire, issue pass
+    /// fully drained) and the runner will not stage a new plan next
+    /// iteration. The DRAM tick may have produced completions or freed queue
+    /// space: the stepper asks the controller whether it would react to
+    /// them ([`OramController::absorb_completions`],
+    /// [`OramController::retry_would_issue`]) before it skips anything. A
+    /// caller may pass `false` in more cases than these; the stepper then
+    /// skips less, and the metrics do not change.
     ///
     /// `external_next` is the earliest cycle at which a runner-level event
     /// outside the two clock models can change the system — today, the next
@@ -621,29 +625,37 @@ impl Stepper for ReferenceStepper {
 
 /// The settled-window stepper, and the default: after a quiescent
 /// iteration it skips the clock past provably-idle cycles and bulk-accounts
-/// them exactly as if they had been ticked. When the controller is settled
-/// while DRAM traffic is still draining it does not hand control back after
-/// a single jump: it keeps executing DRAM event ticks *inside*
-/// `advance_idle` — replaying the controller's per-cycle accounting in bulk
-/// between them — until something the controller must react to happens (a
-/// completion, a compute-countdown expiry, or an open-loop arrival). The
-/// name is for the calendar of next events it steps through: the DRAM
-/// system's per-channel predictions, the controller's countdown wakeup and
-/// the next arrival.
+/// them exactly as if they had been ticked. While DRAM traffic is still
+/// draining it does not hand control back after a single jump: it keeps
+/// executing DRAM event ticks *inside* `advance_idle`, replaying the
+/// controller's per-cycle accounting in bulk between them. The name is for
+/// the calendar of next events it steps through: the DRAM system's
+/// per-channel predictions, the controller's countdown wakeup and the next
+/// arrival.
+///
+/// A window ends at the first of:
+///
+/// - a DRAM completion the controller cannot absorb: the last outstanding
+///   read of a plan node ([`OramController::absorb_completions`]);
+/// - a freed queue slot a turned-away operation would now take
+///   ([`OramController::retry_would_issue`]);
+/// - the controller's countdown wakeup or the next open-loop arrival;
+/// - an idle DRAM system.
 ///
 /// Correctness rests on the window's freeze argument: with the controller
-/// settled, no pending completions, nothing to stage and the enqueue path
-/// unblocked, every controller readiness predicate (dependency counts,
-/// predecessor gating, retirement, submission capacity) is a pure function
-/// of state only completions or countdown expiries can change. Interior
-/// DRAM ticks issue commands but complete nothing, so the reference loop
-/// would have run one inert controller tick per cycle — exactly what
+/// settled and nothing to stage, every controller readiness predicate
+/// (dependency counts, predecessor gating, retirement, submission
+/// capacity) is a pure function of state that only those events change.
+/// Every other DRAM event leaves the controller's next tick inert: a
+/// posted-write completion is skipped by its routing step, a read that
+/// leaves reads of its node outstanding only decrements a count nothing
+/// else reads, and a command that frees no slot a turned-away operation
+/// needs makes its retries fail again. The reference loop would have run
+/// one inert controller tick per cycle — exactly what
 /// [`OramController::skip_cycles_window`] replays, with the stall cycles
 /// counted per segment between interior DRAM ticks so the stall-accounting
 /// rule always sees the queue depth the reference controller tick would
-/// have seen. Queue-full retries are the
-/// one exception (a freed slot un-blocks the controller without a
-/// completion), so a blocked enqueue falls back to the single-jump move.
+/// have seen.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CalendarStepper;
 
@@ -655,7 +667,7 @@ impl Stepper for CalendarStepper {
         quiescent: bool,
         external_next: Option<u64>,
     ) {
-        if !quiescent || dram.has_pending_completions() {
+        if !quiescent {
             return;
         }
         // Events the controller must run a real tick for, as one absolute
@@ -666,22 +678,6 @@ impl Stepper for CalendarStepper {
             .next_wakeup(dram.cycle())
             .unwrap_or(u64::MAX)
             .min(external_next.unwrap_or(u64::MAX));
-        if controller.enqueue_blocked() {
-            // A DRAM issue can free the slot a rejected enqueue retries
-            // into: the retry cycle is the DRAM's next event, so jump to it
-            // and let the main loop run the real iteration there.
-            let now = dram.cycle();
-            let next = match dram.next_event_cycle() {
-                Some(e) => e.min(wakeup),
-                None => wakeup,
-            };
-            if next != u64::MAX && next > now {
-                let skipped = next - now;
-                controller.skip_cycles_window(skipped, stalled_part(dram, skipped));
-                dram.skip_cycles(skipped);
-            }
-            return;
-        }
         // Controller-side accounting for the whole window folds into two
         // counters: total quiet cycles, and the subset with a DRAM queue
         // depth below the stall threshold (the only per-segment input the
@@ -691,27 +687,23 @@ impl Stepper for CalendarStepper {
         // interior DRAM command.
         let mut total = 0u64;
         let mut stalled = 0u64;
-        loop {
+        // Each pass starts right after a DRAM tick: the main loop's, then
+        // each event tick below.
+        while controller.absorb_completions(dram) && !controller.retry_would_issue(dram) {
             let now = dram.cycle();
             let dram_next = dram.next_event_cycle().unwrap_or(u64::MAX);
             if dram_next >= wakeup {
                 // The controller acts first (or simultaneously: the
                 // reference loop runs the controller tick before the DRAM
-                // tick of the same cycle). Stop at the bound.
+                // tick of the same cycle), or DRAM is idle and the next
+                // iteration stages work or ends the run. Stop at the bound.
                 if wakeup != u64::MAX && wakeup > now {
                     let seg = wakeup - now;
                     total += seg;
                     stalled += stalled_part(dram, seg);
                     dram.skip_cycles(seg);
                 }
-                controller.skip_cycles_window(total, stalled);
-                return;
-            }
-            if dram_next == u64::MAX {
-                // DRAM idle and no controller event pending: the next
-                // iteration stages work or the run is over; single-step.
-                controller.skip_cycles_window(total, stalled);
-                return;
+                break;
             }
             // The DRAM acts strictly before anything the controller reacts
             // to: account the inert controller cycles through the event
@@ -721,13 +713,9 @@ impl Stepper for CalendarStepper {
             total += seg;
             stalled += stalled_part(dram, seg);
             let result = dram.skip_to_and_tick(dram_next);
-            if result.completions {
-                // The controller routes these on the next real tick.
-                controller.skip_cycles_window(total, stalled);
-                return;
-            }
-            debug_assert!(result.issued, "DRAM event tick at {dram_next} did nothing");
+            debug_assert!(result.any(), "DRAM event tick at {dram_next} did nothing");
         }
+        controller.skip_cycles_window(total, stalled);
     }
 }
 
@@ -1063,7 +1051,7 @@ or raise protected_bytes)",
         }
 
         let ctrl_activity = controller.tick(&mut dram);
-        let dram_result = dram.tick();
+        dram.tick();
 
         for finished in controller.drain_finished() {
             // A completion for an id the runner never submitted means the
@@ -1146,19 +1134,17 @@ or raise protected_bytes)",
             }
         }
 
-        // Time skipping: after a provably-quiet iteration, jump to the next
-        // cycle at which anything can change. Falls back to single-stepping
-        // whenever a new plan is about to be staged (staging is a zero-time
-        // runner-level event the clock models cannot predict).
+        // Time skipping: after a settled controller tick, jump to the next
+        // cycle at which the controller can react. Falls back to
+        // single-stepping whenever a new plan is about to be staged (staging
+        // is a zero-time runner-level event the clock models cannot
+        // predict).
         let will_stage = pending_plan.is_none()
             && submitted < total_requests + config.measured_requests
             && (oram.needs_background_evict()
                 || (submitted < total_requests
                     && serving.as_ref().is_none_or(|e| e.queue_len() > 0)));
-        let quiescent = ctrl_activity.settled
-            && !dram_result.completions
-            && !will_stage
-            && (!dram_result.issued || !controller.enqueue_blocked());
+        let quiescent = ctrl_activity.settled && !will_stage;
         // Pending arrivals bound the skip while the run still submits
         // (`arrivals_advanced_to` rather than the post-tick cycle, so an
         // arrival landing on the current cycle forces a single step). After

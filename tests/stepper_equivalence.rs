@@ -97,6 +97,25 @@ fn tiny_dram_queues_stay_cycle_exact_under_time_skipping() {
     }
 }
 
+/// One-deep DRAM queues keep the equivalence contract while the controller
+/// is enqueue-blocked nearly every cycle: a skip window then runs through
+/// command issues that free no slot a turned-away operation needs, and
+/// must stop at the first that does. Every scheme runs `mcf`; RingORAM and
+/// Palermo also run an open-loop and a sharded spec.
+#[test]
+fn one_deep_dram_queues_stay_cycle_exact_under_time_skipping() {
+    let mut cfg = SystemConfig::small_for_tests();
+    cfg.dram.queue_capacity = 1;
+    for scheme in Scheme::ALL {
+        assert_equivalent(scheme, &Workload::Mcf.into(), &cfg);
+    }
+    for scheme in [Scheme::RingOram, Scheme::Palermo] {
+        for name in ["open:poisson:0.05:random", "shard:2:hash:random"] {
+            assert_equivalent(scheme, &WorkloadSpec::from_name(name).unwrap(), &cfg);
+        }
+    }
+}
+
 /// Composed workload specs keep the equivalence contract: an `open:` spec
 /// (arrival process + admission queue wrapped around the closed-loop core)
 /// produces byte-identical metrics under the per-cycle reference and the
