@@ -74,7 +74,8 @@ struct BankCand {
 /// Per-channel statistics counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
-    /// Read bursts completed.
+    /// Read bursts issued: a read counts when its column command issues,
+    /// before its data returns.
     pub reads: u64,
     /// Write bursts issued.
     pub writes: u64,

@@ -13,7 +13,8 @@ use crate::config::DramConfig;
 pub struct DramStats {
     /// Total memory-clock cycles simulated.
     pub cycles: u64,
-    /// Read bursts completed.
+    /// Read bursts issued: a read counts when its column command issues,
+    /// before its data returns.
     pub reads: u64,
     /// Write bursts issued.
     pub writes: u64,
