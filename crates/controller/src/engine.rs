@@ -22,6 +22,7 @@
 use crate::stats::ControllerStats;
 use palermo_dram::{DramSystem, MemCompletion, MemOpKind, MemRequest};
 use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNode, PlanNodeId};
+use palermo_oram::error::StuckRequest;
 use palermo_oram::types::SubOram;
 /// Inter-request scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -590,6 +591,19 @@ impl OramController {
     /// Number of ORAM requests currently being serviced.
     pub fn inflight(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// The requests in flight, oldest first, each with its unfinished plan
+    /// nodes and their reads outstanding at DRAM: what a
+    /// [`palermo_oram::OramError::Deadlock`] report names.
+    pub fn unfinished_requests(&self) -> Vec<StuckRequest> {
+        let stuck = |req: &InflightRequest| StuckRequest {
+            request_id: req.plan.request_id,
+            unfinished_nodes: (req.nodes.iter().enumerate())
+                .filter_map(|(i, node)| (!node.complete).then_some((i, node.outstanding_reads)))
+                .collect(),
+        };
+        self.inflight.iter().map(stuck).collect()
     }
 
     /// Returns `true` if a new request can be accepted this cycle.
@@ -1270,6 +1284,32 @@ mod tests {
         // Every burst the controller issued belongs to the one request.
         assert_eq!(finished[0].dram_ops, ctrl.stats().issued_ops);
         assert!(finished[0].dram_ops > 0);
+    }
+
+    #[test]
+    fn unfinished_requests_name_their_nodes_and_outstanding_reads() {
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        assert!(ctrl.try_submit(simple_plan(5, 0, 4), 0).is_ok());
+        ctrl.tick(&mut dram);
+        // Only the first node is ready, so every read issued is its own.
+        let reads = ctrl.stats().dram_reads_issued as usize;
+        assert!(reads > 0);
+        let stuck = ctrl.unfinished_requests();
+        assert_eq!(stuck.len(), 1);
+        assert_eq!(stuck[0].request_id, 5);
+        assert_eq!(
+            stuck[0].unfinished_nodes,
+            (0..7)
+                .map(|i| (i, if i == 0 { reads } else { 0 }))
+                .collect::<Vec<_>>()
+        );
+        while ctrl.inflight() > 0 {
+            ctrl.tick(&mut dram);
+            dram.tick();
+            assert!(dram.cycle() < 100_000, "simulation did not converge");
+        }
+        assert!(ctrl.unfinished_requests().is_empty());
     }
 
     #[test]

@@ -7,24 +7,34 @@
 //! commands at least a burst apart, which bounds the achievable bandwidth at
 //! the DDR4 peak and makes the bandwidth-utilisation statistics meaningful.
 //!
-//! # Per-bank command queues
+//! # Per-bank queues and class masks
 //!
-//! Requests are queued per bank rather than in one channel-wide list. Within
-//! a bank, every queued request of the same scheduling class (column to the
-//! open row / activate / precharge of a conflicting row) shares one
-//! bank-local ready cycle, so each bank caches just its oldest candidate per
-//! class (`BankCand`) and publishes the class's bank-local ready cycle into
-//! an O(log B) [`MinTree`] (one per class). Channel-global constraints —
-//! command-bus spacing, tCCD_L, tRRD, tFAW — are applied at decision time as
-//! per-bank-group floors, so issuing on one bank never invalidates another
-//! bank's cache: cold banks are written once when touched and never
-//! rescanned. A validated geometry makes every bank group an aligned
-//! power-of-two block of leaves, so one tree node holds a group's minimum
-//! and a pass skips a group with nothing due without visiting its banks.
-//! Global age ordering across banks uses a monotone per-channel
-//! sequence number stamped at enqueue, which makes "oldest ready first"
-//! a min-seq reduction over at most B cached candidates instead of a scan
-//! over every queued request.
+//! Requests are queued per bank rather than in one channel-wide list. A
+//! queued request falls in one of three scheduling classes by its bank's
+//! state: *column* (its row is open), *activate* (its bank is closed) or
+//! *precharge* (another row is open). Every request of one class in one
+//! bank shares a bank-local ready cycle (`next_column`, `next_activate` or
+//! `next_precharge`), so a bank caches only the `(seq, pos)` of its oldest
+//! request per class, and the channel keeps one `u64` mask per class with
+//! a bit for each bank that has such a request. Channel-global constraints
+//! — command-bus spacing, tCCD_L, tRRD, tFAW — are applied at decision time
+//! as per-bank-group floors, so issuing on one bank never invalidates
+//! another bank's cache: a bank's cache is rebuilt only when that bank is
+//! touched. A pass walks only the set bits of its class mask and picks the
+//! oldest candidate whose ready cycle, raised to its group's floor, has
+//! come. Age across banks is a monotone per-channel sequence number stamped
+//! at enqueue, so "oldest ready first" is a min-seq reduction over at most
+//! one candidate per bank instead of a scan over every queued request. The
+//! masks cap a channel at 64 banks, which [`DramConfig::validate`] enforces.
+//!
+//! # Read returns
+//!
+//! Every read returns its data `tCL + tBL` after its column command, and
+//! the channel issues at most one command per cycle, so reads return in
+//! issue order: the reads in flight are a FIFO, and a return pops its
+//! front.
+//!
+//! # Next events
 //!
 //! For the event-driven simulation core the channel additionally predicts
 //! [`Channel::next_event_cycle`] — the earliest future cycle at which a tick
@@ -35,9 +45,42 @@
 
 use crate::address::DramCoord;
 use crate::config::DramConfig;
-use crate::mintree::MinTree;
 use crate::request::{MemCompletion, MemOpKind, MemRequest, RowBufferResult};
 use std::collections::VecDeque;
+
+/// The three FR-FCFS command classes, in pass order. A class indexes the
+/// channel's masks and each bank's candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// A column command to the open row.
+    Column,
+    /// An activate of a closed bank.
+    Activate,
+    /// A precharge of an open bank that a queued request conflicts with.
+    Precharge,
+}
+
+impl Class {
+    const ALL: [Class; 3] = [Class::Column, Class::Activate, Class::Precharge];
+
+    /// The class of a queued request to `row` while its bank has
+    /// `open_row` open.
+    fn of(open_row: Option<u64>, row: u64) -> Class {
+        match open_row {
+            None => Class::Activate,
+            Some(open) if open == row => Class::Column,
+            Some(_) => Class::Precharge,
+        }
+    }
+}
+
+/// The oldest queued request of one class in one bank: its channel-wide
+/// sequence number and its position in the bank queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cand {
+    seq: u64,
+    pos: u32,
+}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BankState {
@@ -45,6 +88,40 @@ struct BankState {
     next_activate: u64,
     next_precharge: u64,
     next_column: u64,
+    /// Oldest candidate per class, indexed by [`Class`]; meaningful only
+    /// where that class's mask holds this bank.
+    cand: [Cand; 3],
+}
+
+impl BankState {
+    /// The bank-local cycle from which `class`'s candidate may issue.
+    fn ready(&self, class: Class) -> u64 {
+        match class {
+            Class::Column => self.next_column,
+            Class::Activate => self.next_activate,
+            Class::Precharge => self.next_precharge,
+        }
+    }
+}
+
+/// A class's channel-global issue floor for the current bus state: `base`
+/// for every bank group, raised to `same` in `group`, the group of the
+/// class's last command (tCCD_L / tRRD_L). `same >= base` always.
+#[derive(Debug, Clone, Copy)]
+struct Floor {
+    base: u64,
+    group: u32,
+    same: u64,
+}
+
+impl Floor {
+    fn of(&self, group: u32) -> u64 {
+        if group == self.group {
+            self.same
+        } else {
+            self.base
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -58,17 +135,6 @@ struct QueuedRequest {
     seq: u64,
     enqueued_at: u64,
     row_result: Option<RowBufferResult>,
-}
-
-/// Cached oldest candidate per scheduling class for one bank: `(seq, pos)`
-/// of the oldest queued request that is a column hit / a precharge cause.
-/// The activate candidate needs no cache — with no open row every queued
-/// request wants an activate and the front of the FIFO is the oldest.
-/// Refreshed whenever the bank's queue membership or open row changes.
-#[derive(Debug, Clone, Copy, Default)]
-struct BankCand {
-    col: Option<(u64, u32)>,
-    pre: Option<(u64, u32)>,
 }
 
 /// Per-channel statistics counters.
@@ -120,17 +186,12 @@ pub struct Channel {
     banks: Vec<BankState>,
     /// Per-bank FIFO command queues (seq-ascending by construction).
     bank_queues: Vec<VecDeque<QueuedRequest>>,
-    /// Per-bank cached oldest candidate per scheduling class.
-    cand: Vec<BankCand>,
-    /// Bank-local ready cycle of each bank's column candidate
-    /// (`bank.next_column`, or `u64::MAX` with no candidate).
-    col_tree: MinTree,
-    /// Bank-local ready cycle of each bank's activate candidate
-    /// (`bank.next_activate`, or `u64::MAX` with no candidate).
-    act_tree: MinTree,
-    /// Bank-local ready cycle of each bank's precharge candidate
-    /// (`bank.next_precharge`, or `u64::MAX` with no candidate).
-    pre_tree: MinTree,
+    /// Per class (indexed by [`Class`]), the banks holding a candidate of
+    /// that class: bit `b` is set when bank `b` has one.
+    masks: [u64; 3],
+    /// log2 of the banks per group: flat bank `b` lies in group
+    /// `b >> group_shift`.
+    group_shift: u32,
     /// Total queued requests across all bank queues.
     queue_len: usize,
     /// Next arrival sequence number.
@@ -143,44 +204,40 @@ pub struct Channel {
     last_activate: Option<(u64, u32)>,
     /// Recent activate cycles for the tFAW window.
     recent_activates: VecDeque<u64>,
-    /// Reads waiting for their data to come back.
-    in_flight_reads: Vec<(u64, MemCompletion)>,
+    /// Reads waiting for their data, in issue order, which is also the
+    /// order their data returns in.
+    in_flight_reads: VecDeque<MemCompletion>,
     completed: Vec<MemCompletion>,
     stats: ChannelStats,
-    /// Cached earliest cycle at which any *queued* request becomes
-    /// actionable. Invalidated (None) by command issues, min-updated in
-    /// O(1) by enqueues, and — deliberately — left untouched by read
-    /// retirements, which change no bank or bus state.
-    queue_next: Option<u64>,
-    /// Earliest data-return cycle among in-flight reads (`u64::MAX` when
-    /// none). Min-updated on read issue, recomputed on retirement.
-    inflight_next: u64,
+    /// Earliest cycle at which any *queued* request becomes actionable
+    /// (`u64::MAX` with none queued), kept exact: recomputed after every
+    /// scheduling pass, min-updated in O(1) by enqueues, and left untouched
+    /// by read returns, which change no bank or bus state.
+    queue_next: u64,
 }
 
 impl Channel {
     /// Creates an idle channel for a configuration that passes
-    /// [`DramConfig::validate`] (the per-group tree lookups rely on its
-    /// power-of-two bank geometry).
+    /// [`DramConfig::validate`], which bounds the banks the address map
+    /// reaches to the 64 bits of a class mask.
     pub fn new(config: DramConfig) -> Self {
-        let banks = config.banks_per_channel() as usize;
+        let banks = (config.bank_groups * config.banks_per_group) as usize;
+        debug_assert!(banks <= 64, "{banks} banks overflow the class masks");
         Channel {
             banks: vec![BankState::default(); banks],
             bank_queues: vec![VecDeque::new(); banks],
-            cand: vec![BankCand::default(); banks],
-            col_tree: MinTree::new(banks),
-            act_tree: MinTree::new(banks),
-            pre_tree: MinTree::new(banks),
+            masks: [0; 3],
+            group_shift: config.banks_per_group.trailing_zeros(),
             queue_len: 0,
             next_seq: 0,
             next_column_cmd: 0,
             last_column: None,
             last_activate: None,
             recent_activates: VecDeque::with_capacity(4),
-            in_flight_reads: Vec::new(),
+            in_flight_reads: VecDeque::new(),
             completed: Vec::new(),
             stats: ChannelStats::default(),
-            queue_next: Some(u64::MAX),
-            inflight_next: u64::MAX,
+            queue_next: u64::MAX,
             config,
         }
     }
@@ -220,310 +277,217 @@ impl Channel {
             row_result: None,
         };
         self.next_seq += 1;
-        // Enqueueing changes no bank or bus state, so cached predictions for
-        // existing entries stay valid; the new entry can only pull the next
-        // event earlier. An O(1) min-update keeps issue bursts from forcing
-        // a full rescan every cycle.
-        if let Some(cached) = self.queue_next {
-            let at = self.entry_earliest(&entry);
-            self.queue_next = Some(cached.min(at));
-        }
-        // The newest request only becomes a class candidate when its bank
-        // slot was empty (it is the youngest by construction), so the bank
-        // cache updates in O(1) without a rescan.
+        // The newest request is the youngest, so it becomes its class's
+        // candidate only when its bank had none: an O(1) update. Enqueueing
+        // changes no bank or bus state, so only a new candidate can pull the
+        // cached queue-side prediction earlier, by an O(1) min-update.
         let b = entry.flat_bank;
-        let pos = self.bank_queues[b].len() as u32;
-        match self.banks[b].open_row {
-            None => {
-                if pos == 0 {
-                    self.act_tree.set(b, self.banks[b].next_activate);
-                }
-            }
-            Some(row) if row == entry.coord.row => {
-                if self.cand[b].col.is_none() {
-                    self.cand[b].col = Some((entry.seq, pos));
-                    self.col_tree.set(b, self.banks[b].next_column);
-                }
-            }
-            Some(_) => {
-                if self.cand[b].pre.is_none() {
-                    self.cand[b].pre = Some((entry.seq, pos));
-                    self.pre_tree.set(b, self.banks[b].next_precharge);
-                }
-            }
+        let class = Class::of(self.banks[b].open_row, entry.coord.row);
+        if self.masks[class as usize] & (1 << b) == 0 {
+            self.masks[class as usize] |= 1 << b;
+            self.banks[b].cand[class as usize] = Cand {
+                seq: entry.seq,
+                pos: self.bank_queues[b].len() as u32,
+            };
+            let floor = self.floor(class).of(coord.bank_group);
+            self.queue_next = self.queue_next.min(self.banks[b].ready(class).max(floor));
         }
         self.bank_queues[b].push_back(entry);
         self.queue_len += 1;
+        self.debug_check_bank(b);
         true
     }
 
-    /// Bank group of a flat bank index (banks are bank-group-major).
-    /// Channel-global earliest-issue floor for a column command targeting
-    /// `group`: command/data-bus spacing plus same-group tCCD_L.
-    fn col_floor(&self, group: u32) -> u64 {
-        let mut at = self.next_column_cmd;
-        if let Some((when, g)) = self.last_column {
-            if g == group {
-                at = at.max(when + self.config.t_ccd_l);
-            }
-        }
-        at
+    /// The bank group of flat bank `b` (banks are bank-group-major).
+    fn group_of(&self, b: usize) -> u32 {
+        (b >> self.group_shift) as u32
     }
 
-    /// Channel-global earliest-issue floor for an activate targeting
-    /// `group`: the tFAW window plus same/cross-group tRRD.
-    fn act_floor(&self, group: u32) -> u64 {
-        let mut at = 0;
-        if self.recent_activates.len() >= 4 {
-            at = self.recent_activates[self.recent_activates.len() - 4] + self.config.t_faw;
-        }
-        if let Some((when, g)) = self.last_activate {
-            let gap = if g == group {
-                self.config.t_rrd_l
-            } else {
-                self.config.t_rrd_s
-            };
-            at = at.max(when + gap);
-        }
-        at
-    }
-
-    /// The earliest cycle at which `q` could become actionable given the
-    /// current (frozen) bank and bus state — the per-entry term of
-    /// [`Channel::next_event_cycle`]'s prediction.
-    fn entry_earliest(&self, q: &QueuedRequest) -> u64 {
-        let bank = &self.banks[q.flat_bank];
-        match bank.open_row {
-            Some(row) if row == q.coord.row => {
-                bank.next_column.max(self.col_floor(q.coord.bank_group))
-            }
-            Some(_) => bank.next_precharge,
-            None => bank.next_activate.max(self.act_floor(q.coord.bank_group)),
-        }
-    }
-
-    /// Rebuilds bank `b`'s candidate cache and its three tree leaves from
-    /// the bank's queue and open row. O(bank queue length + log B); called
-    /// only when the bank itself is touched (issue to it, or its open row
-    /// changes), never for cold banks.
-    fn refresh_bank(&mut self, b: usize) {
-        let bank = self.banks[b];
-        let queue = &self.bank_queues[b];
-        let mut cand = BankCand::default();
-        let (col_local, act_local, pre_local) = match bank.open_row {
-            None => {
-                let act = if queue.is_empty() {
-                    u64::MAX
+    /// `class`'s channel-global issue floor: command/data-bus spacing plus
+    /// same-group tCCD_L for a column command, the tFAW window plus
+    /// same/cross-group tRRD for an activate, none for a precharge.
+    fn floor(&self, class: Class) -> Floor {
+        let cfg = &self.config;
+        let (base, last, same_gap) = match class {
+            Class::Column => (self.next_column_cmd, self.last_column, cfg.t_ccd_l),
+            Class::Activate => {
+                let n = self.recent_activates.len();
+                let faw = if n >= 4 {
+                    self.recent_activates[n - 4] + cfg.t_faw
                 } else {
-                    bank.next_activate
+                    0
                 };
-                (u64::MAX, act, u64::MAX)
+                let rrd = self.last_activate.map_or(0, |(when, _)| when + cfg.t_rrd_s);
+                (faw.max(rrd), self.last_activate, cfg.t_rrd_l)
             }
-            Some(row) => {
-                for (i, e) in queue.iter().enumerate() {
-                    if e.coord.row == row {
-                        if cand.col.is_none() {
-                            cand.col = Some((e.seq, i as u32));
-                        }
-                    } else if cand.pre.is_none() {
-                        cand.pre = Some((e.seq, i as u32));
-                    }
-                    if cand.col.is_some() && cand.pre.is_some() {
-                        break;
-                    }
-                }
-                let col = if cand.col.is_some() {
-                    bank.next_column
-                } else {
-                    u64::MAX
-                };
-                let pre = if cand.pre.is_some() {
-                    bank.next_precharge
-                } else {
-                    u64::MAX
-                };
-                (col, u64::MAX, pre)
-            }
+            Class::Precharge => (0, None, 0),
         };
-        self.cand[b] = cand;
-        self.col_tree.set(b, col_local);
-        self.act_tree.set(b, act_local);
-        self.pre_tree.set(b, pre_local);
+        let (group, same) =
+            last.map_or((u32::MAX, base), |(when, g)| (g, base.max(when + same_gap)));
+        Floor { base, group, same }
     }
 
-    /// Oldest bank candidate whose column command is ready at `cycle`
-    /// (FR-FCFS pass 1). Returns the bank and queue position.
-    fn pick_column(&self, cycle: u64) -> Option<(usize, u32)> {
-        // The tree leaves mirror exactly the per-bank ready test below
-        // (`next_column` when a same-row candidate exists, else MAX), so the
-        // running minima prune the pass in O(1) and dead groups in O(1) each.
-        if self.col_tree.min() > cycle {
+    /// Rebuilds bank `b`'s candidates and mask bits from its queue and open
+    /// row. O(bank queue length); called only when the bank itself is
+    /// touched (issue to it, or its open row changes), never for cold banks.
+    fn refresh_bank(&mut self, b: usize) {
+        let open_row = self.banks[b].open_row;
+        // A closed bank has only activate candidates, the oldest at the
+        // front; an open one has column and precharge candidates.
+        let classes = if open_row.is_some() { 2 } else { 1 };
+        let mut found = [None; 3];
+        let mut count = 0;
+        for (pos, e) in self.bank_queues[b].iter().enumerate() {
+            let slot = &mut found[Class::of(open_row, e.coord.row) as usize];
+            if slot.is_none() {
+                *slot = Some(Cand {
+                    seq: e.seq,
+                    pos: pos as u32,
+                });
+                count += 1;
+                if count == classes {
+                    break;
+                }
+            }
+        }
+        for (class, cand) in found.into_iter().enumerate() {
+            match cand {
+                Some(cand) => {
+                    self.masks[class] |= 1 << b;
+                    self.banks[b].cand[class] = cand;
+                }
+                None => self.masks[class] &= !(1 << b),
+            }
+        }
+        self.debug_check_bank(b);
+    }
+
+    /// Re-derives bank `b`'s candidates from its queue alone — per class,
+    /// the request with the smallest sequence number — and asserts that the
+    /// class masks and the cached `(seq, pos)` match. Enqueues and refreshes
+    /// write no other bank's cache, so checking the bank after each one
+    /// covers every write. Runs in debug builds only.
+    fn debug_check_bank(&self, b: usize) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let bank = &self.banks[b];
+        let mut oldest: [Option<Cand>; 3] = [None; 3];
+        for (pos, e) in self.bank_queues[b].iter().enumerate() {
+            let slot = &mut oldest[Class::of(bank.open_row, e.coord.row) as usize];
+            if slot.is_none_or(|c| e.seq < c.seq) {
+                *slot = Some(Cand {
+                    seq: e.seq,
+                    pos: pos as u32,
+                });
+            }
+        }
+        let cached = Class::ALL
+            .map(|c| ((self.masks[c as usize] >> b) & 1 == 1).then_some(bank.cand[c as usize]));
+        assert_eq!(
+            cached, oldest,
+            "bank {b}: class candidates diverged from its queue"
+        );
+        let beyond = |m: &u64| m.checked_shr(self.banks.len() as u32).unwrap_or(0);
+        assert!(
+            self.masks.iter().all(|m| beyond(m) == 0),
+            "a mask names a missing bank"
+        );
+    }
+
+    /// The bank holding the oldest `class` candidate that may issue at
+    /// `cycle` (one FR-FCFS pass), with that candidate.
+    fn pick(&self, class: Class, cycle: u64) -> Option<(usize, Cand)> {
+        let floor = self.floor(class);
+        // Every group's floor is at least the base one.
+        if floor.base > cycle {
             return None;
         }
-        let mut best: Option<(u64, usize, u32)> = None;
-        let bpg = self.config.banks_per_group as usize;
-        for g in 0..self.config.bank_groups as usize {
-            if self.col_tree.subtree_min(g * bpg, bpg) > cycle {
-                continue;
-            }
-            // The floor is a per-group constant for this cycle: hoist it out
-            // of the bank scan (it is also the only group-dependent term,
-            // which keeps the inner loop free of bank→group arithmetic).
-            let floor = self.col_floor(g as u32);
-            if floor > cycle {
-                continue;
-            }
-            for b in g * bpg..(g + 1) * bpg {
-                if let Some((seq, pos)) = self.cand[b].col {
-                    if self.banks[b].next_column <= cycle && best.is_none_or(|(s, _, _)| seq < s) {
-                        best = Some((seq, b, pos));
-                    }
-                }
+        let mut best: Option<(usize, Cand)> = None;
+        let mut mask = self.masks[class as usize];
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let bank = &self.banks[b];
+            let cand = bank.cand[class as usize];
+            if bank.ready(class).max(floor.of(self.group_of(b))) <= cycle
+                && best.is_none_or(|(_, c)| cand.seq < c.seq)
+            {
+                best = Some((b, cand));
             }
         }
-        best.map(|(_, b, pos)| (b, pos))
+        best
     }
 
-    /// Oldest bank whose activate is ready at `cycle` (FR-FCFS pass 2).
-    fn pick_activate(&self, cycle: u64) -> Option<usize> {
-        if self.act_tree.min() > cycle {
-            return None;
-        }
-        let mut best: Option<(u64, usize)> = None;
-        let bpg = self.config.banks_per_group as usize;
-        for g in 0..self.config.bank_groups as usize {
-            if self.act_tree.subtree_min(g * bpg, bpg) > cycle {
-                continue;
-            }
-            let floor = self.act_floor(g as u32);
-            if floor > cycle {
-                continue;
-            }
-            for b in g * bpg..(g + 1) * bpg {
-                if self.banks[b].open_row.is_some() {
-                    continue;
-                }
-                let seq = match self.bank_queues[b].front() {
-                    Some(front) => front.seq,
-                    None => continue,
-                };
-                if self.banks[b].next_activate <= cycle && best.is_none_or(|(s, _)| seq < s) {
-                    best = Some((seq, b));
-                }
-            }
-        }
-        best.map(|(_, b)| b)
-    }
-
-    /// Oldest bank candidate whose precharge is ready at `cycle`
-    /// (FR-FCFS pass 3). Returns the bank and queue position.
-    fn pick_precharge(&self, cycle: u64) -> Option<(usize, u32)> {
-        if self.pre_tree.min() > cycle {
-            return None;
-        }
-        let mut best: Option<(u64, usize, u32)> = None;
-        for b in 0..self.banks.len() {
-            if let Some((seq, pos)) = self.cand[b].pre {
-                let at = self.banks[b].next_precharge;
-                if at <= cycle && best.is_none_or(|(s, _, _)| seq < s) {
-                    best = Some((seq, b, pos));
-                }
-            }
-        }
-        best.map(|(_, b, pos)| (b, pos))
-    }
-
-    /// Earliest cycle at which any queued request becomes actionable: the
-    /// per-class tree minima per bank group combined with that group's
-    /// channel-global floor. O(groups) — no per-request scan: the
-    /// bank-group-major layout makes each group one subtree, whose minimum
-    /// is a single node lookup.
+    /// Earliest cycle at which any queued request becomes actionable: per
+    /// class, the minimum over the banks in its mask of the bank-local
+    /// ready cycle raised to the bank group's floor.
     fn compute_next_actionable(&self) -> u64 {
-        let mut next = self.pre_tree.min();
-        let bpg = self.config.banks_per_group as usize;
-        for g in 0..self.config.bank_groups as usize {
-            let col = self.col_tree.subtree_min(g * bpg, bpg);
-            if col != u64::MAX {
-                next = next.min(col.max(self.col_floor(g as u32)));
-            }
-            let act = self.act_tree.subtree_min(g * bpg, bpg);
-            if act != u64::MAX {
-                next = next.min(act.max(self.act_floor(g as u32)));
+        let mut next = u64::MAX;
+        for class in Class::ALL {
+            let floor = self.floor(class);
+            let mut mask = self.masks[class as usize];
+            while mask != 0 {
+                let b = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let at = self.banks[b].ready(class).max(floor.of(self.group_of(b)));
+                next = next.min(at);
             }
         }
         next
     }
 
-    /// Drains completions accumulated since the last call.
-    pub fn drain_completed(&mut self) -> Vec<MemCompletion> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Appends and clears accumulated completions without allocating.
+    /// Appends and clears the completions accumulated since the last call.
     pub fn drain_completed_into(&mut self, out: &mut Vec<MemCompletion>) {
         out.append(&mut self.completed);
     }
 
+    /// Cycle at which the oldest in-flight read returns its data
+    /// (`u64::MAX` when none is in flight).
+    fn inflight_next(&self) -> u64 {
+        self.in_flight_reads
+            .front()
+            .map_or(u64::MAX, |r| r.completed_at)
+    }
+
     /// Advances the channel by one cycle, reporting what the tick did.
     ///
-    /// When the cached [`Channel::next_event_cycle`] lies in the future the
-    /// tick takes an O(1) fast path: the scheduler provably cannot act, so
-    /// only the per-cycle queue-occupancy accounting runs — making ticks in
-    /// which *other* channels are busy nearly free for this one.
+    /// Before the cached queue-side prediction comes due no pass can
+    /// issue, so the scheduler runs only from that cycle on; a tick in
+    /// which nothing is due only adds to the queue-occupancy sum.
     pub fn tick(&mut self, cycle: u64) -> ChannelTickResult {
-        // Fast path: no read data due and no queued request actionable.
-        if self.inflight_next > cycle && self.queue_next.is_some_and(|qn| qn > cycle) {
-            self.stats.queue_occupancy_sum += self.queue_len as u64;
-            return ChannelTickResult::default();
-        }
         let mut result = ChannelTickResult::default();
-        // Retire reads whose data has returned. Retirement changes no bank
-        // or bus state, so the queue-side prediction survives it.
-        if self.inflight_next <= cycle {
-            let mut i = 0;
-            while i < self.in_flight_reads.len() {
-                if self.in_flight_reads[i].0 <= cycle {
-                    let (_, completion) = self.in_flight_reads.swap_remove(i);
-                    self.stats.read_latency_sum += completion.latency();
-                    self.completed.push(completion);
-                    result.completions = true;
-                } else {
-                    i += 1;
-                }
+        // Retire reads whose data has returned, oldest first. Retirement
+        // changes no bank or bus state, so the queue-side prediction
+        // survives it.
+        while let Some(&read) = self.in_flight_reads.front() {
+            if read.completed_at > cycle {
+                break;
             }
-            self.inflight_next = self
-                .in_flight_reads
-                .iter()
-                .map(|r| r.0)
-                .min()
-                .unwrap_or(u64::MAX);
+            self.in_flight_reads.pop_front();
+            self.stats.read_latency_sum += read.latency();
+            self.completed.push(read);
+            result.completions = true;
         }
-
         self.stats.queue_occupancy_sum += self.queue_len as u64;
-        if self.queue_len == 0 {
-            // Re-arm the fast path once the last queued request has issued.
-            self.queue_next = Some(u64::MAX);
-        } else if self.queue_next.is_none_or(|qn| qn <= cycle) {
+        if self.queue_next <= cycle {
             // FR-FCFS over the cached per-bank candidates (pass 1: oldest
             // ready column; pass 2: oldest ready activate; pass 3: oldest
-            // ready precharge); when nothing issues, the per-class trees
-            // yield the earliest cycle at which any queued request could act
-            // — which becomes the queue-side prediction.
-            if let Some((b, pos)) = self.pick_column(cycle) {
-                result.completions |= self.issue_column(b, pos, cycle);
-                result.issued = true;
-                self.queue_next = None;
-            } else if let Some(b) = self.pick_activate(cycle) {
+            // ready precharge); then the class masks yield the earliest
+            // cycle at which any queued request could act.
+            result.issued = if let Some((b, cand)) = self.pick(Class::Column, cycle) {
+                result.completions |= self.issue_column(b, cand.pos, cycle);
+                true
+            } else if let Some((b, _)) = self.pick(Class::Activate, cycle) {
                 self.issue_activate(b, cycle);
-                result.issued = true;
-                self.queue_next = None;
-            } else if let Some((b, pos)) = self.pick_precharge(cycle) {
-                self.issue_precharge(b, pos, cycle);
-                result.issued = true;
-                self.queue_next = None;
+                true
+            } else if let Some((b, cand)) = self.pick(Class::Precharge, cycle) {
+                self.issue_precharge(b, cand.pos, cycle);
+                true
             } else {
-                self.queue_next = Some(self.compute_next_actionable());
-            }
+                false
+            };
+            self.queue_next = self.compute_next_actionable();
         }
         result
     }
@@ -537,24 +501,23 @@ impl Channel {
     /// every scheduler admission test is a monotone `cycle >= threshold`
     /// condition over frozen bank/bus state, so the minimum threshold over
     /// all queued requests and all three passes is the first cycle at which
-    /// the reference per-cycle loop would have acted. The value is cached
-    /// and invalidated by any state change.
-    pub fn next_event_cycle(&mut self, now: u64) -> Option<u64> {
-        let queue_next = match self.queue_next {
-            Some(at) => at,
-            None => {
-                // The per-bank trees make the recompute O(groups).
-                let at = self.compute_next_actionable();
-                self.queue_next = Some(at);
-                at
-            }
-        };
-        let earliest = queue_next.min(self.inflight_next);
-        if earliest == u64::MAX {
-            None
-        } else {
-            Some(earliest.max(now))
-        }
+    /// the reference per-cycle loop would have acted.
+    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
+        self.earliest_event(self.queue_next, now)
+    }
+
+    /// The next event for a queue-side prediction `queue_next`: the earlier
+    /// of it and the oldest read's return, no earlier than `now`.
+    fn earliest_event(&self, queue_next: u64, now: u64) -> Option<u64> {
+        let at = queue_next.min(self.inflight_next());
+        (at != u64::MAX).then(|| at.max(now))
+    }
+
+    /// [`Channel::next_event_cycle`] predicted afresh from the class masks
+    /// instead of the cached queue-side prediction; used only by debug
+    /// assertions guarding the caches.
+    pub(crate) fn debug_fresh_next_event(&self, now: u64) -> Option<u64> {
+        self.earliest_event(self.compute_next_actionable(), now)
     }
 
     /// Accounts `skipped` provably-idle cycles in bulk: exactly the state the
@@ -586,24 +549,23 @@ impl Channel {
         self.last_column = Some((cycle, q.coord.bank_group));
         self.stats.data_bus_busy_cycles += cfg.t_bl;
 
-        let completed = match q.req.kind {
+        let completion = MemCompletion {
+            id: q.req.id,
+            addr: q.req.addr,
+            kind: q.req.kind,
+            enqueued_at: q.enqueued_at,
+            completed_at: cycle,
+            row_result,
+        };
+        let posted = match q.req.kind {
             MemOpKind::Read => {
-                let data_ready = cycle + cfg.t_cl + cfg.t_bl;
                 bank.next_precharge = bank.next_precharge.max(cycle + cfg.t_rtp);
                 bank.next_column = bank.next_column.max(cycle + cfg.t_ccd_l);
                 self.stats.reads += 1;
-                self.inflight_next = self.inflight_next.min(data_ready);
-                self.in_flight_reads.push((
-                    data_ready,
-                    MemCompletion {
-                        id: q.req.id,
-                        addr: q.req.addr,
-                        kind: MemOpKind::Read,
-                        enqueued_at: q.enqueued_at,
-                        completed_at: data_ready,
-                        row_result,
-                    },
-                ));
+                self.in_flight_reads.push_back(MemCompletion {
+                    completed_at: cycle + cfg.t_cl + cfg.t_bl,
+                    ..completion
+                });
                 false
             }
             MemOpKind::Write => {
@@ -611,19 +573,12 @@ impl Channel {
                 bank.next_precharge = bank.next_precharge.max(burst_end + cfg.t_wr);
                 bank.next_column = bank.next_column.max(burst_end + cfg.t_wtr);
                 self.stats.writes += 1;
-                self.completed.push(MemCompletion {
-                    id: q.req.id,
-                    addr: q.req.addr,
-                    kind: MemOpKind::Write,
-                    enqueued_at: q.enqueued_at,
-                    completed_at: cycle,
-                    row_result,
-                });
+                self.completed.push(completion);
                 true
             }
         };
         self.refresh_bank(b);
-        completed
+        posted
     }
 
     fn issue_activate(&mut self, b: usize, cycle: u64) {
@@ -631,7 +586,7 @@ impl Channel {
         let (row, bank_group) = {
             let q = self.bank_queues[b]
                 .front_mut()
-                // audit:allow(unwrap, pick_activate only selects banks whose act-tree leaf is finite, which requires a nonempty queue)
+                // audit:allow(unwrap, an activate pick only returns a bank whose act-mask bit is set, which requires a nonempty queue)
                 .expect("activate candidate from bank cache");
             if q.row_result.is_none() {
                 q.row_result = Some(RowBufferResult::Miss);
@@ -678,7 +633,7 @@ mod tests {
         let mut cycle = 0;
         while done.len() < expected && cycle < limit {
             ch.tick(cycle);
-            done.extend(ch.drain_completed());
+            ch.drain_completed_into(&mut done);
             cycle += 1;
         }
         done
@@ -801,7 +756,9 @@ mod tests {
         let mut cycle = 0u64;
         while done < 12 {
             let result = ch.tick(cycle);
-            done += ch.drain_completed().len();
+            let mut drained = Vec::new();
+            ch.drain_completed_into(&mut drained);
+            done += drained.len();
             if let Some(next) = ch.next_event_cycle(cycle + 1) {
                 assert!(
                     next > cycle,
@@ -844,7 +801,9 @@ mod tests {
                 issued += 1;
             }
             ch.tick(cycle);
-            completed += ch.drain_completed().len();
+            let mut drained = Vec::new();
+            ch.drain_completed_into(&mut drained);
+            completed += drained.len();
             cycle += 1;
             assert!(cycle < 100_000, "stalled");
         }
@@ -887,7 +846,7 @@ mod tests {
         let mut free_at = None;
         for cycle in 0..10_000 {
             reference.tick(cycle);
-            reference.drain_completed();
+            reference.drain_completed_into(&mut Vec::new());
             if reference.can_accept() {
                 free_at = Some(cycle);
                 break;
@@ -917,7 +876,7 @@ mod tests {
                 );
             }
             ch.tick(next);
-            ch.drain_completed();
+            ch.drain_completed_into(&mut Vec::new());
             cycle = next + 1;
             if ch.can_accept() {
                 assert!(

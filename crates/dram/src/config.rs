@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+/// The most banks per channel the address map may reach: the channel
+/// scheduler keeps one bit per bank in a `u64` mask per command class.
+pub const MAX_ADDRESSED_BANKS: u64 = 64;
+
 /// A structural inconsistency in a [`DramConfig`].
 ///
 /// Every reject names the offending field(s) so profile files
@@ -38,6 +42,12 @@ pub enum DramConfigError {
         /// Configured burst size in bytes.
         burst_bytes: u64,
     },
+    /// The address map reaches more than [`MAX_ADDRESSED_BANKS`] banks per
+    /// channel (`bank_groups * banks_per_group`, the value carried).
+    TooManyBanks {
+        /// `bank_groups * banks_per_group`.
+        banks: u64,
+    },
     /// A timing cross-constraint is violated (e.g. `t_faw < 4 * t_rrd_s`
     /// would make the four-activate window weaker than plain
     /// activate-to-activate spacing — no real part is specified that way).
@@ -61,6 +71,11 @@ impl fmt::Display for DramConfigError {
                 f,
                 "row_bytes ({row_bytes}) must be at least burst_bytes ({burst_bytes})"
             ),
+            DramConfigError::TooManyBanks { banks } => write!(
+                f,
+                "bank_groups * banks_per_group ({banks}) exceeds the {MAX_ADDRESSED_BANKS} banks \
+a channel supports"
+            ),
             DramConfigError::TimingInconsistent { reason } => {
                 write!(f, "inconsistent timing: {reason}")
             }
@@ -75,7 +90,9 @@ impl std::error::Error for DramConfigError {}
 pub struct DramConfig {
     /// Number of independent channels.
     pub channels: u32,
-    /// Ranks per channel (the model folds rank effects into bank timing).
+    /// Ranks per channel. The address map has no rank bits, so ranks only
+    /// scale the bank count of background power (the model folds rank
+    /// effects into bank timing).
     pub ranks: u32,
     /// Bank groups per rank.
     pub bank_groups: u32,
@@ -160,9 +177,9 @@ impl DramConfig {
         }
     }
 
-    /// Total number of banks per channel.
-    pub fn banks_per_channel(&self) -> u32 {
-        self.ranks * self.bank_groups * self.banks_per_group
+    /// Total number of banks per channel, ranks included.
+    pub fn banks_per_channel(&self) -> u64 {
+        u64::from(self.ranks) * u64::from(self.bank_groups) * u64::from(self.banks_per_group)
     }
 
     /// Number of 64-byte bursts per row.
@@ -189,7 +206,8 @@ impl DramConfig {
     }
 
     /// Validates internal consistency: non-zero geometry, power-of-two
-    /// interleaving fields, and timing cross-constraints (a four-activate
+    /// interleaving fields, at most [`MAX_ADDRESSED_BANKS`] addressed banks
+    /// per channel, and timing cross-constraints (a four-activate
     /// window weaker than plain activate spacing, a row cycle shorter than
     /// open-plus-precharge, or long column/activate delays below their
     /// short variants are all nonsense no real part is specified with).
@@ -233,6 +251,10 @@ impl DramConfig {
             if value == 0 {
                 return Err(DramConfigError::ZeroField { field });
             }
+        }
+        let banks = u64::from(self.bank_groups) * u64::from(self.banks_per_group);
+        if banks > MAX_ADDRESSED_BANKS {
+            return Err(DramConfigError::TooManyBanks { banks });
         }
         if self.row_bytes < self.burst_bytes {
             return Err(DramConfigError::RowSmallerThanBurst {
@@ -340,6 +362,15 @@ mod tests {
                 burst_bytes: 64
             })
         );
+        assert_eq!(
+            DramConfig {
+                bank_groups: 8,
+                banks_per_group: 16,
+                ..DramConfig::default()
+            }
+            .validate(),
+            Err(DramConfigError::TooManyBanks { banks: 128 })
+        );
     }
 
     #[test]
@@ -429,6 +460,24 @@ mod tests {
         .validate()
         .unwrap_err();
         assert_eq!(err.to_string(), "t_bl must be non-zero");
+        assert_eq!(
+            DramConfigError::TooManyBanks { banks: 128 }.to_string(),
+            "bank_groups * banks_per_group (128) exceeds the 64 banks a channel supports"
+        );
+    }
+
+    #[test]
+    fn ranks_scale_no_addressed_bank() {
+        // The address map has no rank bits: any rank count validates, and
+        // the background-power bank count cannot overflow.
+        let cfg = DramConfig {
+            ranks: u32::MAX,
+            bank_groups: 8,
+            banks_per_group: 8,
+            ..DramConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.banks_per_channel(), u64::from(u32::MAX) * 64);
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! * per-bank row-buffer state with full ACT/PRE/RD/WR timing
 //!   (tCL/tRCD/tRP/tRAS/tCCD/tRRD/tFAW/tWR/tWTR/tRTP);
 //! * FR-FCFS scheduling with bounded per-channel queues, so memory-level
-//!   parallelism — the resource Palermo unlocks — is faithfully rewarded;
+//!   parallelism — the resource Palermo unlocks — is faithfully rewarded.
+//!   Each channel queues requests per bank and keeps one `u64` bank mask
+//!   per command class (column, activate, precharge), so a scheduling pass
+//!   visits only the banks with a candidate; reads in flight return in
+//!   issue order from a FIFO (see [`channel`]);
 //! * channel/bank-group/bank address interleaving over a power-of-two
-//!   geometry ([`config::DramConfig::validate`] rejects any other), so an
-//!   address maps with shifts and masks;
+//!   geometry of at most 64 banks per channel
+//!   ([`config::DramConfig::validate`] rejects any other), so an address
+//!   maps with shifts and masks;
 //! * an exact next-event cycle per channel, so a caller can skip cycles in
 //!   which no channel can act and account them in bulk;
 //! * the statistics the evaluation plots: bandwidth utilisation, row-hit and
@@ -26,7 +31,6 @@
 pub mod address;
 pub mod channel;
 pub mod config;
-pub mod mintree;
 pub mod profile;
 pub mod request;
 pub mod stats;

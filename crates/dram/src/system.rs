@@ -83,10 +83,15 @@ impl DramSystem {
             return false;
         }
         // The new request can only pull this channel's next event earlier
-        // (O(1): the channel min-updates its own cache on enqueue).
+        // (O(1): the channel min-updates its own prediction on enqueue).
         self.next_event[ch] = self.channels[ch]
             .next_event_cycle(self.cycle)
             .unwrap_or(u64::MAX);
+        debug_assert_eq!(
+            Some(self.next_event[ch]).filter(|&at| at != u64::MAX),
+            self.channels[ch].debug_fresh_next_event(self.cycle),
+            "channel {ch}: cached next event diverged from a fresh prediction after an enqueue"
+        );
         true
     }
 
@@ -101,10 +106,11 @@ impl DramSystem {
     /// channel, i.e. strictly before [`DramSystem::next_event_cycle`] unless
     /// equal to the current cycle) and executes the tick of that cycle, in a
     /// single pass over the channels. Channels whose next event lies
-    /// beyond `event_cycle` are *not due*: their per-cycle tick would take
-    /// its O(1) fast path for every cycle through the event, so the whole
-    /// stretch folds into one bulk [`Channel::skip_cycles`] without entering
-    /// the channel's tick at all. Ends with the clock at `event_cycle + 1`.
+    /// beyond `event_cycle` are *not due*: their per-cycle tick would only
+    /// add to the queue-occupancy sum for every cycle through the event, so
+    /// the whole stretch folds into one bulk [`Channel::skip_cycles`]
+    /// without entering the channel's tick at all. Ends with the clock at
+    /// `event_cycle + 1`.
     pub fn skip_to_and_tick(&mut self, event_cycle: u64) -> ChannelTickResult {
         debug_assert!(event_cycle >= self.cycle);
         let gap = event_cycle - self.cycle;
@@ -112,8 +118,7 @@ impl DramSystem {
         for (channel, next) in self.channels.iter_mut().zip(&mut self.next_event) {
             // The cached prediction is exact (refreshed on enqueue and
             // whenever a tick can move it), so one beyond the event cycle
-            // proves the fast path for the whole stretch including the tick
-            // itself.
+            // proves the whole stretch quiet, the tick itself included.
             if *next > event_cycle {
                 channel.skip_cycles(gap + 1);
                 continue;
@@ -126,6 +131,12 @@ impl DramSystem {
             *next = channel
                 .next_event_cycle(event_cycle + 1)
                 .unwrap_or(u64::MAX);
+            // Checked where written; a channel not due keeps its prediction.
+            debug_assert_eq!(
+                Some(*next).filter(|&at| at != u64::MAX),
+                channel.debug_fresh_next_event(event_cycle + 1),
+                "cached next event diverged from a fresh prediction after a tick"
+            );
         }
         self.cycle = event_cycle + 1;
         result
@@ -175,6 +186,11 @@ impl DramSystem {
     /// Requests currently sitting in controller queues.
     pub fn queued(&self) -> usize {
         self.channels.iter().map(|c| c.queue_len()).sum()
+    }
+
+    /// Requests currently sitting in each channel's queue, by channel.
+    pub fn queue_depths(&self) -> Vec<usize> {
+        self.channels.iter().map(|c| c.queue_len()).collect()
     }
 
     /// Aggregated statistics snapshot.

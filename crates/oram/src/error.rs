@@ -37,6 +37,26 @@ pub enum OramError {
         /// Consecutive LLC-hit accesses scanned before giving up.
         accesses_scanned: u64,
     },
+    /// A run reached a state it can never leave, with requests unfinished.
+    /// A correct model never gets here; the report names what was stuck.
+    Deadlock {
+        /// Memory-clock cycle at which the state was detected.
+        cycle: u64,
+        /// The requests still in flight in the controller.
+        requests: Vec<StuckRequest>,
+        /// Requests queued in each DRAM channel, by channel.
+        queue_depths: Vec<usize>,
+    },
+}
+
+/// A request still in flight when an [`OramError::Deadlock`] is detected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StuckRequest {
+    /// The request's id.
+    pub request_id: u64,
+    /// Each plan node that has not completed, as `(node index, reads
+    /// outstanding at DRAM)`.
+    pub unfinished_nodes: Vec<(usize, usize)>,
 }
 
 impl fmt::Display for OramError {
@@ -61,6 +81,18 @@ impl fmt::Display for OramError {
                 "workload stalled: {accesses_scanned} consecutive LLC hits without a miss \
 (the working set fits entirely in the LLC)"
             ),
+            OramError::Deadlock {
+                cycle,
+                requests,
+                queue_depths,
+            } => {
+                write!(f, "deadlock at cycle {cycle}: nothing can act again;")?;
+                for r in requests {
+                    let (id, nodes) = (r.request_id, &r.unfinished_nodes);
+                    write!(f, " request {id} waits on (node, reads) {nodes:?};")?;
+                }
+                write!(f, " DRAM queue depths {queue_depths:?}")
+            }
         }
     }
 }
@@ -99,6 +131,20 @@ mod tests {
         };
         assert!(e.to_string().contains("stalled"));
         assert!(e.to_string().contains("1000001"));
+
+        let e = OramError::Deadlock {
+            cycle: 4242,
+            requests: vec![StuckRequest {
+                request_id: 7,
+                unfinished_nodes: vec![(3, 0), (5, 2)],
+            }],
+            queue_depths: vec![0, 0],
+        };
+        assert_eq!(
+            e.to_string(),
+            "deadlock at cycle 4242: nothing can act again; request 7 waits on (node, reads) \
+[(3, 0), (5, 2)]; DRAM queue depths [0, 0]"
+        );
     }
 
     #[test]

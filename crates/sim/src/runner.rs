@@ -23,6 +23,9 @@
 //! [`CalendarStepper`] equivalent to it over the full scheme × workload
 //! grid.
 //!
+//! A run that can never finish returns [`OramError::Deadlock`], naming
+//! what was stuck, instead of stepping for ever.
+//!
 //! Anything bigger than one run — grids, sweeps, parallel execution —
 //! belongs to the typed [`crate::experiment`] surface built on top of
 //! this module.
@@ -857,9 +860,11 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 /// # Errors
 ///
 /// Propagates protocol-configuration errors, rejects a controller with no
-/// PE column, rejects an open-loop run whose admission queue has capacity 0
-/// or whose arrivals all lie beyond the 64-bit cycle clock, and rejects
-/// non-Table II streams whose footprint overruns the protected space.
+/// PE column or an issue width of 0, rejects an open-loop run whose
+/// admission queue has capacity 0 or whose arrivals all lie beyond the
+/// 64-bit cycle clock, rejects non-Table II streams whose footprint
+/// overruns the protected space, and returns [`OramError::Deadlock`] for a
+/// run that can never finish.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_core(
     scheme: Scheme,
@@ -879,6 +884,11 @@ pub(crate) fn run_core(
     if protocol.controller.pe_columns == 0 {
         return Err(OramError::InvalidParams {
             reason: format!("pe_columns must be at least 1 for {scheme}'s controller"),
+        });
+    }
+    if protocol.controller.issue_width == 0 {
+        return Err(OramError::InvalidParams {
+            reason: format!("issue_width must be at least 1 for {scheme}'s controller"),
         });
     }
     if open.is_some() && config.serving_queue_capacity == 0 {
@@ -1051,7 +1061,7 @@ or raise protected_bytes)",
         }
 
         let ctrl_activity = controller.tick(&mut dram);
-        dram.tick();
+        let dram_activity = dram.tick();
 
         for finished in controller.drain_finished() {
             // A completion for an id the runner never submitted means the
@@ -1165,6 +1175,22 @@ or raise protected_bytes)",
                     "open-loop spec '{label_spec}' schedules no arrival within the 64-bit \
 cycle clock, so its remaining requests could never be submitted"
                 ),
+            });
+        }
+        // An inert iteration retires nothing, so requests remain. If it also
+        // leaves DRAM idle with nothing to stage, no countdown and no arrival
+        // to stage (a staged plan waits for a retirement), it repeats for ever.
+        if quiescent
+            && !ctrl_activity.any()
+            && !dram_activity.any()
+            && dram.next_event_cycle().is_none()
+            && (pending_plan.is_some() || external_next.is_none_or(|at| at == u64::MAX))
+            && controller.next_wakeup(dram.cycle()).is_none()
+        {
+            return Err(OramError::Deadlock {
+                cycle: dram.cycle(),
+                requests: controller.unfinished_requests(),
+                queue_depths: dram.queue_depths(),
             });
         }
         stepper.advance_idle(&mut controller, &mut dram, quiescent, external_next);
@@ -1294,6 +1320,22 @@ mod tests {
         assert!(
             matches!(err, OramError::WorkloadStalled { accesses_scanned } if accesses_scanned > 1_000_000),
             "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn zero_issue_width_is_a_typed_error() {
+        // Such a controller could issue nothing; its ticks never settle, so
+        // the run would step for ever.
+        let cfg = tiny();
+        let mut protocol = CustomProtocol::of_scheme(Scheme::Palermo, &cfg, 1).unwrap();
+        protocol.controller.issue_width = 0;
+        let spec = Workload::Random.into();
+        let err = run_protocol(Scheme::Palermo, protocol, &spec, &cfg, &CalendarStepper)
+            .expect_err("a zero-width controller must not run");
+        assert!(
+            matches!(&err, OramError::InvalidParams { reason } if reason.contains("issue_width")),
+            "{err}"
         );
     }
 

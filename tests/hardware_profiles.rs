@@ -8,7 +8,7 @@
 //! vs. per-cycle reference), and the DDR4-3200 profile reproduces the
 //! hardcoded default configuration exactly.
 
-use palermo::dram::{DramConfig, HardwareProfile};
+use palermo::dram::{DramConfig, DramConfigError, HardwareProfile, ProfileError};
 use palermo::oram::error::OramError;
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
@@ -191,4 +191,44 @@ fn zero_pe_columns_are_a_typed_runner_error() {
     let err = fig14::run_pe_sweep(&SystemConfig::small_for_tests(), &[0], &SerialExecutor)
         .expect_err("a 0-column point must not run as 1 column");
     assert!(err.to_string().contains("pe_columns"), "{err}");
+}
+
+/// The address map has no rank bits, so a rank count that is not a power of
+/// two is legal: a `ranks = 3` profile parses, builds its DRAM system and
+/// runs both steppers to the same bytes.
+#[test]
+fn a_three_rank_profile_builds_and_runs() {
+    let text = HardwareProfile::ddr4_3200()
+        .to_file_string()
+        .replace("ranks = 1", "ranks = 3");
+    let profile = HardwareProfile::parse(&text).expect("ranks = 3 is a valid profile");
+    assert_eq!(profile.dram.ranks, 3);
+    let cfg = SystemConfig::small_for_tests().with_hardware(&profile);
+    let random = Workload::Random.into();
+    for scheme in SCHEMES {
+        let reference = run_workload_spec_stepped(scheme, &random, &cfg, &ReferenceStepper)
+            .unwrap_or_else(|e| panic!("{scheme} reference: {e}"));
+        let calendar = run_workload_spec_stepped(scheme, &random, &cfg, &CalendarStepper)
+            .unwrap_or_else(|e| panic!("{scheme} calendar: {e}"));
+        assert_eq!(reference, calendar, "{scheme}: steppers diverged");
+        assert_eq!(reference.oram_requests, cfg.measured_requests);
+    }
+}
+
+/// The channel scheduler tracks at most 64 banks per channel, one bit each
+/// in a mask per command class; a profile whose address map reaches more is
+/// a typed parse error, not a panic when the DRAM system is built.
+#[test]
+fn a_profile_with_more_than_64_banks_per_channel_is_a_typed_error() {
+    let text = HardwareProfile::ddr4_3200()
+        .to_file_string()
+        .replace("bank_groups = 4", "bank_groups = 32");
+    let err = HardwareProfile::parse(&text).expect_err("128 banks per channel must not parse");
+    assert!(
+        matches!(
+            err,
+            ProfileError::Config(DramConfigError::TooManyBanks { banks: 128 })
+        ),
+        "{err}"
+    );
 }
