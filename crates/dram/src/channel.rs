@@ -531,9 +531,12 @@ impl Channel {
     /// Issues a column command; returns `true` if it produced an immediate
     /// completion (writes are posted).
     fn issue_column(&mut self, b: usize, pos: u32, cycle: u64) -> bool {
+        #[allow(
+            clippy::expect_used,
+            reason = "a column pick only returns a position the bank cache took from that bank's queue"
+        )]
         let q = self.bank_queues[b]
             .remove(pos as usize)
-            // audit:allow(unwrap, a column pick only returns a position the bank cache took from that bank's queue)
             .expect("candidate position from bank cache");
         self.queue_len -= 1;
         let cfg = self.config;
@@ -584,9 +587,12 @@ impl Channel {
     fn issue_activate(&mut self, b: usize, cycle: u64) {
         let cfg = self.config;
         let (row, bank_group) = {
+            #[allow(
+                clippy::expect_used,
+                reason = "an activate pick only returns a bank whose act-mask bit is set, which requires a nonempty queue"
+            )]
             let q = self.bank_queues[b]
                 .front_mut()
-                // audit:allow(unwrap, an activate pick only returns a bank whose act-mask bit is set, which requires a nonempty queue)
                 .expect("activate candidate from bank cache");
             if q.row_result.is_none() {
                 q.row_result = Some(RowBufferResult::Miss);

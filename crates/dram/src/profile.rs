@@ -26,7 +26,7 @@
 //!
 //! File I/O happens in [`HardwareProfile::load`] only — profiles are
 //! resolved before a simulation starts, never inside the loop, keeping the
-//! determinism contract ambient-state-free (the `palermo-audit` D02 lint
+//! determinism contract ambient-state-free (the D02 determinism lint
 //! covers this module).
 
 use crate::config::{DramConfig, DramConfigError};

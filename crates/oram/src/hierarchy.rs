@@ -243,18 +243,21 @@ impl HierarchicalOram {
         let mut base = 0u64;
         for sub in SubOram::ALL {
             let level_params = *params.level(sub);
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "SplitMix64-style per-sub-ORAM seed expansion"
+            )]
+            let seed = config
+                .seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(sub.index() as u64 + 1);
             let level_config = LevelConfig {
                 sub,
                 params: level_params,
                 dram_base: base,
                 treetop_levels: params.treetop_levels.min(level_params.levels),
                 stash_capacity: config.stash_capacity,
-                seed: config
-                    .seed
-                    // audit:allow(wrapping, SplitMix64-style per-sub-ORAM seed expansion)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    // audit:allow(wrapping, SplitMix64-style per-sub-ORAM seed expansion)
-                    .wrapping_add(sub.index() as u64 + 1),
+                seed,
                 // Only the data tree is widened; the PosMap trees keep
                 // 64-byte blocks (§V-C).
                 wide_factor: if sub == SubOram::Data { wide } else { 1 },

@@ -25,6 +25,7 @@ use crate::rng::OramRng;
 use crate::stash::{Stash, StashEntry};
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, LeafId, NodeId, OramOp, SlotIdx, SubOram};
+#[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
 use std::collections::HashMap;
 
 /// Extra configuration specific to the PathORAM family.
@@ -57,9 +58,10 @@ pub struct PathLevel {
     options: PathLevelOptions,
     geometry: TreeGeometry,
     layout: TreeLayout,
-    // Keyed by NodeId along explicit root-to-leaf path walks; the simulation
-    // never iterates the map itself, so hash order cannot leak into metrics.
-    // audit:allow(map-iter, keyed access along explicit path walks; never iterated in simulation)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed access along explicit path walks; never iterated in simulation"
+    )]
     buckets: HashMap<NodeId, BucketState>,
     posmap: PositionMap,
     stash: Stash,
@@ -84,6 +86,7 @@ impl PathLevel {
         PathLevel {
             geometry,
             layout,
+            #[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
             buckets: HashMap::new(),
             posmap: PositionMap::new(config.params.num_leaves),
             stash: Stash::new(config.stash_capacity),

@@ -8,6 +8,7 @@
 
 use crate::rng::OramRng;
 use crate::types::{BlockId, LeafId};
+#[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
 use std::collections::HashMap;
 
 /// The logical position map of one sub-ORAM level.
@@ -17,9 +18,10 @@ use std::collections::HashMap;
 /// initialised ORAM would behave.
 #[derive(Debug, Clone, Default)]
 pub struct PositionMap {
-    // Keyed access only on the per-access hot path (`lookup_or_assign` /
-    // `remap`); the sole traversal is `iter()`, justified at its definition.
-    // audit:allow(map-iter, keyed O(1) lookups on the hot path; no simulation-state iteration)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed O(1) lookups on the hot path; no simulation-state iteration"
+    )]
     map: HashMap<BlockId, LeafId>,
     num_leaves: u64,
 }
@@ -33,6 +35,7 @@ impl PositionMap {
     pub fn new(num_leaves: u64) -> Self {
         assert!(num_leaves > 0, "num_leaves must be non-zero");
         PositionMap {
+            #[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
             map: HashMap::new(),
             num_leaves,
         }
@@ -90,8 +93,11 @@ impl PositionMap {
     /// order-insensitive (entry counting, invariant validation). Simulation
     /// state must never fold over this iterator — that would reintroduce the
     /// nondeterminism the `Stash` fix removed.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "order-insensitive consumers only: counting and validation"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &LeafId)> {
-        // audit:allow(map-iter, order-insensitive consumers only: counting and validation)
         self.map.iter()
     }
 }

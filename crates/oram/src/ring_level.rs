@@ -20,6 +20,7 @@ use crate::rng::OramRng;
 use crate::stash::{Stash, StashEntry};
 use crate::tree::TreeGeometry;
 use crate::types::{BlockId, NodeId, OramOp, SlotIdx, SubOram};
+#[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
 use std::collections::HashMap;
 
 /// Functional RingORAM / Palermo engine for one tree.
@@ -28,9 +29,10 @@ pub struct RingLevel {
     config: LevelConfig,
     geometry: TreeGeometry,
     layout: TreeLayout,
-    // Keyed by NodeId along explicit path/bucket walks; simulation code
-    // never iterates the map (the boundedness test that does is order-free).
-    // audit:allow(map-iter, keyed access along explicit path walks; never iterated in simulation)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed access along explicit path walks; never iterated in simulation"
+    )]
     buckets: HashMap<NodeId, BucketState>,
     posmap: PositionMap,
     stash: Stash,
@@ -59,6 +61,7 @@ impl RingLevel {
         RingLevel {
             geometry,
             layout,
+            #[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
             buckets: HashMap::new(),
             posmap: PositionMap::new(config.params.num_leaves),
             stash: Stash::new(config.stash_capacity),

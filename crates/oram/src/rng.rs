@@ -10,8 +10,6 @@
 
 use crate::types::LeafId;
 
-// audit:allow-file(wrapping, PRNG state transitions are modular arithmetic by definition)
-
 /// SplitMix64: used to expand a single `u64` seed into generator state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -25,6 +23,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64-bit output.
+    #[allow(clippy::disallowed_methods, reason = "PRNG steps wrap by definition")]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -57,6 +56,7 @@ impl Xoshiro256 {
     }
 
     /// Returns the next 64-bit output.
+    #[allow(clippy::disallowed_methods, reason = "PRNG steps wrap by definition")]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;

@@ -30,7 +30,7 @@ pub struct StashEntry {
 /// is in ascending [`BlockId`] order, independent of insertion history. The
 /// eviction scans iterate the stash each cycle; with a hash map their order
 /// would depend on `RandomState`'s per-process seed — exactly the hazard
-/// class `palermo-audit` lint D01 exists to keep out of the simulator.
+/// class the D01 determinism lint exists to keep out of the simulator.
 #[derive(Debug, Clone, Default)]
 pub struct Stash {
     entries: BTreeMap<BlockId, StashEntry>,

@@ -103,8 +103,11 @@ impl ThreadPoolExecutor {
     /// The worker count is the one ambient input the executor takes; it can
     /// only change *scheduling*, never results — `tests/experiment_api.rs`
     /// pins byte-identical `RunMetrics` against [`SerialExecutor`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "thread count affects scheduling only; serial-vs-pool byte-identity is pinned by tests"
+    )]
     pub fn with_available_parallelism() -> Self {
-        // audit:allow(ambient-state, thread count affects scheduling only; serial-vs-pool byte-identity is pinned by tests)
         Self::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 

@@ -865,7 +865,7 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 /// 64-bit cycle clock, rejects non-Table II streams whose footprint
 /// overruns the protected space, and returns [`OramError::Deadlock`] for a
 /// run that can never finish.
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, reason = "the stepping order is one loop")]
 pub(crate) fn run_core(
     scheme: Scheme,
     protocol: CustomProtocol,

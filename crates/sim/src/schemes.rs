@@ -199,10 +199,6 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_round_trip() {
-        // Membership-only set: hash order never observed, so D01 cannot bite
-        // even though test code is exempt — stated here because the audit
-        // contract is worth making grep-able wherever a HashSet appears.
-        // audit:allow(map-iter, membership-only HashSet; order never observed)
         let mut names = std::collections::HashSet::new();
         for s in Scheme::ALL {
             assert!(names.insert(s.name()));

@@ -362,8 +362,11 @@ impl PooledShardStepper {
     /// The worker count is the one ambient input the pool takes; it can
     /// only change *scheduling*, never results — `tests/shard_scaling.rs`
     /// pins byte-identical `RunMetrics` against [`SerialShardStepper`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "thread count affects scheduling only; serial-vs-pool byte-identity is pinned by tests"
+    )]
     pub fn with_available_parallelism() -> Self {
-        // audit:allow(ambient-state, thread count affects scheduling only; serial-vs-pool byte-identity is pinned by tests)
         Self::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 

@@ -339,6 +339,10 @@ impl AccessStream for MixStream {
     }
 
     fn next_tagged(&mut self) -> TaggedEntry {
+        #[allow(
+            clippy::expect_used,
+            reason = "PhasedMixSpec::validate rejects windows that leave any access index without an active tenant, so a full lap always picks one"
+        )]
         let idx = match &mut self.schedule {
             Schedule::Wrr { order, cursor } => {
                 let idx = order[*cursor];
@@ -352,9 +356,6 @@ impl AccessStream for MixStream {
                 windows,
                 clock,
             } => {
-                // Validation guarantees at least one tenant is active at
-                // every access index and every tenant appears in the order,
-                // so a full lap always finds a server.
                 let mut picked = None;
                 for _ in 0..order.len() {
                     let cand = order[*cursor];
@@ -365,7 +366,6 @@ impl AccessStream for MixStream {
                     }
                 }
                 *clock += 1;
-                // audit:allow(unwrap, PhasedMixSpec::validate rejects windows that leave any access index without an active tenant, so a full lap always picks one)
                 picked.expect("validated phase windows cover every access index")
             }
         };

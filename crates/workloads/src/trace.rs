@@ -162,10 +162,9 @@ pub struct TraceProfile {
 
 /// Profiles the next `n` accesses of a stream.
 pub fn profile(stream: &mut dyn AccessStream, n: u64) -> TraceProfile {
-    use std::collections::HashSet;
     let mut writes = 0u64;
     let mut sequential = 0u64;
-    let mut lines = HashSet::new();
+    let mut lines = std::collections::BTreeSet::new();
     let mut prev_line: Option<u64> = None;
     for _ in 0..n {
         let e = stream.next_access();

@@ -117,6 +117,7 @@ pub fn scramble(rank: u64, n: u64) -> u64 {
     let right_bits = bits - bits / 2; // low half, >= high half
     let right_mask = (1u64 << right_bits) - 1;
     let left_mask = domain_mask >> right_bits;
+    #[allow(clippy::disallowed_methods, reason = "Feistel mixing is modular")]
     let mix = |x: u64, c: u64| -> u64 {
         let mut z = x.wrapping_add(c).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z ^= z >> 29;
