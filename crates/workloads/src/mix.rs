@@ -59,6 +59,20 @@ pub struct TenantSpec {
     pub weight: u32,
 }
 
+/// Largest weight sum a round-robin mix accepts: its schedule holds one
+/// entry per unit of weight, so the cap bounds it at 512 KiB.
+pub const MAX_WEIGHT_SUM: u64 = 1 << 16;
+
+fn check_weight_sum(weights: impl Iterator<Item = u32>) -> OramResult<()> {
+    let sum: u64 = weights.map(u64::from).sum();
+    if sum > MAX_WEIGHT_SUM {
+        return Err(OramError::InvalidParams {
+            reason: format!("round-robin weights sum to {sum}, above the maximum {MAX_WEIGHT_SUM}"),
+        });
+    }
+    Ok(())
+}
+
 /// A declarative description of a multi-tenant mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixSpec {
@@ -95,10 +109,10 @@ impl MixSpec {
         self
     }
 
-    /// Validates the mix: at least one tenant, weights ≥ 1, a Zipf skew in
-    /// `[0, 1)`, and children that are themselves valid and not mixes
-    /// (nesting would break the flat partition map and the spec-name
-    /// grammar).
+    /// Validates the mix: at least one tenant, weights ≥ 1 (summing to at
+    /// most [`MAX_WEIGHT_SUM`] under round-robin), a Zipf skew in `[0, 1)`,
+    /// and children that are themselves valid and not mixes (nesting would
+    /// break the flat partition map and the spec-name grammar).
     ///
     /// # Errors
     ///
@@ -142,6 +156,9 @@ mix, never the other way around"
                 });
             }
             t.workload.validate()?;
+        }
+        if matches!(self.selection, TenantSelection::WeightedRoundRobin) {
+            check_weight_sum(self.tenants.iter().map(|t| t.weight))?;
         }
         Ok(())
     }
@@ -495,10 +512,11 @@ impl PhasedMixSpec {
         self
     }
 
-    /// Validates the phased mix: at least one tenant, weights ≥ 1,
-    /// non-empty windows, children that are valid non-mix specs, and
-    /// activity windows whose union covers every access index — a gap would
-    /// leave the stream with no tenant to serve and wedge the simulator.
+    /// Validates the phased mix: at least one tenant, weights ≥ 1 summing
+    /// to at most [`MAX_WEIGHT_SUM`], non-empty windows, children that are
+    /// valid non-mix specs, and activity windows whose union covers every
+    /// access index — a gap would leave the stream with no tenant to serve
+    /// and wedge the simulator.
     ///
     /// # Errors
     ///
@@ -539,6 +557,7 @@ spec; mixes cannot nest"
             }
             t.workload.validate()?;
         }
+        check_weight_sum(self.tenants.iter().map(|t| t.weight))?;
         // Coverage: merge the windows and require [0, MAX) without gaps.
         let mut windows: Vec<PhaseWindow> = self.tenants.iter().map(|t| t.window).collect();
         windows.sort_by_key(|w| w.start);
@@ -717,6 +736,34 @@ mod tests {
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("weight 0"), "{err}");
         assert!(MixStream::new(&spec, 16 << 20, 1).is_err());
+    }
+
+    /// The round-robin schedule holds one entry per unit of weight, so
+    /// validation caps the weight sum before a build can ask for gigabytes.
+    #[test]
+    fn weight_sum_above_the_cap_is_rejected_before_build() {
+        let spec = MixSpec::round_robin()
+            .tenant(Workload::Redis.into(), u32::MAX)
+            .tenant(Workload::Llm.into(), 1);
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("sum to 4294967296"), "{err}");
+        assert!(MixStream::new(&spec, 16 << 20, 1).is_err());
+        assert_eq!(WorkloadSpec::from_name("mix:rr:redis*4294967295+llm"), None);
+        let phased = PhasedMixSpec::new()
+            .tenant(Workload::Redis.into(), u32::MAX, PhaseWindow::ALWAYS)
+            .tenant(Workload::Llm.into(), 1, PhaseWindow::ALWAYS);
+        assert!(phased.validate().is_err());
+        assert_eq!(
+            WorkloadSpec::from_name("mix:phase:redis*4294967295+llm"),
+            None
+        );
+        // At the cap the schedule still builds; Zipf selection ignores weights.
+        let at_cap = MixSpec::round_robin().tenant(Workload::Redis.into(), 1 << 16);
+        assert!(MixStream::new(&at_cap, 16 << 20, 1).is_ok());
+        let zipf = MixSpec::zipf(0.5)
+            .tenant(Workload::Redis.into(), u32::MAX)
+            .tenant(Workload::Llm.into(), 1);
+        assert!(zipf.validate().is_ok());
     }
 
     /// WRR audit (bias): weights that do not divide each other still get an
