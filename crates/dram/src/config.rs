@@ -211,6 +211,9 @@ impl DramConfig {
     /// window weaker than plain activate spacing, a row cycle shorter than
     /// open-plus-precharge, or long column/activate delays below their
     /// short variants are all nonsense no real part is specified with).
+    /// It also rejects long delays the channel model cannot enforce:
+    /// `t_rrd_l` above `2 * t_rrd_s`, or `t_ccd_l` above
+    /// `2 * max(t_ccd_s, t_bl)`.
     ///
     /// # Errors
     ///
@@ -290,6 +293,28 @@ impl DramConfig {
             (
                 self.t_rrd_l >= self.t_rrd_s,
                 format!("t_rrd_l ({}) < t_rrd_s ({})", self.t_rrd_l, self.t_rrd_s),
+            ),
+            // The channel spaces a command from the last one of its class
+            // only, not the last one in its bank group; consecutive
+            // activates are t_rrd_s apart and consecutive column commands
+            // max(t_ccd_s, t_bl), so a long delay of up to twice that
+            // still holds between two commands of one group.
+            (
+                self.t_rrd_l <= self.t_rrd_s.saturating_mul(2),
+                format!(
+                    "t_rrd_l ({}) > 2 * t_rrd_s ({}), which the channel model cannot enforce",
+                    self.t_rrd_l,
+                    self.t_rrd_s.saturating_mul(2)
+                ),
+            ),
+            (
+                self.t_ccd_l <= self.t_ccd_s.max(self.t_bl).saturating_mul(2),
+                format!(
+                    "t_ccd_l ({}) > 2 * max(t_ccd_s, t_bl) ({}), which the channel model \
+cannot enforce",
+                    self.t_ccd_l,
+                    self.t_ccd_s.max(self.t_bl).saturating_mul(2)
+                ),
             ),
         ];
         for (ok, reason) in timing {
@@ -439,6 +464,66 @@ mod tests {
             cfg.validate(),
             Err(DramConfigError::TimingInconsistent { .. })
         ));
+    }
+
+    #[test]
+    fn validation_rejects_long_delays_the_channel_cannot_enforce() {
+        // Two bank groups of two banks: reads to groups 0, 1 and 0 would
+        // activate at cycles 0, 2 and 4, putting two group-0 activates 4
+        // cycles apart against a t_rrd_l of 5.
+        let small = DramConfig {
+            bank_groups: 2,
+            banks_per_group: 2,
+            t_rrd_s: 2,
+            t_faw: 8,
+            ..DramConfig::ddr4_3200_single_channel()
+        };
+        for (cfg, field) in [
+            (
+                DramConfig {
+                    t_rrd_l: 5,
+                    ..small
+                },
+                "t_rrd_l",
+            ),
+            (
+                DramConfig {
+                    t_ccd_l: 9, // > 2 * max(t_ccd_s = 4, t_bl = 4)
+                    ..DramConfig::default()
+                },
+                "t_ccd_l",
+            ),
+            (
+                DramConfig {
+                    t_ccd_s: 2,
+                    t_ccd_l: 9, // > 2 * max(t_ccd_s = 2, t_bl = 4)
+                    ..DramConfig::default()
+                },
+                "t_ccd_l",
+            ),
+        ] {
+            match cfg.validate() {
+                Err(DramConfigError::TimingInconsistent { reason }) => {
+                    assert!(reason.starts_with(field), "{reason}");
+                    assert!(reason.contains("channel model"), "{reason}");
+                }
+                other => panic!("{field}: expected TimingInconsistent, got {other:?}"),
+            }
+        }
+        // Exactly twice the short spacing is still enforced.
+        for cfg in [
+            DramConfig {
+                t_rrd_l: 4,
+                ..small
+            },
+            DramConfig {
+                t_ccd_s: 2,
+                t_ccd_l: 8,
+                ..DramConfig::default()
+            },
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! # File format
 //!
 //! The parser is hand-rolled and dependency-free (same constraint as the
-//! vendored criterion/proptest shims: no registry access). One `key =
-//! value` pair per line; `#` starts a comment line; blank lines are
-//! ignored. There are no inline comments, no sections, and **no
-//! defaults**: every non-optional key must appear exactly once, unknown or
+//! vendored proptest shim: no registry access). One `key = value` pair per
+//! line; `#` starts a comment line; blank lines are ignored. There are no
+//! inline comments, no sections, and **no defaults**: every non-optional
+//! key must appear exactly once, unknown or
 //! duplicate keys are typed errors, and the embedded [`DramConfig`] must
 //! pass [`DramConfig::validate`] (so e.g. `t_faw < 4 * t_rrd_s` is
 //! rejected at parse time). [`HardwareProfile::to_file_string`] renders
@@ -260,6 +260,7 @@ const OPTIONAL_KEYS: &[&str] = &[
 #[derive(Default)]
 struct PartialProfile {
     name: Option<String>,
+    u32s: Vec<(&'static str, u32)>,
     u64s: Vec<(&'static str, u64)>,
     f64s: Vec<(&'static str, f64)>,
 }
@@ -269,9 +270,15 @@ impl PartialProfile {
         match key {
             "name" => self.name.is_some(),
             _ => {
-                self.u64s.iter().any(|(k, _)| *k == key) || self.f64s.iter().any(|(k, _)| *k == key)
+                self.u32s.iter().any(|(k, _)| *k == key)
+                    || self.u64s.iter().any(|(k, _)| *k == key)
+                    || self.f64s.iter().any(|(k, _)| *k == key)
             }
         }
+    }
+
+    fn u32_field(&self, key: &str) -> Option<u32> {
+        self.u32s.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
     fn u64_field(&self, key: &str) -> Option<u64> {
@@ -282,6 +289,16 @@ impl PartialProfile {
         self.f64s.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 }
+
+/// Keys whose field is a `u32`, range-checked where the line is known.
+const U32_KEYS: &[&str] = &[
+    "channels",
+    "ranks",
+    "bank_groups",
+    "banks_per_group",
+    "pe_rows",
+    "pe_columns",
+];
 
 /// Keys holding floating-point energy coefficients.
 const F64_KEYS: &[&str] = &[
@@ -304,7 +321,8 @@ fn canonical_key(key: &str) -> Option<&'static str> {
 impl HardwareProfile {
     /// Parses the `key = value` profile format. Strict by design: unknown
     /// keys, duplicate keys, missing keys, malformed values (including a
-    /// `pe_rows` or `pe_columns` of 0) and structurally invalid
+    /// `pe_rows` or `pe_columns` of 0, and a count above `u32::MAX` for a
+    /// `u32` field) and structurally invalid
     /// configurations are all typed errors — nothing is ever defaulted or
     /// ignored.
     ///
@@ -357,12 +375,15 @@ impl HardwareProfile {
                     return Err(invalid());
                 }
                 partial.f64s.push((key, v));
-            } else {
-                let v: u64 = value.parse().map_err(|_| invalid())?;
+            } else if U32_KEYS.contains(&key) {
+                let v: u32 = value.parse().map_err(|_| invalid())?;
                 // A mesh without rows or columns could serve no request.
                 if v == 0 && (key == "pe_rows" || key == "pe_columns") {
                     return Err(invalid());
                 }
+                partial.u32s.push((key, v));
+            } else {
+                let v: u64 = value.parse().map_err(|_| invalid())?;
                 partial.u64s.push((key, v));
             }
         }
@@ -377,20 +398,14 @@ impl HardwareProfile {
             key: (*key).to_string(),
         };
         let name = partial.name.clone().ok_or_else(|| missing(&"name"))?;
+        let u32 = |key: &'static str| partial.u32_field(key).ok_or_else(|| missing(&key));
         let u = |key: &'static str| partial.u64_field(key).ok_or_else(|| missing(&key));
         let e = |key: &'static str| partial.f64_field(key).ok_or_else(|| missing(&key));
-        let narrow = |key: &'static str, v: u64| -> Result<u32, ProfileError> {
-            u32::try_from(v).map_err(|_| ProfileError::InvalidValue {
-                line: 0,
-                key: key.to_string(),
-                value: v.to_string(),
-            })
-        };
         let dram = DramConfig {
-            channels: narrow("channels", u("channels")?)?,
-            ranks: narrow("ranks", u("ranks")?)?,
-            bank_groups: narrow("bank_groups", u("bank_groups")?)?,
-            banks_per_group: narrow("banks_per_group", u("banks_per_group")?)?,
+            channels: u32("channels")?,
+            ranks: u32("ranks")?,
+            bank_groups: u32("bank_groups")?,
+            banks_per_group: u32("banks_per_group")?,
             rows: u("rows")?,
             row_bytes: u("row_bytes")?,
             burst_bytes: u("burst_bytes")?,
@@ -418,12 +433,9 @@ impl HardwareProfile {
             pj_per_wr_burst: e("pj_per_wr_burst")?,
             background_mw_per_bank: e("background_mw_per_bank")?,
         };
-        let opt32 = |key: &'static str| -> Result<Option<u32>, ProfileError> {
-            partial.u64_field(key).map(|v| narrow(key, v)).transpose()
-        };
         let provisioning = ProvisioningOverrides {
-            pe_rows: opt32("pe_rows")?,
-            pe_columns: opt32("pe_columns")?,
+            pe_rows: partial.u32_field("pe_rows"),
+            pe_columns: partial.u32_field("pe_columns"),
             treetop_bytes: partial.u64_field("treetop_bytes"),
             posmap3_bytes: partial.u64_field("posmap3_bytes"),
             stash_bytes: partial.u64_field("stash_bytes"),
@@ -758,6 +770,39 @@ mod tests {
             );
             let one = format!("{base}{key} = 1\n");
             assert!(HardwareProfile::parse(&one).is_ok(), "{key} = 1");
+        }
+    }
+
+    #[test]
+    fn out_of_range_u32_values_name_their_line() {
+        let base = HardwareProfile::ddr4_3200().to_file_string();
+        let text = base.replace("channels = 4\n", "channels = 4294967296\n");
+        let line = text
+            .lines()
+            .position(|l| l.starts_with("channels = "))
+            .map_or(0, |i| i + 1);
+        assert_eq!(
+            HardwareProfile::parse(&text).map_err(|e| e.to_string()),
+            Err(format!(
+                "line {line}: invalid value '4294967296' for key 'channels'"
+            ))
+        );
+        // Each u32 key, moved to the last line.
+        for key in U32_KEYS {
+            let kept: String = base
+                .lines()
+                .filter(|l| !l.starts_with(&format!("{key} = ")))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let text = format!("{kept}{key} = 4294967296\n");
+            assert_eq!(
+                HardwareProfile::parse(&text),
+                Err(ProfileError::InvalidValue {
+                    line: kept.lines().count() + 1,
+                    key: key.to_string(),
+                    value: "4294967296".to_string(),
+                })
+            );
         }
     }
 

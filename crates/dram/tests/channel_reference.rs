@@ -228,13 +228,16 @@ impl Rng {
 
 /// A random configuration that passes validation: up to 64 banks in any
 /// power-of-two split into groups, 1–4 ranks, a few short rows, any queue
-/// capacity up to 40, and timings drawn so the cross-constraints hold.
+/// capacity up to 40, and timings drawn so the cross-constraints hold. The
+/// long delays stay within twice the short spacing, the most the channel
+/// enforces.
 fn random_config(rng: &mut Rng) -> DramConfig {
     let t_rcd = rng.range(1, 24);
     let t_rp = rng.range(1, 24);
     let t_ras = t_rcd + rng.range(0, 30);
     let t_ccd_s = rng.range(1, 6);
     let t_rrd_s = rng.range(1, 6);
+    let t_bl = rng.range(1, 8);
     let cfg = DramConfig {
         channels: 1,
         ranks: rng.range(1, 4) as u32,
@@ -251,14 +254,14 @@ fn random_config(rng: &mut Rng) -> DramConfig {
         t_ras,
         t_rc: t_ras + t_rp + rng.range(0, 10),
         t_ccd_s,
-        t_ccd_l: t_ccd_s + rng.range(0, 6),
+        t_ccd_l: t_ccd_s + rng.range(0, t_ccd_s.max(t_bl)),
         t_rrd_s,
-        t_rrd_l: t_rrd_s + rng.range(0, 6),
+        t_rrd_l: t_rrd_s + rng.range(0, t_rrd_s),
         t_faw: 4 * t_rrd_s + rng.range(0, 20),
         t_wr: rng.range(1, 24),
         t_wtr: rng.range(1, 10),
         t_rtp: rng.range(1, 12),
-        t_bl: rng.range(1, 8),
+        t_bl,
     };
     assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
     cfg

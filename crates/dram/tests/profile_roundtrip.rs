@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 /// Builds a structurally valid random profile. Timings are derived so the
 /// cross-parameter constraints (`t_faw >= 4 * t_rrd_s`, `t_rc >= t_ras +
-/// t_rp`, long >= short CCD/RRD) hold by construction.
+/// t_rp`, each long CCD/RRD delay between its short one and twice that)
+/// hold by construction.
 #[allow(clippy::too_many_arguments)]
 fn build_profile(
     name_idx: usize,
@@ -43,7 +44,7 @@ fn build_profile(
         t_ccd_s: 4,
         t_ccd_l: 8,
         t_rrd_s,
-        t_rrd_l: t_rrd_s + 2,
+        t_rrd_l: t_rrd_s + t_rrd_s.min(2),
         t_faw: 4 * t_rrd_s + faw_slack,
         t_wr: t_base,
         t_wtr: 8,
