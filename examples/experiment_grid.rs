@@ -12,6 +12,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example experiment_grid
 //! ```
 
+mod support;
+
 use palermo::analysis::report::{speedup, Table};
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
@@ -41,10 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 200;
     cfg.warmup_requests = 50;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
 
     let pool = ThreadPoolExecutor::with_available_parallelism();
     eprintln!(
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Optionally re-run serially and verify the executors agree bit-for-bit
     // (always true by construction; cheap insurance when timing the pool).
-    if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
+    if serial_check {
         let started = Instant::now();
         let serial = grid(cfg).run(&SerialExecutor)?;
         let serial_wall = started.elapsed();

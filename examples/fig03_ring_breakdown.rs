@@ -6,23 +6,15 @@
 //! PALERMO_REQUESTS=2000 cargo run --release --example fig03_ring_breakdown
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::ThreadPoolExecutor;
 use palermo::sim::figures::fig03;
 use palermo::sim::system::SystemConfig;
 
-fn scaled_config() -> SystemConfig {
-    let mut cfg = SystemConfig::paper_default();
-    if let Ok(n) = std::env::var("PALERMO_REQUESTS") {
-        if let Ok(n) = n.parse::<u64>() {
-            cfg.measured_requests = n;
-            cfg.warmup_requests = n / 4;
-        }
-    }
-    cfg
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = scaled_config();
+    let mut cfg = SystemConfig::paper_default();
+    support::apply_request_budget(&mut cfg)?;
     eprintln!(
         "simulating RingORAM on 5 workloads, {} measured requests each ...",
         cfg.measured_requests

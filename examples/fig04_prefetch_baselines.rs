@@ -5,6 +5,8 @@
 //! cargo run --release --example fig04_prefetch_baselines
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::ThreadPoolExecutor;
 use palermo::sim::figures::fig04;
 use palermo::sim::system::SystemConfig;
@@ -13,10 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 400;
     cfg.warmup_requests = 100;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = n / 4;
-    }
+    support::apply_request_budget(&mut cfg)?;
     eprintln!("sweeping prefetch lengths on `stm` for PrORAM and PrORAM w/ Fat Tree ...");
     let rows = fig04::run(
         &cfg,

@@ -8,6 +8,8 @@
 //! cargo run --release --example fig10_end_to_end
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::ThreadPoolExecutor;
 use palermo::sim::figures::fig10;
 use palermo::sim::schemes::Scheme;
@@ -18,10 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 300;
     cfg.warmup_requests = 75;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = n / 4;
-    }
+    support::apply_request_budget(&mut cfg)?;
     let pool = ThreadPoolExecutor::with_available_parallelism();
     eprintln!(
         "running {} workloads x {} schemes, {} measured requests each, on {} thread(s) ...",

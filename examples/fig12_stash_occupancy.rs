@@ -5,6 +5,8 @@
 //! cargo run --release --example fig12_stash_occupancy
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::ThreadPoolExecutor;
 use palermo::sim::figures::fig12;
 use palermo::sim::system::SystemConfig;
@@ -13,10 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 500;
     cfg.warmup_requests = 125;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = n / 4;
-    }
+    support::apply_request_budget(&mut cfg)?;
     eprintln!("sampling Palermo stash occupancy on mcf / pr / llm / redis ...");
     let rows = fig12::run(&cfg, &ThreadPoolExecutor::with_available_parallelism())?;
     println!("{}", fig12::table(&rows).to_text());

@@ -5,6 +5,8 @@
 //! cargo run --release --example fig14_sensitivity_sweeps
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::ThreadPoolExecutor;
 use palermo::sim::figures::fig14;
 use palermo::sim::system::SystemConfig;
@@ -13,10 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 250;
     cfg.warmup_requests = 60;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = n / 4;
-    }
+    support::apply_request_budget(&mut cfg)?;
     let pool = ThreadPoolExecutor::with_available_parallelism();
     eprintln!("sweeping Z on the `rand` workload ...");
     let z_points = fig14::run_z_sweep(&cfg, &[4, 8, 16, 32], &pool)?;

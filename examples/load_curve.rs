@@ -17,6 +17,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example load_curve
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
 };
@@ -37,10 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 200;
     cfg.warmup_requests = 50;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
 
     let inner = WorkloadSpec::Table2(Workload::Random);
     eprintln!(
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Open-loop runs are deterministic like everything else; verify the
     // executors agree on demand.
-    if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
+    if serial_check {
         let serial = Experiment::new(cfg.clone())
             .schemes(SCHEMES)
             .workload_specs([inner.clone()])

@@ -17,6 +17,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example memory_tech
 //! ```
 
+mod support;
+
 use palermo::dram::HardwareProfile;
 use palermo::sim::experiment::{
     ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
@@ -61,10 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 200;
     cfg.warmup_requests = 50;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
 
     let profiles = load_profiles();
     eprintln!(
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The executors are byte-identical by construction; verify on demand.
-    if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
+    if serial_check {
         let serial = memory_tech::run(&cfg, &spec, &SCHEMES, &profiles, &SerialExecutor)?;
         assert_eq!(
             RunSummary::to_csv(&serial.summaries()),

@@ -16,6 +16,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example multi_tenant_mix
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
 };
@@ -47,10 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 200;
     cfg.warmup_requests = 50;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
 
     let mix = tenant_mix::service_mix(8);
     let replay = record_trace(&cfg)?;
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("parallel run finished in {:.2?}", started.elapsed());
 
     // The executors are byte-identical by construction; verify on demand.
-    if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
+    if serial_check {
         let serial = grid(cfg.clone(), &specs).run(&SerialExecutor)?;
         assert_eq!(
             RunSummary::to_csv(&serial.summaries()),

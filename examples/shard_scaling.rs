@@ -18,6 +18,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example shard_scaling
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::{ExportRow, ResultSet, RunRecord, ShardSummary};
 use palermo::sim::figures::shard_scaling;
 use palermo::sim::runner::CalendarStepper;
@@ -37,11 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 240;
     cfg.warmup_requests = 60;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
-    let serial_check = std::env::var("PALERMO_SERIAL_CHECK").is_ok();
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
     let pool = PooledShardStepper::with_available_parallelism();
 
     let records = INNERS

@@ -16,6 +16,8 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example tenant_qos
 //! ```
 
+mod support;
+
 use palermo::sim::experiment::{
     Experiment, ExportRow, RunSummary, SerialExecutor, TenantSummary, ThreadPoolExecutor,
 };
@@ -42,10 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_default();
     cfg.measured_requests = 200;
     cfg.warmup_requests = 50;
-    if let Ok(Ok(n)) = std::env::var("PALERMO_REQUESTS").map(|v| v.parse::<u64>()) {
-        cfg.measured_requests = n;
-        cfg.warmup_requests = (n / 4).max(1);
-    }
+    support::apply_request_budget(&mut cfg)?;
+    let serial_check = support::serial_check()?;
 
     // Size the arrival/departure windows against a rough access budget:
     // every request consumes at least one access, and LLC hits stretch that
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("per-tenant conservation verified on every record");
 
     // The executors are byte-identical by construction; verify on demand.
-    if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
+    if serial_check {
         let serial = Experiment::new(cfg.clone())
             .schemes(SCHEMES)
             .workload_specs([spec.clone()])
