@@ -51,8 +51,9 @@ pub struct SystemConfig {
     pub prefetch_override: Option<u32>,
     /// Whether the runner attributes metrics per tenant
     /// (`RunMetrics::per_tenant`). On by default; the only reason to turn it
-    /// off is to measure the attribution's own overhead (see the
-    /// `fig03_ring_baseline` bench's tagged-vs-untagged comparison).
+    /// off is to measure the attribution's own overhead (see
+    /// `tenant_attribution_costs_at_most_5_percent_plus_half_a_millisecond`
+    /// in `tests/tenant_metrics.rs`, a release-only test).
     pub collect_per_tenant: bool,
     /// Capacity of the open-loop admission queue (ignored by closed-loop
     /// runs, i.e. any non-`open:` workload spec).
