@@ -13,6 +13,11 @@ use std::fmt;
 /// scheduler keeps one bit per bank in a `u64` mask per command class.
 pub const MAX_ADDRESSED_BANKS: u64 = 64;
 
+/// The longest timing, in cycles, a [`DramConfig`] may hold: `u32::MAX`
+/// cycles (2.7 s at 1.6 GHz) keeps every sum of timings and cycle counts
+/// the channel forms far below `2^64`.
+pub const MAX_TIMING_CYCLES: u64 = u32::MAX as u64;
+
 /// A structural inconsistency in a [`DramConfig`].
 ///
 /// Every reject names the offending field(s) so profile files
@@ -48,6 +53,13 @@ pub enum DramConfigError {
         /// `bank_groups * banks_per_group`.
         banks: u64,
     },
+    /// A timing field exceeds [`MAX_TIMING_CYCLES`].
+    TimingTooLong {
+        /// Field name.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+    },
     /// A timing cross-constraint is violated (e.g. `t_faw < 4 * t_rrd_s`
     /// would make the four-activate window weaker than plain
     /// activate-to-activate spacing — no real part is specified that way).
@@ -75,6 +87,10 @@ impl fmt::Display for DramConfigError {
                 f,
                 "bank_groups * banks_per_group ({banks}) exceeds the {MAX_ADDRESSED_BANKS} banks \
 a channel supports"
+            ),
+            DramConfigError::TimingTooLong { field, value } => write!(
+                f,
+                "{field} ({value}) exceeds the {MAX_TIMING_CYCLES}-cycle limit"
             ),
             DramConfigError::TimingInconsistent { reason } => {
                 write!(f, "inconsistent timing: {reason}")
@@ -207,10 +223,11 @@ impl DramConfig {
 
     /// Validates internal consistency: non-zero geometry, power-of-two
     /// interleaving fields, at most [`MAX_ADDRESSED_BANKS`] addressed banks
-    /// per channel, and timing cross-constraints (a four-activate
-    /// window weaker than plain activate spacing, a row cycle shorter than
-    /// open-plus-precharge, or long column/activate delays below their
-    /// short variants are all nonsense no real part is specified with).
+    /// per channel, non-zero timings of at most [`MAX_TIMING_CYCLES`], and
+    /// timing cross-constraints (a four-activate window weaker than plain
+    /// activate spacing, a row cycle shorter than open-plus-precharge, or
+    /// long column/activate delays below their short variants are all
+    /// nonsense no real part is specified with).
     /// It also rejects long delays the channel model cannot enforce:
     /// `t_rrd_l` above `2 * t_rrd_s`, or `t_ccd_l` above
     /// `2 * max(t_ccd_s, t_bl)`.
@@ -236,6 +253,14 @@ impl DramConfig {
         let non_zero = [
             ("ranks", u64::from(self.ranks)),
             ("queue_capacity", self.queue_capacity as u64),
+        ];
+        for (field, value) in non_zero {
+            if value == 0 {
+                return Err(DramConfigError::ZeroField { field });
+            }
+        }
+        // Bounded here, so the cross-constraints below cannot overflow.
+        let timings = [
             ("t_cl", self.t_cl),
             ("t_cwl", self.t_cwl),
             ("t_rcd", self.t_rcd),
@@ -243,16 +268,21 @@ impl DramConfig {
             ("t_ras", self.t_ras),
             ("t_rc", self.t_rc),
             ("t_ccd_s", self.t_ccd_s),
+            ("t_ccd_l", self.t_ccd_l),
             ("t_rrd_s", self.t_rrd_s),
+            ("t_rrd_l", self.t_rrd_l),
             ("t_faw", self.t_faw),
             ("t_wr", self.t_wr),
             ("t_wtr", self.t_wtr),
             ("t_rtp", self.t_rtp),
             ("t_bl", self.t_bl),
         ];
-        for (field, value) in non_zero {
+        for (field, value) in timings {
             if value == 0 {
                 return Err(DramConfigError::ZeroField { field });
+            }
+            if value > MAX_TIMING_CYCLES {
+                return Err(DramConfigError::TimingTooLong { field, value });
             }
         }
         let banks = u64::from(self.bank_groups) * u64::from(self.banks_per_group);
@@ -524,6 +554,67 @@ mod tests {
         ] {
             assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn timings_above_the_limit_are_rejected_before_the_cross_checks() {
+        // The cross-checks compute 4 * t_rrd_s and t_ras + t_rp.
+        for (cfg, field, value) in [
+            (
+                DramConfig {
+                    t_rrd_s: u64::MAX / 2,
+                    ..DramConfig::default()
+                },
+                "t_rrd_s",
+                u64::MAX / 2,
+            ),
+            (
+                DramConfig {
+                    t_rp: u64::MAX,
+                    ..DramConfig::default()
+                },
+                "t_rp",
+                u64::MAX,
+            ),
+            (
+                DramConfig {
+                    t_wr: MAX_TIMING_CYCLES + 1,
+                    ..DramConfig::default()
+                },
+                "t_wr",
+                MAX_TIMING_CYCLES + 1,
+            ),
+        ] {
+            assert_eq!(
+                cfg.validate(),
+                Err(DramConfigError::TimingTooLong { field, value })
+            );
+        }
+        // At the limit the cross-checks run, and cannot overflow.
+        let cfg = DramConfig {
+            t_rrd_s: MAX_TIMING_CYCLES,
+            t_rrd_l: MAX_TIMING_CYCLES,
+            t_ras: MAX_TIMING_CYCLES,
+            t_rp: MAX_TIMING_CYCLES,
+            ..DramConfig::default()
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(DramConfigError::TimingInconsistent { .. })
+        ));
+        let cfg = DramConfig {
+            t_wr: MAX_TIMING_CYCLES,
+            ..DramConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(
+            DramConfigError::TimingTooLong {
+                field: "t_wr",
+                value: u64::MAX
+            }
+            .to_string(),
+            "t_wr (18446744073709551615) exceeds the 4294967295-cycle limit"
+        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! inline comments, no sections, and **no defaults**: every non-optional
 //! key must appear exactly once, unknown or
 //! duplicate keys are typed errors, and the embedded [`DramConfig`] must
-//! pass [`DramConfig::validate`] (so e.g. `t_faw < 4 * t_rrd_s` is
-//! rejected at parse time). [`HardwareProfile::to_file_string`] renders
+//! pass [`DramConfig::validate`] (so e.g. `t_faw < 4 * t_rrd_s`, or a
+//! timing above [`crate::config::MAX_TIMING_CYCLES`], is rejected at parse
+//! time). [`HardwareProfile::to_file_string`] renders
 //! the canonical form; serialize → parse → serialize is byte-identical
 //! (property-tested in `tests/profile_roundtrip.rs`).
 //!
@@ -816,6 +817,39 @@ mod tests {
                 assert!(reason.contains("t_faw"), "{reason}");
             }
             other => panic!("expected timing error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_timings_are_typed_errors() {
+        let base = HardwareProfile::ddr4_3200().to_file_string();
+        let with = |key: &str, value: &str| -> String {
+            base.lines()
+                .map(|l| match l.split_once(" = ") {
+                    Some((k, _)) if k == key => format!("{key} = {value}\n"),
+                    _ => format!("{l}\n"),
+                })
+                .collect()
+        };
+        let cases = REQUIRED_KEYS
+            .iter()
+            .filter(|k| k.starts_with("t_"))
+            .map(|k| (*k, u64::MAX))
+            .chain([("t_rrd_s", u64::MAX / 2)]);
+        for (key, value) in cases {
+            let text = with(key, &value.to_string());
+            assert_ne!(text, base, "{key}");
+            assert_eq!(
+                HardwareProfile::parse(&text),
+                Err(ProfileError::Config(DramConfigError::TimingTooLong {
+                    field: key,
+                    value
+                })),
+                "{key} = {value}"
+            );
+        }
+        for profile in HardwareProfile::builtins() {
+            assert_eq!(profile.dram.validate(), Ok(()), "{}", profile.name);
         }
     }
 

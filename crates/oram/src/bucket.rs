@@ -77,11 +77,6 @@ impl BucketState {
         self.real.len()
     }
 
-    /// Returns `true` if another real block fits under capacity `z`.
-    pub fn has_space(&self, z: usize) -> bool {
-        self.real.len() < z
-    }
-
     /// Returns `true` if the bucket currently holds `block`.
     pub fn contains(&self, block: BlockId) -> bool {
         self.real.iter().any(|b| b.block == block)
@@ -153,10 +148,9 @@ mod tests {
     fn bucket_take_and_push() {
         let mut b = BucketState::new();
         assert_eq!(b.occupancy(), 0);
-        assert!(b.has_space(2));
         b.push(sb(1, 0));
         b.push(sb(2, 1));
-        assert!(!b.has_space(2));
+        assert_eq!(b.occupancy(), 2);
         assert!(b.contains(BlockId(1)));
         let taken = b.take(BlockId(1)).unwrap();
         assert_eq!(taken.block, BlockId(1));

@@ -10,7 +10,7 @@
 use crate::access_plan::{AccessPlan, AccessPlanBuilder, PhaseKind, PlanNodeId};
 use crate::crypto::Payload;
 use crate::error::{OramError, OramResult};
-use crate::level::{LevelConfig, LevelOutcome, LevelProtocol};
+use crate::level::{LevelConfig, LevelCore, LevelOutcome};
 use crate::params::HierarchyParams;
 use crate::path_level::{PathLevel, PathLevelOptions};
 use crate::ring_level::RingLevel;
@@ -136,44 +136,40 @@ pub struct AccessResult {
     pub prefetched: Vec<BlockId>,
 }
 
-/// Aggregate statistics of a hierarchy instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchyStats {
-    /// Real ORAM requests served.
-    pub requests: u64,
-    /// Dummy (background-eviction) requests injected.
-    pub dummy_requests: u64,
-    /// Sub-ORAM accesses skipped by recursion bypass (IR-ORAM).
-    pub bypassed_posmap_accesses: u64,
-}
-
 enum LevelEngine {
     Ring(RingLevel),
     Path(PathLevel),
 }
 
 impl LevelEngine {
-    fn as_dyn(&self) -> &dyn LevelProtocol {
+    /// Serves one access; `None` is a dummy access to a random path.
+    fn access(
+        &mut self,
+        block: Option<BlockId>,
+        op: OramOp,
+        payload: Option<Payload>,
+    ) -> LevelOutcome {
         match self {
-            LevelEngine::Ring(l) => l,
-            LevelEngine::Path(l) => l,
+            LevelEngine::Ring(l) => l.access(block, op, payload),
+            LevelEngine::Path(l) => l.access(block, op, payload),
         }
     }
 
-    fn as_dyn_mut(&mut self) -> &mut dyn LevelProtocol {
+    fn core(&self) -> &LevelCore {
         match self {
-            LevelEngine::Ring(l) => l,
-            LevelEngine::Path(l) => l,
+            LevelEngine::Ring(l) => &l.core,
+            LevelEngine::Path(l) => &l.core,
         }
     }
 }
 
 impl std::fmt::Debug for LevelEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LevelEngine::Ring(l) => write!(f, "Ring({})", l.sub()),
-            LevelEngine::Path(l) => write!(f, "Path({})", l.sub()),
-        }
+        let family = match self {
+            LevelEngine::Ring(_) => "Ring",
+            LevelEngine::Path(_) => "Path",
+        };
+        write!(f, "{family}({})", self.core().config.sub)
     }
 }
 
@@ -185,7 +181,6 @@ pub struct HierarchicalOram {
     entries_per_block: u64,
     next_request_id: u64,
     bypass_rng: OramRng,
-    stats: HierarchyStats,
 }
 
 impl HierarchicalOram {
@@ -297,7 +292,6 @@ impl HierarchicalOram {
             levels,
             next_request_id: 0,
             bypass_rng: OramRng::new(config.seed ^ 0xB1A5),
-            stats: HierarchyStats::default(),
             config: HierarchyConfig { params, ..config },
         })
     }
@@ -307,21 +301,16 @@ impl HierarchicalOram {
         &self.config
     }
 
-    /// Aggregate hierarchy statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        self.stats
-    }
-
     /// Current data-level stash occupancy (the quantity plotted in Fig. 12).
     pub fn data_stash_len(&self) -> usize {
-        self.levels[0].as_dyn().stash_len()
+        self.levels[0].core().stash.len()
     }
 
     /// Highest stash occupancy observed on any level.
     pub fn stash_high_water(&self) -> usize {
         self.levels
             .iter()
-            .map(|l| l.as_dyn().stash_high_water())
+            .map(|l| l.core().stash.high_water())
             .max()
             .unwrap_or(0)
     }
@@ -330,7 +319,7 @@ impl HierarchicalOram {
     pub fn stash_overflow_events(&self) -> u64 {
         self.levels
             .iter()
-            .map(|l| l.as_dyn().stash_overflow_events())
+            .map(|l| l.core().stash.overflow_events())
             .sum()
     }
 
@@ -339,7 +328,7 @@ impl HierarchicalOram {
     /// real request (PrORAM's behaviour in §III-B).
     pub fn needs_background_evict(&self) -> bool {
         match self.config.background_evict_threshold {
-            Some(threshold) => self.levels[0].as_dyn().stash_len() >= threshold,
+            Some(threshold) => self.levels[0].core().stash.len() >= threshold,
             None => false,
         }
     }
@@ -348,13 +337,11 @@ impl HierarchicalOram {
     pub fn background_evict(&mut self) -> AccessResult {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        self.stats.dummy_requests += 1;
 
-        let outcome = self.levels[0].as_dyn_mut().dummy_access();
+        let outcome = self.levels[0].access(None, OramOp::Read, None);
         let mut builder = AccessPlanBuilder::new(request_id, PhysAddr::new(0), OramOp::Read);
         builder.dummy();
-        let mut outcomes: [Option<LevelOutcome>; 3] = [Some(outcome), None, None];
-        self.lower(&mut builder, &mut outcomes);
+        self.lower(&mut builder, [Some(outcome), None, None]);
         AccessResult {
             plan: builder.build(),
             value: None,
@@ -391,7 +378,6 @@ impl HierarchicalOram {
 
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        self.stats.requests += 1;
 
         // Address translation through the recursion.
         let data_block = match self.config.prefetch {
@@ -409,32 +395,12 @@ impl HierarchicalOram {
             ),
             None => (false, false),
         };
-        if skip_pos1 {
-            self.stats.bypassed_posmap_accesses += 1;
-        }
-        if skip_pos2 {
-            self.stats.bypassed_posmap_accesses += 1;
-        }
 
-        let pos2_outcome = if skip_pos2 {
-            None
-        } else {
-            Some(
-                self.levels[2]
-                    .as_dyn_mut()
-                    .access(pos2_block, OramOp::Read, None),
-            )
-        };
-        let pos1_outcome = if skip_pos1 {
-            None
-        } else {
-            Some(
-                self.levels[1]
-                    .as_dyn_mut()
-                    .access(pos1_block, OramOp::Read, None),
-            )
-        };
-        let data_outcome = self.levels[0].as_dyn_mut().access(data_block, op, payload);
+        let pos2_outcome =
+            (!skip_pos2).then(|| self.levels[2].access(Some(pos2_block), OramOp::Read, None));
+        let pos1_outcome =
+            (!skip_pos1).then(|| self.levels[1].access(Some(pos1_block), OramOp::Read, None));
+        let data_outcome = self.levels[0].access(Some(data_block), op, payload);
 
         let value = data_outcome.value;
         let found = data_outcome.found;
@@ -450,9 +416,10 @@ impl HierarchicalOram {
         };
 
         let mut builder = AccessPlanBuilder::new(request_id, pa, op);
-        let mut outcomes: [Option<LevelOutcome>; 3] =
-            [Some(data_outcome), pos1_outcome, pos2_outcome];
-        self.lower(&mut builder, &mut outcomes);
+        self.lower(
+            &mut builder,
+            [Some(data_outcome), pos1_outcome, pos2_outcome],
+        );
 
         Ok(AccessResult {
             plan: builder.build(),
@@ -462,9 +429,9 @@ impl HierarchicalOram {
         })
     }
 
-    /// Lowers per-level outcomes into plan nodes with flavor-appropriate
-    /// intra-request dependency edges.
-    fn lower(&self, builder: &mut AccessPlanBuilder, outcomes: &mut [Option<LevelOutcome>; 3]) {
+    /// Lowers per-level outcomes, indexed by [`SubOram::index`], into plan
+    /// nodes with flavor-appropriate intra-request dependency edges.
+    fn lower(&self, builder: &mut AccessPlanBuilder, outcomes: [Option<LevelOutcome>; 3]) {
         let palermo = self.config.flavor == ProtocolFlavor::Palermo;
         let path_family = self.config.flavor == ProtocolFlavor::PathOram;
 
@@ -474,11 +441,10 @@ impl HierarchicalOram {
         let mut prev_level_rp: Option<PlanNodeId> = None;
         let mut prev_level_last: Option<PlanNodeId> = None;
 
-        for sub in SubOram::ALL.iter().rev() {
-            let Some(outcome) = outcomes[sub.index()].take() else {
+        for (sub, outcome) in SubOram::ALL.into_iter().zip(outcomes).rev() {
+            let Some(outcome) = outcome else {
                 continue;
             };
-            let sub = *sub;
 
             // The dependency that makes this level wait for its position-map
             // lookup: Palermo waits only for the inner ReadPath; the serial
@@ -489,106 +455,86 @@ impl HierarchicalOram {
                 prev_level_last.into_iter().collect()
             };
 
-            let last_in_level: Option<PlanNodeId>;
-
             if path_family {
                 // PathORAM family: ReadPath (whole path) then write-back.
                 let rp = builder.push(
                     sub,
                     PhaseKind::ReadPath,
-                    outcome.rp_reads.clone(),
+                    outcome.rp_reads,
                     Vec::new(),
-                    posmap_dep.clone(),
+                    posmap_dep,
                     DECRYPT_CYCLES,
                 );
                 let wb = builder.push(
                     sub,
                     PhaseKind::EvictPath,
                     Vec::new(),
-                    outcome.rp_writes.clone(),
+                    outcome.rp_writes,
                     vec![rp],
                     0,
                 );
                 prev_level_rp = Some(rp);
-                last_in_level = Some(wb);
-            } else {
-                // Ring / Palermo: LM, (ER), RP, (EP) with flavor-dependent order.
-                let lm = builder.push(
-                    sub,
-                    PhaseKind::LoadMetadata,
-                    outcome.lm_reads.clone(),
-                    Vec::new(),
-                    posmap_dep.clone(),
-                    0,
-                );
-
-                let er_reads: Vec<u64> = outcome.er.iter().flat_map(|b| b.reads.clone()).collect();
-                let er_writes: Vec<u64> =
-                    outcome.er.iter().flat_map(|b| b.writes.clone()).collect();
-                let has_er = !outcome.er.is_empty();
-
-                let rp_id = if palermo {
-                    // Palermo: LM -> ER -> RP -> EP (reshuffle hoisted early).
-                    let er = has_er.then(|| {
-                        builder.push(
-                            sub,
-                            PhaseKind::EarlyReshuffle,
-                            er_reads.clone(),
-                            er_writes.clone(),
-                            vec![lm],
-                            0,
-                        )
-                    });
-                    builder.push(
-                        sub,
-                        PhaseKind::ReadPath,
-                        outcome.rp_reads.clone(),
-                        Vec::new(),
-                        vec![er.unwrap_or(lm)],
-                        DECRYPT_CYCLES,
-                    )
-                } else {
-                    // RingORAM: LM -> RP -> (EP) -> ER.
-                    builder.push(
-                        sub,
-                        PhaseKind::ReadPath,
-                        outcome.rp_reads.clone(),
-                        Vec::new(),
-                        vec![lm],
-                        DECRYPT_CYCLES,
-                    )
-                };
-                prev_level_rp = Some(rp_id);
-                let mut last = rp_id;
-
-                // EvictPath (if scheduled) is serialised after ReadPath in
-                // both flavors: this is what bounds the stash (§IV-B).
-                if let Some(ops) = outcome.ep.as_ref() {
-                    last = builder.push(
-                        sub,
-                        PhaseKind::EvictPath,
-                        ops.reads.clone(),
-                        ops.writes.clone(),
-                        vec![rp_id],
-                        0,
-                    );
-                }
-
-                if !palermo && has_er {
-                    // RingORAM runs the reshuffle last.
-                    last = builder.push(
-                        sub,
-                        PhaseKind::EarlyReshuffle,
-                        er_reads,
-                        er_writes,
-                        vec![last],
-                        0,
-                    );
-                }
-                last_in_level = Some(last);
+                prev_level_last = Some(wb);
+                continue;
             }
 
-            prev_level_last = last_in_level;
+            // Ring / Palermo: LM, (ER), RP, (EP) with flavor-dependent order.
+            let lm = builder.push(
+                sub,
+                PhaseKind::LoadMetadata,
+                outcome.lm_reads,
+                Vec::new(),
+                posmap_dep,
+                0,
+            );
+
+            // The early reshuffle's bucket resets, issued as one phase.
+            let mut er = (!outcome.er.is_empty()).then(|| {
+                let (mut reads, mut writes) = (Vec::new(), Vec::new());
+                for ops in outcome.er {
+                    reads.extend(ops.reads);
+                    writes.extend(ops.writes);
+                }
+                (reads, writes)
+            });
+
+            // Palermo: LM -> ER -> RP -> EP (reshuffle hoisted early).
+            // RingORAM: LM -> RP -> (EP) -> ER.
+            let rp_dep = match er.take_if(|_| palermo) {
+                Some((reads, writes)) => {
+                    builder.push(sub, PhaseKind::EarlyReshuffle, reads, writes, vec![lm], 0)
+                }
+                None => lm,
+            };
+            let rp = builder.push(
+                sub,
+                PhaseKind::ReadPath,
+                outcome.rp_reads,
+                Vec::new(),
+                vec![rp_dep],
+                DECRYPT_CYCLES,
+            );
+            prev_level_rp = Some(rp);
+            let mut last = rp;
+
+            // EvictPath (if scheduled) is serialised after ReadPath in
+            // both flavors: this is what bounds the stash (§IV-B).
+            if let Some(ops) = outcome.ep {
+                last = builder.push(
+                    sub,
+                    PhaseKind::EvictPath,
+                    ops.reads,
+                    ops.writes,
+                    vec![rp],
+                    0,
+                );
+            }
+
+            // RingORAM runs the reshuffle last.
+            if let Some((reads, writes)) = er {
+                last = builder.push(sub, PhaseKind::EarlyReshuffle, reads, writes, vec![last], 0);
+            }
+            prev_level_last = Some(last);
         }
     }
 }
@@ -760,6 +706,7 @@ mod tests {
             if oram.needs_background_evict() {
                 let res = oram.background_evict();
                 assert!(res.plan.is_dummy);
+                assert!(res.plan.nodes.iter().all(|n| n.sub == SubOram::Data));
                 dummies += 1;
             }
             let pa = PhysAddr::new((i % 4096) * 64);
@@ -770,7 +717,9 @@ mod tests {
             dummies > 0,
             "grouped prefetch should trigger background evictions"
         );
-        assert_eq!(oram.stats().dummy_requests, dummies);
+        // Every real and every dummy request took one request id.
+        let next = oram.access(PhysAddr::new(0), OramOp::Read, None).unwrap();
+        assert_eq!(next.plan.request_id, 800 + dummies);
     }
 
     #[test]
@@ -784,7 +733,7 @@ mod tests {
         let res = oram.access(PhysAddr::new(0), OramOp::Read, None).unwrap();
         assert!(res.plan.node(SubOram::Pos1, PhaseKind::ReadPath).is_none());
         assert!(res.plan.node(SubOram::Pos2, PhaseKind::ReadPath).is_none());
-        assert_eq!(oram.stats().bypassed_posmap_accesses, 2);
+        assert!(res.plan.nodes.iter().all(|n| n.sub == SubOram::Data));
     }
 
     #[test]

@@ -1,14 +1,25 @@
-//! The per-level (sub-ORAM) protocol interface.
+//! The tree state both level engines share, and what one access returns.
 //!
-//! A [`LevelProtocol`] is the functional engine of one ORAM tree: it owns the
-//! tree contents, the stash and the (logical) position map of that level, and
-//! for every access it returns a [`LevelOutcome`] describing the DRAM traffic
-//! each protocol phase generates. The hierarchy composes three level engines
-//! (Data, PosMap1, PosMap2) into full [`crate::access_plan::AccessPlan`]s.
+//! A level engine is the functional engine of one ORAM tree:
+//! [`crate::ring_level::RingLevel`] for RingORAM and Palermo,
+//! [`crate::path_level::PathLevel`] for the PathORAM family. Both keep the
+//! tree contents, the stash and the (logical) position map of their level in
+//! one `LevelCore`, and for every access return a [`LevelOutcome`]
+//! describing the DRAM traffic each protocol phase generates. The hierarchy
+//! composes three level engines (Data, PosMap1, PosMap2) into full
+//! [`crate::access_plan::AccessPlan`]s.
 
+use crate::bucket::{BucketState, StoredBlock};
 use crate::crypto::Payload;
+use crate::layout::TreeLayout;
 use crate::params::OramParams;
-use crate::types::{BlockId, LeafId, NodeId, OramOp, SubOram};
+use crate::posmap::PositionMap;
+use crate::rng::OramRng;
+use crate::stash::{Stash, StashEntry};
+use crate::tree::TreeGeometry;
+use crate::types::{BlockId, LeafId, NodeId, OramOp, SlotIdx, SubOram};
+#[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
+use std::collections::HashMap;
 
 /// Static configuration of one level engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,13 +53,6 @@ pub struct BucketOps {
     pub writes: Vec<u64>,
 }
 
-impl BucketOps {
-    /// Total DRAM operations in this routine.
-    pub fn traffic(&self) -> usize {
-        self.reads.len() + self.writes.len()
-    }
-}
-
 /// The result of serving one access at one level.
 #[derive(Debug, Clone, Default)]
 pub struct LevelOutcome {
@@ -74,119 +78,226 @@ pub struct LevelOutcome {
     pub prefetched: Vec<BlockId>,
 }
 
-impl LevelOutcome {
-    /// Total DRAM reads across all phases of this outcome.
-    pub fn total_reads(&self) -> usize {
-        self.lm_reads.len()
-            + self.rp_reads.len()
-            + self.er.iter().map(|b| b.reads.len()).sum::<usize>()
-            + self.ep.as_ref().map_or(0, |b| b.reads.len())
-    }
-
-    /// Total DRAM writes across all phases of this outcome.
-    pub fn total_writes(&self) -> usize {
-        self.rp_writes.len()
-            + self.er.iter().map(|b| b.writes.len()).sum::<usize>()
-            + self.ep.as_ref().map_or(0, |b| b.writes.len())
-    }
-
-    /// Total DRAM operations across all phases of this outcome.
-    pub fn total_traffic(&self) -> usize {
-        self.total_reads() + self.total_writes()
-    }
+/// The tree state of one level engine and the steps both protocol families
+/// take on it.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelCore {
+    pub(crate) config: LevelConfig,
+    pub(crate) geometry: TreeGeometry,
+    pub(crate) layout: TreeLayout,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed access along explicit path walks; never iterated in simulation"
+    )]
+    pub(crate) buckets: HashMap<NodeId, BucketState>,
+    pub(crate) posmap: PositionMap,
+    pub(crate) stash: Stash,
+    rng: OramRng,
+    /// Real blocks a bucket holds, by tree level.
+    capacity: Vec<usize>,
 }
 
-/// Running counters kept by every level engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelStats {
-    /// Real accesses served.
-    pub accesses: u64,
-    /// Dummy (controller-injected) accesses served.
-    pub dummy_accesses: u64,
-    /// DRAM block reads generated.
-    pub dram_reads: u64,
-    /// DRAM block writes generated.
-    pub dram_writes: u64,
-    /// Bucket reset routines executed (EarlyReshuffle + resets inside EvictPath).
-    pub bucket_resets: u64,
-    /// Path evictions executed.
-    pub path_evictions: u64,
-}
+impl LevelCore {
+    /// Creates the state of an empty tree whose buckets have
+    /// `slots_per_bucket` DRAM slots and hold `capacity[level]` real blocks.
+    pub(crate) fn new(config: LevelConfig, slots_per_bucket: u64, capacity: Vec<usize>) -> Self {
+        LevelCore {
+            geometry: TreeGeometry::new(config.params.num_leaves),
+            layout: TreeLayout::new(
+                config.dram_base,
+                u64::from(config.params.block_bytes) * u64::from(config.wide_factor.max(1)),
+                slots_per_bucket,
+            ),
+            #[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
+            buckets: HashMap::new(),
+            posmap: PositionMap::new(config.params.num_leaves),
+            stash: Stash::new(config.stash_capacity),
+            rng: OramRng::new(config.seed),
+            capacity,
+            config,
+        }
+    }
 
-/// The functional protocol engine of one sub-ORAM.
-pub trait LevelProtocol {
-    /// Serves one access for `block`, returning the generated traffic and the
-    /// value read. For writes, `payload` carries the new block contents.
-    fn access(&mut self, block: BlockId, op: OramOp, payload: Option<Payload>) -> LevelOutcome;
+    /// Whether `node` lies in the on-chip tree-top cache.
+    pub(crate) fn is_onchip(&self, node: NodeId) -> bool {
+        self.geometry.level_of(node) < self.config.treetop_levels
+    }
 
-    /// Serves a dummy access to a uniformly random path. Used for background
-    /// evictions (PrORAM) and request-rate padding.
-    fn dummy_access(&mut self) -> LevelOutcome;
+    /// Real blocks a bucket at `level` holds.
+    pub(crate) fn capacity(&self, level: u32) -> usize {
+        self.capacity[level as usize]
+    }
 
-    /// Current stash occupancy, in entries.
-    fn stash_len(&self) -> usize;
+    /// Expands a tree-block address into `wide_factor` consecutive DRAM
+    /// burst addresses.
+    pub(crate) fn push_wide(&self, out: &mut Vec<u64>, addr: u64) {
+        let wide = u64::from(self.config.wide_factor.max(1));
+        for i in 0..wide {
+            out.push(addr + i * 64);
+        }
+    }
 
-    /// Largest stash occupancy observed so far.
-    fn stash_high_water(&self) -> usize;
+    /// Pushes the DRAM addresses of the first `count` slots of `node`.
+    pub(crate) fn push_slots(&self, out: &mut Vec<u64>, node: NodeId, count: u64) {
+        for i in 0..count {
+            self.push_wide(out, self.layout.slot_addr(node, SlotIdx(i as u16)));
+        }
+    }
 
-    /// Number of inserts that pushed the stash above its hardware capacity.
-    fn stash_overflow_events(&self) -> u64;
+    pub(crate) fn bucket_mut(&mut self, node: NodeId) -> &mut BucketState {
+        self.buckets.entry(node).or_default()
+    }
 
-    /// Running traffic counters.
-    fn stats(&self) -> LevelStats;
+    /// The leaves of one access to `key`: its current leaf and the fresh one
+    /// it is remapped to, or for a dummy access (`None`) one uniformly drawn
+    /// leaf for both, remapping nothing.
+    pub(crate) fn leaves(&mut self, key: Option<BlockId>) -> (LeafId, LeafId) {
+        match key {
+            Some(key) => self.posmap.remap(key, &mut self.rng),
+            None => {
+                let leaf = self.rng.uniform_leaf(self.geometry.num_leaves());
+                (leaf, leaf)
+            }
+        }
+    }
 
-    /// Tree parameters of this level.
-    fn params(&self) -> &OramParams;
+    /// Pulls every real block of `node` into the stash.
+    pub(crate) fn drain_to_stash(&mut self, node: NodeId) {
+        for sb in self.bucket_mut(node).drain() {
+            self.stash.insert(
+                sb.block,
+                StashEntry {
+                    leaf: sb.leaf,
+                    payload: sb.payload,
+                    pending: false,
+                },
+            );
+        }
+    }
 
-    /// Which hierarchy level this engine implements.
-    fn sub(&self) -> SubOram;
+    /// Moves `blocks` from the stash into `node`, in order, until the
+    /// bucket is full.
+    pub(crate) fn fill_from_stash(&mut self, node: NodeId, blocks: Vec<BlockId>) {
+        let capacity = self.capacity(self.geometry.level_of(node));
+        for block in blocks {
+            if self.bucket_mut(node).occupancy() >= capacity {
+                break;
+            }
+            if let Some(entry) = self.stash.remove(block) {
+                self.bucket_mut(node).push(StoredBlock {
+                    block,
+                    leaf: entry.leaf,
+                    payload: entry.payload,
+                });
+            }
+        }
+    }
+
+    /// Commits an access to `block` to the stash under its fresh `leaf`, and
+    /// returns the value read and whether the block had been written before.
+    ///
+    /// A real deployment initialises the ORAM with every block already
+    /// resident in the tree; the simulator materialises a block on its first
+    /// touch instead of allocating the whole protected space. A first write
+    /// enters through the stash like any dirty block. A first read returns
+    /// nothing and places the block in the deepest bucket of its fresh path
+    /// with room (the stash if the whole path is full), which is where an
+    /// explicit initialisation pass would have put it.
+    pub(crate) fn commit(
+        &mut self,
+        block: BlockId,
+        op: OramOp,
+        payload: Option<Payload>,
+        leaf: LeafId,
+    ) -> (Option<Payload>, bool) {
+        if let Some(entry) = self.stash.get_mut(block) {
+            let found = entry.payload.is_some();
+            entry.leaf = leaf;
+            if op == OramOp::Write {
+                entry.payload = payload;
+            }
+            return (entry.payload, found);
+        }
+        let entry = StashEntry {
+            leaf,
+            payload: None,
+            pending: false,
+        };
+        if op == OramOp::Write {
+            self.stash.insert(block, StashEntry { payload, ..entry });
+            return (payload, false);
+        }
+        for node in self.geometry.path(leaf).into_iter().rev() {
+            let capacity = self.capacity(self.geometry.level_of(node));
+            let bucket = self.bucket_mut(node);
+            if bucket.occupancy() < capacity {
+                bucket.push(StoredBlock {
+                    block,
+                    leaf,
+                    payload: None,
+                });
+                return (None, false);
+            }
+        }
+        self.stash.insert(block, entry);
+        (None, false)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn outcome_traffic_sums_all_phases() {
-        let outcome = LevelOutcome {
-            leaf: LeafId(0),
-            lm_reads: vec![1, 2],
-            er: vec![BucketOps {
-                node: NodeId(3),
-                reads: vec![10, 11],
-                writes: vec![12, 13, 14],
-            }],
-            rp_reads: vec![20, 21, 22],
-            rp_writes: vec![30],
-            ep: Some(BucketOps {
-                node: NodeId(0),
-                reads: vec![40],
-                writes: vec![41, 42],
-            }),
-            value: None,
-            found: false,
-            prefetched: vec![],
+    /// A 64-block tree whose buckets hold `capacity` real blocks each.
+    fn core_with_capacity(capacity: usize) -> LevelCore {
+        let params = OramParams::builder().z(4).num_blocks(64).build().unwrap();
+        let config = LevelConfig {
+            sub: SubOram::Data,
+            params,
+            dram_base: 0,
+            treetop_levels: 0,
+            stash_capacity: 16,
+            seed: 3,
+            wide_factor: 1,
         };
-        assert_eq!(outcome.total_reads(), 2 + 2 + 3 + 1);
-        assert_eq!(outcome.total_writes(), 3 + 1 + 2);
-        assert_eq!(outcome.total_traffic(), 14);
-    }
-
-    #[test]
-    fn bucket_ops_traffic() {
-        let ops = BucketOps {
-            node: NodeId(1),
-            reads: vec![0, 1, 2],
-            writes: vec![3],
-        };
-        assert_eq!(ops.traffic(), 4);
+        LevelCore::new(config, 4, vec![capacity; params.levels as usize])
     }
 
     #[test]
     fn default_outcome_is_empty() {
         let outcome = LevelOutcome::default();
-        assert_eq!(outcome.total_traffic(), 0);
+        assert!(outcome.lm_reads.is_empty() && outcome.er.is_empty());
+        assert!(outcome.rp_reads.is_empty() && outcome.rp_writes.is_empty());
+        assert!(outcome.ep.is_none());
         assert!(!outcome.found);
         assert!(outcome.value.is_none());
+    }
+
+    #[test]
+    fn first_read_places_the_block_in_the_deepest_bucket_with_room() {
+        let mut core = core_with_capacity(1);
+        let leaf = LeafId(0);
+        let path = core.geometry.path(leaf);
+        let read = core.commit(BlockId(1), OramOp::Read, None, leaf);
+        assert_eq!(read, (None, false));
+        assert!(core.bucket_mut(path[path.len() - 1]).contains(BlockId(1)));
+        // The leaf bucket is full now, so the next block settles one above.
+        core.commit(BlockId(2), OramOp::Read, None, leaf);
+        assert!(core.bucket_mut(path[path.len() - 2]).contains(BlockId(2)));
+        assert!(core.stash.is_empty());
+    }
+
+    #[test]
+    fn first_read_of_a_full_path_and_first_write_go_to_the_stash() {
+        let leaf = LeafId(1);
+        let mut full = core_with_capacity(0);
+        full.commit(BlockId(1), OramOp::Read, None, leaf);
+        assert_eq!(full.stash.get(BlockId(1)).map(|e| e.leaf), Some(leaf));
+
+        let mut core = core_with_capacity(4);
+        let value = Some(Payload::from_u64(9));
+        let write = core.commit(BlockId(2), OramOp::Write, value, leaf);
+        assert_eq!(write, (value, false));
+        assert_eq!(core.stash.get(BlockId(2)).map(|e| e.payload), Some(value));
     }
 }

@@ -9,10 +9,12 @@
 //! The crate is organised around a clean separation between **function** and
 //! **timing**:
 //!
-//! * the level engines ([`ring_level::RingLevel`], [`path_level::PathLevel`])
-//!   and the recursive composition ([`hierarchy::HierarchicalOram`]) maintain
-//!   the ORAM tree, stash and position maps and guarantee functional
-//!   correctness (read-your-writes, path invariant, bounded stash);
+//! * the level engines ([`ring_level::RingLevel`] for RingORAM and Palermo,
+//!   [`path_level::PathLevel`] for the PathORAM family, both built on the
+//!   one tree core in [`level`]) and the recursive composition
+//!   ([`hierarchy::HierarchicalOram`]) maintain the ORAM tree, stash and
+//!   position maps and guarantee functional correctness (read-your-writes,
+//!   path invariant, bounded stash);
 //! * every request is lowered into an [`access_plan::AccessPlan`] — a DAG of
 //!   protocol phases annotated with DRAM addresses and the *minimal
 //!   intra-request dependencies* of the chosen protocol flavor.

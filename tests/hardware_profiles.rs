@@ -8,6 +8,7 @@
 //! vs. per-cycle reference), and the DDR4-3200 profile reproduces the
 //! hardcoded default configuration exactly.
 
+use palermo::dram::config::MAX_TIMING_CYCLES;
 use palermo::dram::{DramConfig, DramConfigError, HardwareProfile, ProfileError};
 use palermo::oram::error::OramError;
 use palermo::sim::experiment::{
@@ -167,6 +168,31 @@ fn invalid_dram_configuration_is_a_typed_runner_error() {
     let msg = err.to_string();
     assert!(msg.contains("invalid DRAM configuration"), "{msg}");
     assert!(msg.contains("t_faw"), "{msg}");
+}
+
+/// A timing at the validator's limit keeps every cycle sum the channel forms
+/// far below 2^64, so a run on a profile with any of these at the limit
+/// completes. (Each other timing is held far below the limit by a
+/// cross-check, except `t_bl`: a run ticks through every cycle of a burst,
+/// so at the limit it would not finish.)
+#[test]
+fn timings_at_the_limit_run_without_overflow() {
+    let base = HardwareProfile::ddr4_3200().to_file_string();
+    let random = Workload::Random.into();
+    for key in ["t_cl", "t_cwl", "t_rc", "t_faw", "t_wr", "t_wtr", "t_rtp"] {
+        let text: String = base
+            .lines()
+            .map(|l| match l.split_once(" = ") {
+                Some((k, _)) if k == key => format!("{key} = {MAX_TIMING_CYCLES}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        let profile = HardwareProfile::parse(&text).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let cfg = SystemConfig::small_for_tests().with_hardware(&profile);
+        let metrics = run_workload_spec(Scheme::Palermo, &random, &cfg)
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert!(metrics.cycles > MAX_TIMING_CYCLES, "{key}");
+    }
 }
 
 /// A PE mesh without columns could accept no request, so the three mesh
