@@ -10,12 +10,7 @@
 //! table and its scaling trends (more PE columns, larger caches) can be
 //! regenerated.
 
-use palermo_dram::{DramConfig, DramStats, EnergyCoefficients};
-
-/// The nominal memory clock frequency the timing parameters are expressed
-/// in, hertz. Shared with the simulator's cycle clock so background energy
-/// integrates over the same wall-clock window the latency numbers use.
-pub const MEMORY_CLOCK_HZ: f64 = 1.6e9;
+use palermo_dram::{DramConfig, DramStats, EnergyCoefficients, CLOCK_HZ};
 
 /// Memory/geometry provisioning of the controller (Table III defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +172,7 @@ impl EnergyBreakdown {
 /// Activations are `row_misses + row_conflicts` (every non-hit opens a
 /// row); read/write bursts are the access counts; background power
 /// integrates `banks x mW/bank` over the measured window
-/// (`cycles / MEMORY_CLOCK_HZ`). The per-channel bank count comes from
+/// (`cycles / CLOCK_HZ`). The per-channel bank count comes from
 /// `config`, while `stats.channels` scales to however many channels the
 /// run (or merged shard set) actually drove.
 pub fn memory_energy(
@@ -188,7 +183,7 @@ pub fn memory_energy(
     const PJ: f64 = 1e-12;
     let activations = (stats.row_misses + stats.row_conflicts) as f64;
     let banks = stats.channels as f64 * config.banks_per_channel() as f64;
-    let seconds = stats.cycles as f64 / MEMORY_CLOCK_HZ;
+    let seconds = stats.cycles as f64 / CLOCK_HZ;
     EnergyBreakdown {
         activate_j: activations * energy.pj_per_act * PJ,
         read_j: stats.reads as f64 * energy.pj_per_rd_burst * PJ,

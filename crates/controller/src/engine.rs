@@ -45,39 +45,11 @@ pub struct ControllerConfig {
     /// concurrently (Table III uses a 3×8 mesh; the serial baseline
     /// effectively uses one column plus one staged request).
     pub pe_columns: usize,
-    /// Maximum DRAM requests the controller may issue per cycle (port width
-    /// towards the memory controller).
-    pub issue_width: usize,
 }
 
-impl ControllerConfig {
-    /// The paper's Palermo configuration: 3×8 PE mesh.
-    pub fn palermo_default() -> Self {
-        ControllerConfig {
-            policy: SchedulePolicy::PalermoMesh,
-            pe_columns: 8,
-            issue_width: 16,
-        }
-    }
-
-    /// The serial multi-issue baseline controller.
-    pub fn serial_default() -> Self {
-        ControllerConfig {
-            policy: SchedulePolicy::Serial,
-            pe_columns: 2,
-            issue_width: 16,
-        }
-    }
-
-    /// The software-only Palermo variant.
-    pub fn palermo_sw_default() -> Self {
-        ControllerConfig {
-            policy: SchedulePolicy::PalermoSoftware,
-            pe_columns: 8,
-            issue_width: 16,
-        }
-    }
-}
+/// Most DRAM requests the controller issues per cycle: the width of its
+/// port towards the memory controller.
+pub const ISSUE_WIDTH: usize = 16;
 
 /// A retired ORAM request with its service timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -862,7 +834,6 @@ impl OramController {
         //    is read from the request's masks at the moment the pass reaches
         //    it: every event that changes an older request this tick (which
         //    is all a hand-off gate reads) has already flagged the gate.
-        let width = self.config.issue_width;
         if dram.queued() != self.queued_after_pass {
             // A queue drained since the last pass: any rejected operation
             // may now be taken, so every request retries.
@@ -878,7 +849,7 @@ impl OramController {
         let mut blocked_any = false;
         let mut leftover_pending = false;
         for idx in 0..self.inflight.len() {
-            if issued_this_cycle >= width {
+            if issued_this_cycle >= ISSUE_WIDTH {
                 width_limited = true;
                 break;
             }
@@ -924,7 +895,7 @@ impl OramController {
                 let node = &mut req.nodes[node_idx];
                 let id = dram_id(req.plan.request_id, node_idx);
                 let mut rejected = false;
-                while issued_this_cycle < width {
+                while issued_this_cycle < ISSUE_WIDTH {
                     let Some((addr, is_write)) = node.next_op(plan_node) else {
                         break;
                     };
@@ -978,7 +949,7 @@ impl OramController {
                     // A later request's gate may open in this same tick.
                     self.notify_successors(idx);
                 }
-                if issued_this_cycle >= width {
+                if issued_this_cycle >= ISSUE_WIDTH {
                     scanned = mask_through(node_idx);
                     if node_idx + 1 < self.inflight[idx].nodes.len()
                         || idx + 1 < self.inflight.len()
@@ -1152,6 +1123,17 @@ mod tests {
     use palermo_oram::access_plan::AccessPlanBuilder;
     use palermo_oram::types::{OramOp, PhysAddr};
 
+    /// The controller of `policy` with the paper's PE columns: 8 for the
+    /// mesh and its software variant, 2 for the serial baseline.
+    fn controller(policy: SchedulePolicy) -> ControllerConfig {
+        let pe_columns = if policy == SchedulePolicy::Serial {
+            2
+        } else {
+            8
+        };
+        ControllerConfig { policy, pe_columns }
+    }
+
     /// Spreads plan base addresses across DRAM banks and rows the way real
     /// ORAM traffic does (random leaf selection); a regular power-of-two
     /// stride would alias every plan onto one bank and measure bank-conflict
@@ -1275,7 +1257,7 @@ mod tests {
     #[test]
     fn single_plan_completes() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::Serial));
         let finished = run_to_completion(&mut ctrl, &mut dram, vec![simple_plan(0, 0, 4)], 100_000);
         assert_eq!(finished.len(), 1);
         assert!(finished[0].latency() > 0);
@@ -1289,7 +1271,7 @@ mod tests {
     #[test]
     fn unfinished_requests_name_their_nodes_and_outstanding_reads() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::Serial));
         assert!(ctrl.try_submit(simple_plan(5, 0, 4), 0).is_ok());
         ctrl.tick(&mut dram);
         // Only the first node is ready, so every read issued is its own.
@@ -1315,7 +1297,7 @@ mod tests {
     #[test]
     fn per_request_dram_ops_sum_to_the_issue_counters() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::palermo_sw_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoSoftware));
         let plans: Vec<AccessPlan> = (0..6).map(|i| simple_plan(i, i % 3, 4)).collect();
         let finished = run_to_completion(&mut ctrl, &mut dram, plans, 500_000);
         assert_eq!(finished.len(), 6);
@@ -1331,7 +1313,7 @@ mod tests {
     #[test]
     fn serial_policy_orders_requests() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::Serial));
         let plans: Vec<AccessPlan> = (0..4)
             .map(|i| simple_plan(i, scattered_base(i), 4))
             .collect();
@@ -1355,8 +1337,8 @@ mod tests {
             run_to_completion(&mut ctrl, &mut dram, plans, 2_000_000);
             dram.cycle()
         };
-        let serial = run(ControllerConfig::serial_default());
-        let mesh = run(ControllerConfig::palermo_default());
+        let serial = run(controller(SchedulePolicy::Serial));
+        let mesh = run(controller(SchedulePolicy::PalermoMesh));
         assert!(
             (mesh as f64) < serial as f64 * 0.8,
             "mesh {mesh} not faster than serial {serial}"
@@ -1374,9 +1356,9 @@ mod tests {
             run_to_completion(&mut ctrl, &mut dram, plans, 2_000_000);
             dram.cycle()
         };
-        let serial = run(ControllerConfig::serial_default());
-        let sw = run(ControllerConfig::palermo_sw_default());
-        let mesh = run(ControllerConfig::palermo_default());
+        let serial = run(controller(SchedulePolicy::Serial));
+        let sw = run(controller(SchedulePolicy::PalermoSoftware));
+        let mesh = run(controller(SchedulePolicy::PalermoMesh));
         assert!(mesh <= sw, "mesh {mesh} vs sw {sw}");
         assert!(sw <= serial, "sw {sw} vs serial {serial}");
     }
@@ -1386,7 +1368,6 @@ mod tests {
         let mut ctrl = OramController::new(ControllerConfig {
             policy: SchedulePolicy::PalermoMesh,
             pe_columns: 2,
-            issue_width: 8,
         });
         assert!(ctrl.try_submit(simple_plan(0, 0, 2), 0).is_ok());
         assert!(ctrl
@@ -1402,7 +1383,7 @@ mod tests {
     #[test]
     fn stats_track_issue_and_stall_cycles() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::Serial));
         run_to_completion(
             &mut ctrl,
             &mut dram,
@@ -1421,7 +1402,7 @@ mod tests {
     #[test]
     fn finished_latency_is_consistent() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoMesh));
         let finished = run_to_completion(&mut ctrl, &mut dram, vec![simple_plan(3, 0, 4)], 100_000);
         assert_eq!(finished[0].request_id, 3);
         assert!(finished[0].finished_at >= finished[0].submitted_at);
@@ -1479,7 +1460,7 @@ mod tests {
         let mut dram_config = DramConfig::ddr4_3200_quad_channel();
         dram_config.queue_capacity = 1;
         let mut dram = DramSystem::new(dram_config);
-        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoMesh));
         assert!(ctrl.try_submit(first, 0).is_ok());
         assert!(ctrl.try_submit(second, 0).is_ok());
         // Refilling channel 0 from outside the controller keeps the skipped
@@ -1553,7 +1534,7 @@ mod tests {
             0,
         );
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoMesh));
         assert!(ctrl.try_submit(b.build(), 0).is_ok());
         while ctrl.stats().dram_reads_issued < 2 {
             ctrl.tick(&mut dram);
@@ -1593,7 +1574,7 @@ mod tests {
     /// in its first tick, with the DRAM system it issued to.
     fn issued(reads: Vec<u64>, writes: Vec<u64>) -> (OramController, DramSystem) {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
-        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoMesh));
         assert!(ctrl.try_submit(one_node_plan(reads, writes), 0).is_ok());
         ctrl.tick(&mut dram);
         (ctrl, dram)
@@ -1656,9 +1637,9 @@ mod tests {
         // retires the same requests at the same cycles with the same
         // statistics as routing every completion in the next tick.
         let configs = [
-            ControllerConfig::serial_default(),
-            ControllerConfig::palermo_default(),
-            ControllerConfig::palermo_sw_default(),
+            controller(SchedulePolicy::Serial),
+            controller(SchedulePolicy::PalermoMesh),
+            controller(SchedulePolicy::PalermoSoftware),
         ];
         for config in configs {
             let run = |absorb: bool| {
@@ -1694,7 +1675,7 @@ mod tests {
         for _ in 0..4 {
             dram.tick();
         }
-        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        let mut ctrl = OramController::new(controller(SchedulePolicy::PalermoMesh));
         assert!(ctrl
             .try_submit(one_node_plan(vec![0, 256], vec![]), dram.cycle())
             .is_ok());

@@ -20,9 +20,9 @@ pub mod stats;
 
 pub use area_power::{
     estimate, memory_energy, AreaPowerEstimate, ControllerProvisioning, EnergyBreakdown,
-    MEMORY_CLOCK_HZ,
 };
 pub use engine::{
-    ControllerConfig, FinishedRequest, OramController, SchedulePolicy, SYNC_STALL_QUEUE_DEPTH,
+    ControllerConfig, FinishedRequest, OramController, SchedulePolicy, ISSUE_WIDTH,
+    SYNC_STALL_QUEUE_DEPTH,
 };
 pub use stats::ControllerStats;

@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+/// The clock every simulated cycle counts, in hertz: Table III's 1.6 GHz,
+/// shared by the DRAM command clock and the ORAM controller.
+pub const CLOCK_HZ: f64 = 1.6e9;
+
 /// The most banks per channel the address map may reach: the channel
 /// scheduler keeps one bit per bank in a `u64` mask per command class.
 pub const MAX_ADDRESSED_BANKS: u64 = 64;
@@ -209,9 +213,9 @@ impl DramConfig {
         self.channels as f64 * self.burst_bytes as f64 / self.t_bl as f64
     }
 
-    /// Peak bandwidth in GB/s at the nominal 1600 MHz clock.
+    /// Peak bandwidth in GB/s at [`CLOCK_HZ`].
     pub fn peak_gbps(&self) -> f64 {
-        self.peak_bytes_per_cycle() * 1.6
+        self.peak_bytes_per_cycle() * (CLOCK_HZ / 1e9)
     }
 
     /// The DRAM organisation a hardware profile describes (see

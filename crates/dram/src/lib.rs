@@ -37,7 +37,7 @@ pub mod stats;
 pub mod system;
 
 pub use channel::ChannelTickResult;
-pub use config::{DramConfig, DramConfigError};
+pub use config::{DramConfig, DramConfigError, CLOCK_HZ};
 pub use profile::{EnergyCoefficients, HardwareProfile, ProfileError, ProvisioningOverrides};
 pub use request::{MemCompletion, MemOpKind, MemRequest, RequestId, RowBufferResult};
 pub use stats::DramStats;

@@ -25,6 +25,11 @@
 //! the canonical form; serialize → parse → serialize is byte-identical
 //! (property-tested in `tests/profile_roundtrip.rs`).
 //!
+//! One table, `KEYS`, lists every key in canonical order with the comment
+//! heading its group in the rendering and the profile field it holds; a
+//! key whose field is an `Option` is optional. Parsing, the missing-key
+//! check and rendering all walk it, so a new key is one line there.
+//!
 //! File I/O happens in [`HardwareProfile::load`] only — profiles are
 //! resolved before a simulation starts, never inside the loop, keeping the
 //! determinism contract ambient-state-free (the D02 determinism lint
@@ -216,108 +221,158 @@ fn valid_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
-/// The required keys, in canonical serialization order.
-const REQUIRED_KEYS: &[&str] = &[
-    "name",
-    "channels",
-    "ranks",
-    "bank_groups",
-    "banks_per_group",
-    "rows",
-    "row_bytes",
-    "burst_bytes",
-    "queue_capacity",
-    "t_cl",
-    "t_cwl",
-    "t_rcd",
-    "t_rp",
-    "t_ras",
-    "t_rc",
-    "t_ccd_s",
-    "t_ccd_l",
-    "t_rrd_s",
-    "t_rrd_l",
-    "t_faw",
-    "t_wr",
-    "t_wtr",
-    "t_rtp",
-    "t_bl",
-    "pj_per_act",
-    "pj_per_rd_burst",
-    "pj_per_wr_burst",
-    "background_mw_per_bank",
-];
-
-/// The optional controller-override keys, in canonical order.
-const OPTIONAL_KEYS: &[&str] = &[
-    "pe_rows",
-    "pe_columns",
-    "treetop_bytes",
-    "posmap3_bytes",
-    "stash_bytes",
-];
-
-/// Accumulates parsed keys; every field starts `None` and may be set once.
-#[derive(Default)]
-struct PartialProfile {
-    name: Option<String>,
-    u32s: Vec<(&'static str, u32)>,
-    u64s: Vec<(&'static str, u64)>,
-    f64s: Vec<(&'static str, f64)>,
+/// A profile field's value, as a key's text in the file.
+trait Value {
+    /// Stores the value `text` spells, or returns `false` when `text` is
+    /// not a valid value of the field.
+    fn parse_from(&mut self, text: &str) -> bool;
+    /// The field's text, or `None` for an unset optional field.
+    fn render(&self) -> Option<String>;
+    /// Whether the key may be left out of a file.
+    fn optional(&self) -> bool {
+        false
+    }
 }
 
-impl PartialProfile {
-    fn seen(&self, key: &str) -> bool {
-        match key {
-            "name" => self.name.is_some(),
-            _ => {
-                self.u32s.iter().any(|(k, _)| *k == key)
-                    || self.u64s.iter().any(|(k, _)| *k == key)
-                    || self.f64s.iter().any(|(k, _)| *k == key)
+/// Stores a successfully parsed value.
+fn store<T>(field: &mut T, parsed: Option<T>) -> bool {
+    parsed.map(|v| *field = v).is_some()
+}
+
+impl Value for String {
+    fn parse_from(&mut self, text: &str) -> bool {
+        store(self, valid_name(text).then(|| text.to_string()))
+    }
+    fn render(&self) -> Option<String> {
+        Some(self.clone())
+    }
+}
+
+/// Counts, sizes and cycle counts: any value of the field's integer type,
+/// so a `u32` count above `u32::MAX` is invalid.
+macro_rules! integer_value {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn parse_from(&mut self, text: &str) -> bool {
+                store(self, text.parse().ok())
+            }
+            fn render(&self) -> Option<String> {
+                Some(self.to_string())
             }
         }
-    }
+    )*};
+}
+integer_value!(u32, u64, usize);
 
-    fn u32_field(&self, key: &str) -> Option<u32> {
-        self.u32s.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+/// An energy coefficient: finite and non-negative.
+impl Value for f64 {
+    fn parse_from(&mut self, text: &str) -> bool {
+        let parsed = text
+            .parse()
+            .ok()
+            .filter(|v: &f64| v.is_finite() && *v >= 0.0);
+        store(self, parsed)
     }
-
-    fn u64_field(&self, key: &str) -> Option<u64> {
-        self.u64s.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn f64_field(&self, key: &str) -> Option<f64> {
-        self.f64s.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+    fn render(&self) -> Option<String> {
+        Some(self.to_string())
     }
 }
 
-/// Keys whose field is a `u32`, range-checked where the line is known.
-const U32_KEYS: &[&str] = &[
-    "channels",
-    "ranks",
-    "bank_groups",
-    "banks_per_group",
-    "pe_rows",
-    "pe_columns",
-];
-
-/// Keys holding floating-point energy coefficients.
-const F64_KEYS: &[&str] = &[
-    "pj_per_act",
-    "pj_per_rd_burst",
-    "pj_per_wr_burst",
-    "background_mw_per_bank",
-];
-
-/// Canonical static name for a key (so the accumulator can store
-/// `&'static str` without leaking the caller's buffer).
-fn canonical_key(key: &str) -> Option<&'static str> {
-    REQUIRED_KEYS
-        .iter()
-        .chain(OPTIONAL_KEYS.iter())
-        .find(|k| **k == key)
-        .copied()
+/// A PE mesh dimension override: a mesh without rows or columns could
+/// serve no request, so 0 is invalid.
+impl Value for Option<u32> {
+    fn parse_from(&mut self, text: &str) -> bool {
+        store(self, text.parse().ok().filter(|v| *v > 0).map(Some))
+    }
+    fn render(&self) -> Option<String> {
+        self.map(|v| v.to_string())
+    }
+    fn optional(&self) -> bool {
+        true
+    }
 }
+
+/// A capacity override in bytes.
+impl Value for Option<u64> {
+    fn parse_from(&mut self, text: &str) -> bool {
+        store(self, text.parse().ok().map(Some))
+    }
+    fn render(&self) -> Option<String> {
+        self.map(|v| v.to_string())
+    }
+    fn optional(&self) -> bool {
+        true
+    }
+}
+
+/// One key of the file format: its name, the comment heading its section
+/// in the canonical rendering, and the profile field it holds.
+struct Key {
+    name: &'static str,
+    section: &'static str,
+    get: fn(&HardwareProfile) -> &dyn Value,
+    set: fn(&mut HardwareProfile) -> &mut dyn Value,
+}
+
+/// A [`Key`] for the profile field at `$field` (a path such as
+/// `dram.t_cl`).
+macro_rules! key {
+    ($name:literal, $section:expr, $($field:ident).+) => {
+        Key {
+            name: $name,
+            section: $section,
+            get: |p| &p.$($field).+,
+            set: |p| &mut p.$($field).+,
+        }
+    };
+}
+
+const ORGANISATION: &str = "DRAM organisation";
+const TIMING: &str = "DRAM timing (cycles)";
+const ENERGY: &str = "Energy coefficients";
+const PROVISIONING: &str = "Controller provisioning overrides (optional)";
+
+/// Every key, in canonical order. Parsing, the missing-key check and
+/// rendering all walk this table.
+const KEYS: &[Key] = &[
+    key!("name", "", name),
+    key!("channels", ORGANISATION, dram.channels),
+    key!("ranks", ORGANISATION, dram.ranks),
+    key!("bank_groups", ORGANISATION, dram.bank_groups),
+    key!("banks_per_group", ORGANISATION, dram.banks_per_group),
+    key!("rows", ORGANISATION, dram.rows),
+    key!("row_bytes", ORGANISATION, dram.row_bytes),
+    key!("burst_bytes", ORGANISATION, dram.burst_bytes),
+    key!("queue_capacity", ORGANISATION, dram.queue_capacity),
+    key!("t_cl", TIMING, dram.t_cl),
+    key!("t_cwl", TIMING, dram.t_cwl),
+    key!("t_rcd", TIMING, dram.t_rcd),
+    key!("t_rp", TIMING, dram.t_rp),
+    key!("t_ras", TIMING, dram.t_ras),
+    key!("t_rc", TIMING, dram.t_rc),
+    key!("t_ccd_s", TIMING, dram.t_ccd_s),
+    key!("t_ccd_l", TIMING, dram.t_ccd_l),
+    key!("t_rrd_s", TIMING, dram.t_rrd_s),
+    key!("t_rrd_l", TIMING, dram.t_rrd_l),
+    key!("t_faw", TIMING, dram.t_faw),
+    key!("t_wr", TIMING, dram.t_wr),
+    key!("t_wtr", TIMING, dram.t_wtr),
+    key!("t_rtp", TIMING, dram.t_rtp),
+    key!("t_bl", TIMING, dram.t_bl),
+    key!("pj_per_act", ENERGY, energy.pj_per_act),
+    key!("pj_per_rd_burst", ENERGY, energy.pj_per_rd_burst),
+    key!("pj_per_wr_burst", ENERGY, energy.pj_per_wr_burst),
+    key!(
+        "background_mw_per_bank",
+        ENERGY,
+        energy.background_mw_per_bank
+    ),
+    key!("pe_rows", PROVISIONING, provisioning.pe_rows),
+    key!("pe_columns", PROVISIONING, provisioning.pe_columns),
+    key!("treetop_bytes", PROVISIONING, provisioning.treetop_bytes),
+    key!("posmap3_bytes", PROVISIONING, provisioning.posmap3_bytes),
+    key!("stash_bytes", PROVISIONING, provisioning.stash_bytes),
+];
 
 impl HardwareProfile {
     /// Parses the `key = value` profile format. Strict by design: unknown
@@ -330,9 +385,13 @@ impl HardwareProfile {
     /// # Errors
     ///
     /// Returns the first [`ProfileError`] encountered, scanning top to
-    /// bottom and validating the assembled configuration last.
+    /// bottom, then the first missing key in canonical order, and
+    /// validating the assembled configuration last.
     pub fn parse(text: &str) -> Result<HardwareProfile, ProfileError> {
-        let mut partial = PartialProfile::default();
+        // Every required field is overwritten or reported missing below,
+        // so none of these starting values survives into the result.
+        let mut profile = HardwareProfile::ddr4_3200();
+        let mut seen = [false; KEYS.len()];
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let content = raw.trim();
@@ -346,107 +405,43 @@ impl HardwareProfile {
                 });
             };
             let (key, value) = (key.trim(), value.trim());
-            let Some(key) = canonical_key(key) else {
+            let Some(i) = KEYS.iter().position(|k| k.name == key) else {
                 return Err(ProfileError::UnknownKey {
                     line,
                     key: key.to_string(),
                 });
             };
-            if partial.seen(key) {
+            if std::mem::replace(&mut seen[i], true) {
                 return Err(ProfileError::DuplicateKey {
                     line,
                     key: key.to_string(),
                 });
             }
-            let invalid = || ProfileError::InvalidValue {
-                line,
-                key: key.to_string(),
-                value: value.to_string(),
-            };
-            if key == "name" {
-                if !valid_name(value) {
-                    return Err(ProfileError::InvalidName {
+            if !(KEYS[i].set)(&mut profile).parse_from(value) {
+                return Err(if key == "name" {
+                    ProfileError::InvalidName {
                         name: value.to_string(),
-                    });
-                }
-                partial.name = Some(value.to_string());
-            } else if F64_KEYS.contains(&key) {
-                let v: f64 = value.parse().map_err(|_| invalid())?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(invalid());
-                }
-                partial.f64s.push((key, v));
-            } else if U32_KEYS.contains(&key) {
-                let v: u32 = value.parse().map_err(|_| invalid())?;
-                // A mesh without rows or columns could serve no request.
-                if v == 0 && (key == "pe_rows" || key == "pe_columns") {
-                    return Err(invalid());
-                }
-                partial.u32s.push((key, v));
-            } else {
-                let v: u64 = value.parse().map_err(|_| invalid())?;
-                partial.u64s.push((key, v));
+                    }
+                } else {
+                    ProfileError::InvalidValue {
+                        line,
+                        key: key.to_string(),
+                        value: value.to_string(),
+                    }
+                });
             }
         }
-        Self::assemble(&partial)
-    }
-
-    /// Builds the profile from a fully-parsed accumulator, rejecting
-    /// missing keys and delegating structural checks to
-    /// [`DramConfig::validate`].
-    fn assemble(partial: &PartialProfile) -> Result<HardwareProfile, ProfileError> {
-        let missing = |key: &&str| ProfileError::MissingKey {
-            key: (*key).to_string(),
-        };
-        let name = partial.name.clone().ok_or_else(|| missing(&"name"))?;
-        let u32 = |key: &'static str| partial.u32_field(key).ok_or_else(|| missing(&key));
-        let u = |key: &'static str| partial.u64_field(key).ok_or_else(|| missing(&key));
-        let e = |key: &'static str| partial.f64_field(key).ok_or_else(|| missing(&key));
-        let dram = DramConfig {
-            channels: u32("channels")?,
-            ranks: u32("ranks")?,
-            bank_groups: u32("bank_groups")?,
-            banks_per_group: u32("banks_per_group")?,
-            rows: u("rows")?,
-            row_bytes: u("row_bytes")?,
-            burst_bytes: u("burst_bytes")?,
-            queue_capacity: u("queue_capacity")? as usize,
-            t_cl: u("t_cl")?,
-            t_cwl: u("t_cwl")?,
-            t_rcd: u("t_rcd")?,
-            t_rp: u("t_rp")?,
-            t_ras: u("t_ras")?,
-            t_rc: u("t_rc")?,
-            t_ccd_s: u("t_ccd_s")?,
-            t_ccd_l: u("t_ccd_l")?,
-            t_rrd_s: u("t_rrd_s")?,
-            t_rrd_l: u("t_rrd_l")?,
-            t_faw: u("t_faw")?,
-            t_wr: u("t_wr")?,
-            t_wtr: u("t_wtr")?,
-            t_rtp: u("t_rtp")?,
-            t_bl: u("t_bl")?,
-        };
-        dram.validate()?;
-        let energy = EnergyCoefficients {
-            pj_per_act: e("pj_per_act")?,
-            pj_per_rd_burst: e("pj_per_rd_burst")?,
-            pj_per_wr_burst: e("pj_per_wr_burst")?,
-            background_mw_per_bank: e("background_mw_per_bank")?,
-        };
-        let provisioning = ProvisioningOverrides {
-            pe_rows: partial.u32_field("pe_rows"),
-            pe_columns: partial.u32_field("pe_columns"),
-            treetop_bytes: partial.u64_field("treetop_bytes"),
-            posmap3_bytes: partial.u64_field("posmap3_bytes"),
-            stash_bytes: partial.u64_field("stash_bytes"),
-        };
-        Ok(HardwareProfile {
-            name,
-            dram,
-            energy,
-            provisioning,
-        })
+        if let Some(key) = KEYS
+            .iter()
+            .zip(seen)
+            .find(|(k, seen)| !seen && !(k.get)(&profile).optional())
+        {
+            return Err(ProfileError::MissingKey {
+                key: key.0.name.to_string(),
+            });
+        }
+        profile.dram.validate()?;
+        Ok(profile)
     }
 
     /// Reads and parses a profile file. This is the only place the profile
@@ -470,73 +465,23 @@ impl HardwareProfile {
     /// for byte — the checked-in `profiles/*.profile` files are exactly
     /// this rendering of the built-in profiles (pinned by test).
     pub fn to_file_string(&self) -> String {
-        use std::fmt::Write as _;
-        let d = &self.dram;
-        let e = &self.energy;
-        let mut out = String::new();
-        let _ = writeln!(out, "# Palermo hardware profile: {}", self.name);
-        let _ = writeln!(
-            out,
-            "# One `key = value` per line; '#' starts a comment line; timings are"
+        let mut out = format!(
+            "# Palermo hardware profile: {}\n\
+             # One `key = value` per line; '#' starts a comment line; timings are\n\
+             # 1600 MHz memory-clock cycles. No key is optional unless\n\
+             # marked so; unknown or duplicate keys are errors.\n",
+            self.name
         );
-        let _ = writeln!(
-            out,
-            "# 1600 MHz memory-clock cycles. No key is optional unless"
-        );
-        let _ = writeln!(out, "# marked so; unknown or duplicate keys are errors.");
-        let _ = writeln!(out, "name = {}", self.name);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "# DRAM organisation");
-        let _ = writeln!(out, "channels = {}", d.channels);
-        let _ = writeln!(out, "ranks = {}", d.ranks);
-        let _ = writeln!(out, "bank_groups = {}", d.bank_groups);
-        let _ = writeln!(out, "banks_per_group = {}", d.banks_per_group);
-        let _ = writeln!(out, "rows = {}", d.rows);
-        let _ = writeln!(out, "row_bytes = {}", d.row_bytes);
-        let _ = writeln!(out, "burst_bytes = {}", d.burst_bytes);
-        let _ = writeln!(out, "queue_capacity = {}", d.queue_capacity);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "# DRAM timing (cycles)");
-        let _ = writeln!(out, "t_cl = {}", d.t_cl);
-        let _ = writeln!(out, "t_cwl = {}", d.t_cwl);
-        let _ = writeln!(out, "t_rcd = {}", d.t_rcd);
-        let _ = writeln!(out, "t_rp = {}", d.t_rp);
-        let _ = writeln!(out, "t_ras = {}", d.t_ras);
-        let _ = writeln!(out, "t_rc = {}", d.t_rc);
-        let _ = writeln!(out, "t_ccd_s = {}", d.t_ccd_s);
-        let _ = writeln!(out, "t_ccd_l = {}", d.t_ccd_l);
-        let _ = writeln!(out, "t_rrd_s = {}", d.t_rrd_s);
-        let _ = writeln!(out, "t_rrd_l = {}", d.t_rrd_l);
-        let _ = writeln!(out, "t_faw = {}", d.t_faw);
-        let _ = writeln!(out, "t_wr = {}", d.t_wr);
-        let _ = writeln!(out, "t_wtr = {}", d.t_wtr);
-        let _ = writeln!(out, "t_rtp = {}", d.t_rtp);
-        let _ = writeln!(out, "t_bl = {}", d.t_bl);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "# Energy coefficients");
-        let _ = writeln!(out, "pj_per_act = {}", e.pj_per_act);
-        let _ = writeln!(out, "pj_per_rd_burst = {}", e.pj_per_rd_burst);
-        let _ = writeln!(out, "pj_per_wr_burst = {}", e.pj_per_wr_burst);
-        let _ = writeln!(out, "background_mw_per_bank = {}", e.background_mw_per_bank);
-        if !self.provisioning.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "# Controller provisioning overrides (optional)");
-            let p = &self.provisioning;
-            if let Some(v) = p.pe_rows {
-                let _ = writeln!(out, "pe_rows = {v}");
+        let mut section = "";
+        for key in KEYS {
+            let Some(value) = (key.get)(self).render() else {
+                continue;
+            };
+            if key.section != section {
+                section = key.section;
+                out.push_str(&format!("\n# {section}\n"));
             }
-            if let Some(v) = p.pe_columns {
-                let _ = writeln!(out, "pe_columns = {v}");
-            }
-            if let Some(v) = p.treetop_bytes {
-                let _ = writeln!(out, "treetop_bytes = {v}");
-            }
-            if let Some(v) = p.posmap3_bytes {
-                let _ = writeln!(out, "posmap3_bytes = {v}");
-            }
-            if let Some(v) = p.stash_bytes {
-                let _ = writeln!(out, "stash_bytes = {v}");
-            }
+            out.push_str(&format!("{} = {value}\n", key.name));
         }
         out
     }
@@ -729,6 +674,16 @@ mod tests {
                 key: "t_faw".to_string(),
             })
         );
+        // A missing key is reported before an invalid DRAM configuration.
+        let both = base
+            .replace("t_rrd_s = 4", "t_rrd_s = 8")
+            .replace("pj_per_act = 1700\n", "");
+        assert_eq!(
+            HardwareProfile::parse(&both),
+            Err(ProfileError::MissingKey {
+                key: "pj_per_act".to_string(),
+            })
+        );
     }
 
     #[test]
@@ -789,7 +744,15 @@ mod tests {
             ))
         );
         // Each u32 key, moved to the last line.
-        for key in U32_KEYS {
+        let u32_keys = [
+            "channels",
+            "ranks",
+            "bank_groups",
+            "banks_per_group",
+            "pe_rows",
+            "pe_columns",
+        ];
+        for key in u32_keys {
             let kept: String = base
                 .lines()
                 .filter(|l| !l.starts_with(&format!("{key} = ")))
@@ -831,10 +794,10 @@ mod tests {
                 })
                 .collect()
         };
-        let cases = REQUIRED_KEYS
+        let cases = KEYS
             .iter()
-            .filter(|k| k.starts_with("t_"))
-            .map(|k| (*k, u64::MAX))
+            .filter(|k| k.name.starts_with("t_"))
+            .map(|k| (k.name, u64::MAX))
             .chain([("t_rrd_s", u64::MAX / 2)]);
         for (key, value) in cases {
             let text = with(key, &value.to_string());

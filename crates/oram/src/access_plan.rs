@@ -17,8 +17,6 @@ use crate::types::{OramOp, PhysAddr, SubOram};
 /// in §V-A of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PhaseKind {
-    /// Check the position map (query the child sub-ORAM / on-chip PosMap3).
-    CheckPosMap,
     /// Load per-node metadata along the path (RingORAM/Palermo only).
     LoadMetadata,
     /// Early reshuffle: reset buckets that have exhausted their dummies.
@@ -27,8 +25,6 @@ pub enum PhaseKind {
     ReadPath,
     /// Evict path / write back: push stash contents into the tree.
     EvictPath,
-    /// Retire the request (no memory traffic; synchronisation only).
-    Finalize,
 }
 
 /// Index of a plan node within its [`AccessPlan`].
@@ -313,7 +309,7 @@ mod tests {
         let n = PlanNode {
             id: PlanNodeId(0),
             sub: SubOram::Data,
-            phase: PhaseKind::Finalize,
+            phase: PhaseKind::EvictPath,
             reads: vec![],
             writes: vec![],
             deps: vec![],

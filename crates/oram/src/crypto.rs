@@ -1,35 +1,28 @@
-//! Block payloads and the modelled memory-path cipher.
+//! Block payloads.
 //!
-//! The real Palermo hardware re-encrypts every block with a fresh key/counter
-//! before it is written back to untrusted DRAM. The *security* analysis of
-//! the protocol only requires that (a) payloads on the bus are unintelligible
-//! and (b) a block's ciphertext changes every time it is written. For the
-//! simulator we therefore use a keyed counter-mode keystream (built on
-//! SplitMix64) rather than AES: it preserves both properties, is fully
-//! deterministic under a seed, and keeps the functional read-back tests
-//! honest — a block that is not decrypted with the right address/version
-//! will not return the stored value.
+//! The real Palermo hardware re-encrypts every block with a fresh key and
+//! counter before it is written back to untrusted DRAM. The timing model
+//! charges decryption as a fixed latency per `ReadPath` phase, and no DRAM
+//! address depends on a ciphertext, so the engines carry each block's
+//! plaintext.
 
-use crate::rng::SplitMix64;
+use crate::params::BLOCK_BYTES;
 use std::fmt;
 
-/// Size of one ORAM data block / DRAM burst target, in bytes.
-pub const BLOCK_BYTES: usize = 64;
-
-/// The plaintext or ciphertext contents of one 64-byte block.
+/// The contents of one [`BLOCK_BYTES`]-byte block.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Payload(pub [u8; BLOCK_BYTES]);
+pub struct Payload(pub [u8; BLOCK_BYTES as usize]);
 
 impl Payload {
     /// A payload of all zero bytes (what an untouched block reads as).
     pub fn zeroed() -> Self {
-        Payload([0u8; BLOCK_BYTES])
+        Payload([0u8; BLOCK_BYTES as usize])
     }
 
     /// Builds a payload whose first eight bytes hold `value` (little endian)
     /// and whose remaining bytes are zero. Convenient for tests.
     pub fn from_u64(value: u64) -> Self {
-        let mut bytes = [0u8; BLOCK_BYTES];
+        let mut bytes = [0u8; BLOCK_BYTES as usize];
         bytes[..8].copy_from_slice(&value.to_le_bytes());
         Payload(bytes)
     }
@@ -54,93 +47,9 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// The keyed memory-path cipher.
-///
-/// Encryption is XOR with a keystream derived from `(key, block address,
-/// version)`. The version counter is bumped by the caller on every
-/// write-back so identical plaintexts never produce identical ciphertexts.
-///
-/// ```
-/// use palermo_oram::crypto::{BlockCipher, Payload};
-/// let cipher = BlockCipher::new(0xfeed);
-/// let clear = Payload::from_u64(42);
-/// let ct = cipher.encrypt(0x1000, 3, &clear);
-/// assert_ne!(ct, clear);
-/// assert_eq!(cipher.decrypt(0x1000, 3, &ct), clear);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockCipher {
-    key: u64,
-}
-
-impl BlockCipher {
-    /// Creates a cipher with the given secret key.
-    pub fn new(key: u64) -> Self {
-        BlockCipher { key }
-    }
-
-    fn apply(&self, addr: u64, version: u64, payload: &Payload) -> Payload {
-        let mut stream = SplitMix64::new(
-            self.key ^ addr.rotate_left(17) ^ version.rotate_left(41) ^ 0xA5A5_5A5A_0F0F_F0F0,
-        );
-        let mut out = payload.0;
-        for chunk in out.chunks_mut(8) {
-            let ks = stream.next_u64().to_le_bytes();
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-        }
-        Payload(out)
-    }
-
-    /// Encrypts `payload` for storage at `addr` with the given write version.
-    pub fn encrypt(&self, addr: u64, version: u64, payload: &Payload) -> Payload {
-        self.apply(addr, version, payload)
-    }
-
-    /// Decrypts a ciphertext previously produced with the same `(addr, version)`.
-    pub fn decrypt(&self, addr: u64, version: u64, payload: &Payload) -> Payload {
-        self.apply(addr, version, payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip() {
-        let cipher = BlockCipher::new(1234);
-        let clear = Payload::from_u64(0xDEAD_BEEF_0BAD_F00D);
-        let ct = cipher.encrypt(77, 5, &clear);
-        assert_ne!(ct, clear);
-        assert_eq!(cipher.decrypt(77, 5, &ct), clear);
-    }
-
-    #[test]
-    fn ciphertext_depends_on_version() {
-        let cipher = BlockCipher::new(9);
-        let clear = Payload::from_u64(1);
-        let a = cipher.encrypt(100, 0, &clear);
-        let b = cipher.encrypt(100, 1, &clear);
-        assert_ne!(a, b, "re-encryption must change the ciphertext");
-    }
-
-    #[test]
-    fn ciphertext_depends_on_address() {
-        let cipher = BlockCipher::new(9);
-        let clear = Payload::from_u64(1);
-        let a = cipher.encrypt(100, 0, &clear);
-        let b = cipher.encrypt(164, 0, &clear);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn wrong_key_does_not_decrypt() {
-        let clear = Payload::from_u64(99);
-        let ct = BlockCipher::new(1).encrypt(0, 0, &clear);
-        assert_ne!(BlockCipher::new(2).decrypt(0, 0, &ct), clear);
-    }
 
     #[test]
     fn payload_u64_round_trip() {

@@ -11,7 +11,7 @@ use crate::access_plan::{AccessPlan, AccessPlanBuilder, PhaseKind, PlanNodeId};
 use crate::crypto::Payload;
 use crate::error::{OramError, OramResult};
 use crate::level::{LevelConfig, LevelCore, LevelOutcome};
-use crate::params::HierarchyParams;
+use crate::params::{HierarchyParams, OramParams, ENTRIES_PER_BLOCK};
 use crate::path_level::{PathLevel, PathLevelOptions};
 use crate::ring_level::RingLevel;
 use crate::rng::OramRng;
@@ -178,7 +178,6 @@ impl std::fmt::Debug for LevelEngine {
 pub struct HierarchicalOram {
     config: HierarchyConfig,
     levels: Vec<LevelEngine>,
-    entries_per_block: u64,
     next_request_id: u64,
     bypass_rng: OramRng,
 }
@@ -213,19 +212,13 @@ impl HierarchicalOram {
         // recursion; rebuild the hierarchy sizing accordingly.
         let params = match config.prefetch {
             PrefetchMode::WideBlock { length } if length > 1 => {
-                let mut builder = crate::params::OramParams::builder();
-                builder
+                let data = OramParams::builder()
                     .z(config.params.data.z)
                     .s(config.params.data.s)
                     .a(config.params.data.a)
-                    .block_bytes(config.params.data.block_bytes)
-                    .num_blocks(config.params.data.num_blocks.div_ceil(u64::from(length)));
-                let data = builder.build()?;
-                HierarchyParams::derive(
-                    data,
-                    config.params.posmap_entry_bytes,
-                    config.params.treetop_levels,
-                )?
+                    .num_blocks(config.params.data.num_blocks.div_ceil(u64::from(length)))
+                    .build()?;
+                HierarchyParams::derive(data, config.params.treetop_levels)?
             }
             _ => config.params,
         };
@@ -259,10 +252,7 @@ impl HierarchicalOram {
             };
             // Reserve address space for this tree (region size uses the
             // widened block size for the data tree).
-            let bucket_bytes = u64::from(level_params.slots_per_bucket() + 1)
-                * u64::from(level_params.block_bytes)
-                * u64::from(level_config.wide_factor);
-            let footprint = level_params.num_nodes() * bucket_bytes;
+            let footprint = level_params.tree_bytes() * u64::from(level_config.wide_factor);
 
             let engine = match config.flavor {
                 ProtocolFlavor::PathOram => LevelEngine::Path(PathLevel::new(
@@ -288,7 +278,6 @@ impl HierarchicalOram {
         }
 
         Ok(HierarchicalOram {
-            entries_per_block: params.entries_per_block(),
             levels,
             next_request_id: 0,
             bypass_rng: OramRng::new(config.seed ^ 0xB1A5),
@@ -363,7 +352,7 @@ impl HierarchicalOram {
         op: OramOp,
         payload: Option<Payload>,
     ) -> OramResult<AccessResult> {
-        let raw_block = pa.cache_line(64);
+        let raw_block = pa.cache_line();
         let span = u64::from(self.config.prefetch.span());
         let protected_blocks = match self.config.prefetch {
             PrefetchMode::WideBlock { .. } => self.config.params.data.num_blocks * span,
@@ -384,8 +373,8 @@ impl HierarchicalOram {
             PrefetchMode::WideBlock { .. } => BlockId(raw_block.0 / span),
             _ => raw_block,
         };
-        let pos1_block = BlockId(data_block.0 / self.entries_per_block);
-        let pos2_block = BlockId(pos1_block.0 / self.entries_per_block);
+        let pos1_block = BlockId(data_block.0 / ENTRIES_PER_BLOCK);
+        let pos2_block = BlockId(pos1_block.0 / ENTRIES_PER_BLOCK);
 
         // IR-ORAM-style recursion bypass.
         let (skip_pos1, skip_pos2) = match &self.config.posmap_bypass {
@@ -542,7 +531,6 @@ impl HierarchicalOram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::OramParams;
 
     fn tiny_params() -> HierarchyParams {
         let data = OramParams::builder()
@@ -552,7 +540,7 @@ mod tests {
             .num_blocks(4096)
             .build()
             .unwrap();
-        HierarchyParams::derive(data, 4, 2).unwrap()
+        HierarchyParams::derive(data, 2).unwrap()
     }
 
     fn tiny_config(flavor: ProtocolFlavor) -> HierarchyConfig {

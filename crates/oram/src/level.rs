@@ -12,7 +12,7 @@
 use crate::bucket::{BucketState, StoredBlock};
 use crate::crypto::Payload;
 use crate::layout::TreeLayout;
-use crate::params::OramParams;
+use crate::params::{OramParams, BLOCK_BYTES};
 use crate::posmap::PositionMap;
 use crate::rng::OramRng;
 use crate::stash::{Stash, StashEntry};
@@ -45,8 +45,6 @@ pub struct LevelConfig {
 /// DRAM operations belonging to one bucket-reset or path-eviction routine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BucketOps {
-    /// The bucket being reset (for path evictions, the path's leaf-level node).
-    pub node: NodeId,
     /// Block addresses read by the routine.
     pub reads: Vec<u64>,
     /// Block addresses written by the routine.
@@ -56,8 +54,6 @@ pub struct BucketOps {
 /// The result of serving one access at one level.
 #[derive(Debug, Clone, Default)]
 pub struct LevelOutcome {
-    /// The leaf whose path was accessed (the *old* mapping).
-    pub leaf: LeafId,
     /// Metadata reads along the path (`LoadMetadata` phase).
     pub lm_reads: Vec<u64>,
     /// Early-reshuffle bucket resets triggered by this access.
@@ -74,8 +70,6 @@ pub struct LevelOutcome {
     pub value: Option<Payload>,
     /// Whether the block existed (had been written or placed) before this access.
     pub found: bool,
-    /// Extra logical blocks brought on chip by a prefetching scheme.
-    pub prefetched: Vec<BlockId>,
 }
 
 /// The tree state of one level engine and the steps both protocol families
@@ -105,7 +99,7 @@ impl LevelCore {
             geometry: TreeGeometry::new(config.params.num_leaves),
             layout: TreeLayout::new(
                 config.dram_base,
-                u64::from(config.params.block_bytes) * u64::from(config.wide_factor.max(1)),
+                BLOCK_BYTES * u64::from(config.wide_factor.max(1)),
                 slots_per_bucket,
             ),
             #[allow(clippy::disallowed_types, reason = "sanctioned at the field")]
@@ -133,7 +127,7 @@ impl LevelCore {
     pub(crate) fn push_wide(&self, out: &mut Vec<u64>, addr: u64) {
         let wide = u64::from(self.config.wide_factor.max(1));
         for i in 0..wide {
-            out.push(addr + i * 64);
+            out.push(addr + i * BLOCK_BYTES);
         }
     }
 

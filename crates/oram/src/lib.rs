@@ -2,9 +2,11 @@
 //!
 //! Functional implementations of the ORAM protocols studied in *Palermo:
 //! Improving the Performance of Oblivious Memory using Protocol-Hardware
-//! Co-Design* (HPCA 2025): PathORAM, RingORAM, the Palermo protocol, and the
-//! prefetch-based baselines (PrORAM, LAORAM, PageORAM, IR-ORAM) built on top
-//! of them.
+//! Co-Design* (HPCA 2025): PathORAM, RingORAM and the Palermo protocol,
+//! with the knobs the other baselines (PrORAM, LAORAM, PageORAM, IR-ORAM)
+//! set on top of them. One [`hierarchy::HierarchyConfig`] describes one
+//! design; `palermo-sim`'s `Scheme` builds the configuration of each design
+//! the paper evaluates.
 //!
 //! The crate is organised around a clean separation between **function** and
 //! **timing**:
@@ -36,7 +38,7 @@
 //! # fn main() -> Result<(), palermo_oram::error::OramError> {
 //! // A small protected space so the example runs instantly.
 //! let data = OramParams::builder().num_blocks(4096).z(8).s(12).a(8).build()?;
-//! let params = HierarchyParams::derive(data, 4, 2)?;
+//! let params = HierarchyParams::derive(data, 2)?;
 //! let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo)?;
 //! cfg.params = params;
 //! let mut oram = HierarchicalOram::new(cfg)?;
@@ -55,7 +57,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod access_plan;
-pub mod baselines;
 pub mod bucket;
 pub mod crypto;
 pub mod error;

@@ -4,9 +4,19 @@
 //! the recursive position-map trees). [`HierarchyParams`] derives the sizes
 //! of the three-level recursion used throughout the paper (Fig. 2 /
 //! Table III): the protected data space, `PosMap1`, `PosMap2`, and the
-//! on-chip `PosMap3`.
+//! on-chip `PosMap3`. Two sizes of Table III are constants, not
+//! parameters: [`BLOCK_BYTES`] and [`POSMAP_ENTRY_BYTES`].
 
 use crate::error::{OramError, OramResult};
+
+/// Size of one ORAM block, cache line and DRAM burst, in bytes (Table III).
+pub const BLOCK_BYTES: u64 = 64;
+
+/// Size of one position-map entry (a leaf identifier), in bytes (Table III).
+pub const POSMAP_ENTRY_BYTES: u64 = 4;
+
+/// Position-map entries one block holds: 16.
+pub const ENTRIES_PER_BLOCK: u64 = BLOCK_BYTES / POSMAP_ENTRY_BYTES;
 
 /// Parameters of one ORAM binary tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,8 +27,6 @@ pub struct OramParams {
     pub s: u16,
     /// Eviction period: an `EvictPath` is scheduled every `a` accesses.
     pub a: u32,
-    /// Size of one block (cache line) in bytes.
-    pub block_bytes: u32,
     /// Number of logical blocks protected by this tree.
     pub num_blocks: u64,
     /// Number of leaves of the binary tree (power of two).
@@ -29,7 +37,7 @@ pub struct OramParams {
 
 impl OramParams {
     /// Returns a builder initialised with the paper's default Palermo
-    /// configuration `(Z, S, A) = (16, 27, 20)` and 64-byte blocks.
+    /// configuration `(Z, S, A) = (16, 27, 20)`.
     pub fn builder() -> OramParamsBuilder {
         OramParamsBuilder::default()
     }
@@ -46,7 +54,7 @@ impl OramParams {
 
     /// Size of one bucket in DRAM, including its metadata block, in bytes.
     pub fn bucket_bytes(&self) -> u64 {
-        u64::from(self.slots_per_bucket() + 1) * u64::from(self.block_bytes)
+        u64::from(self.slots_per_bucket() + 1) * BLOCK_BYTES
     }
 
     /// Total DRAM footprint of the tree in bytes.
@@ -56,7 +64,7 @@ impl OramParams {
 
     /// Logical capacity of the protected space in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.num_blocks * u64::from(self.block_bytes)
+        self.num_blocks * BLOCK_BYTES
     }
 }
 
@@ -70,7 +78,7 @@ impl OramParams {
 ///     .s(27)
 ///     .a(20)
 ///     .build()?;
-/// assert_eq!(params.block_bytes, 64);
+/// assert_eq!(params.capacity_bytes(), 1 << 30);
 /// assert!(params.num_leaves.is_power_of_two());
 /// # Ok::<(), palermo_oram::error::OramError>(())
 /// ```
@@ -79,7 +87,6 @@ pub struct OramParamsBuilder {
     z: u16,
     s: u16,
     a: u32,
-    block_bytes: u32,
     num_blocks: u64,
 }
 
@@ -89,9 +96,8 @@ impl Default for OramParamsBuilder {
             z: 16,
             s: 27,
             a: 20,
-            block_bytes: 64,
             // 16 GiB of 64 B blocks, the paper's protected user space.
-            num_blocks: (16u64 << 30) / 64,
+            num_blocks: (16u64 << 30) / BLOCK_BYTES,
         }
     }
 }
@@ -115,12 +121,6 @@ impl OramParamsBuilder {
         self
     }
 
-    /// Sets the block (cache line) size in bytes. Must be a power of two.
-    pub fn block_bytes(&mut self, block_bytes: u32) -> &mut Self {
-        self.block_bytes = block_bytes;
-        self
-    }
-
     /// Sets the number of protected logical blocks directly.
     pub fn num_blocks(&mut self, num_blocks: u64) -> &mut Self {
         self.num_blocks = num_blocks;
@@ -129,7 +129,7 @@ impl OramParamsBuilder {
 
     /// Sets the protected capacity in bytes (rounded down to whole blocks).
     pub fn capacity_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.num_blocks = bytes / u64::from(self.block_bytes.max(1));
+        self.num_blocks = bytes / BLOCK_BYTES;
         self
     }
 
@@ -138,8 +138,7 @@ impl OramParamsBuilder {
     /// # Errors
     ///
     /// Returns [`OramError::InvalidParams`] if any field is out of range
-    /// (zero real slots, non-power-of-two block size, empty address space,
-    /// or a zero eviction period).
+    /// (zero real slots, empty address space, or a zero eviction period).
     pub fn build(&self) -> OramResult<OramParams> {
         if self.z == 0 {
             return Err(OramError::InvalidParams {
@@ -149,14 +148,6 @@ impl OramParamsBuilder {
         if self.a == 0 {
             return Err(OramError::InvalidParams {
                 reason: "a (eviction period) must be at least 1".into(),
-            });
-        }
-        if self.block_bytes == 0 || !self.block_bytes.is_power_of_two() {
-            return Err(OramError::InvalidParams {
-                reason: format!(
-                    "block_bytes must be a non-zero power of two, got {}",
-                    self.block_bytes
-                ),
             });
         }
         if self.num_blocks == 0 {
@@ -171,7 +162,6 @@ impl OramParamsBuilder {
             z: self.z,
             s: self.s,
             a: self.a,
-            block_bytes: self.block_bytes,
             num_blocks: self.num_blocks,
             num_leaves,
             levels,
@@ -188,8 +178,6 @@ pub struct HierarchyParams {
     pub pos1: OramParams,
     /// The tree protecting `PosMap1`'s position map.
     pub pos2: OramParams,
-    /// Bytes per position-map entry (leaf identifier).
-    pub posmap_entry_bytes: u32,
     /// Number of top tree levels held in the on-chip tree-top cache
     /// (per sub-ORAM), as in the Phantom-style tree-top cache of Table III.
     pub treetop_levels: u32,
@@ -201,38 +189,23 @@ pub struct HierarchyParams {
 impl HierarchyParams {
     /// Derives the recursion sizes from the data-tree parameters.
     ///
-    /// Every position-map entry is `posmap_entry_bytes` wide, so a 64-byte
-    /// block of `PosMapN` covers `block_bytes / posmap_entry_bytes` blocks of
-    /// the level below, shrinking each level by that factor (16× for the
-    /// default 4-byte entries).
+    /// A block of `PosMapN` holds [`ENTRIES_PER_BLOCK`] position-map
+    /// entries, so each level of the recursion is that factor smaller than
+    /// the one it maps.
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::InvalidParams`] if the entry size does not divide
-    /// the block size or if any derived level fails validation.
-    pub fn derive(
-        data: OramParams,
-        posmap_entry_bytes: u32,
-        treetop_levels: u32,
-    ) -> OramResult<Self> {
-        if posmap_entry_bytes == 0 || !data.block_bytes.is_multiple_of(posmap_entry_bytes) {
-            return Err(OramError::InvalidParams {
-                reason: format!(
-                    "posmap entry size {posmap_entry_bytes} must divide the block size {}",
-                    data.block_bytes
-                ),
-            });
-        }
-        let entries_per_block = u64::from(data.block_bytes / posmap_entry_bytes);
-        let pos1_blocks = data.num_blocks.div_ceil(entries_per_block).max(1);
-        let pos2_blocks = pos1_blocks.div_ceil(entries_per_block).max(1);
-        let posmap3_entries = pos2_blocks.div_ceil(entries_per_block).max(1) * entries_per_block;
+    /// Returns [`OramError::InvalidParams`] if any derived level fails
+    /// validation.
+    pub fn derive(data: OramParams, treetop_levels: u32) -> OramResult<Self> {
+        let pos1_blocks = data.num_blocks.div_ceil(ENTRIES_PER_BLOCK).max(1);
+        let pos2_blocks = pos1_blocks.div_ceil(ENTRIES_PER_BLOCK).max(1);
+        let posmap3_entries = pos2_blocks.div_ceil(ENTRIES_PER_BLOCK).max(1) * ENTRIES_PER_BLOCK;
 
         let mut builder = OramParamsBuilder {
             z: data.z,
             s: data.s,
             a: data.a,
-            block_bytes: data.block_bytes,
             num_blocks: pos1_blocks,
         };
         let pos1 = builder.build()?;
@@ -243,7 +216,6 @@ impl HierarchyParams {
             data,
             pos1,
             pos2,
-            posmap_entry_bytes,
             treetop_levels,
             posmap3_entries,
         })
@@ -254,12 +226,7 @@ impl HierarchyParams {
     /// tree-top cache covering the top 6 levels of each sub-ORAM.
     pub fn paper_default() -> OramResult<Self> {
         let data = OramParams::builder().build()?;
-        HierarchyParams::derive(data, 4, 6)
-    }
-
-    /// Number of position-map entries that fit in one block.
-    pub fn entries_per_block(&self) -> u64 {
-        u64::from(self.data.block_bytes / self.posmap_entry_bytes)
+        HierarchyParams::derive(data, 6)
     }
 
     /// The parameters of the given sub-ORAM level.
@@ -288,7 +255,6 @@ mod tests {
         assert_eq!(p.z, 16);
         assert_eq!(p.s, 27);
         assert_eq!(p.a, 20);
-        assert_eq!(p.block_bytes, 64);
         assert_eq!(p.num_blocks, (16u64 << 30) / 64);
         assert!(p.num_leaves.is_power_of_two());
         // 2^28 blocks / 16 per bucket = 2^24 leaves -> 25 levels.
@@ -317,7 +283,6 @@ mod tests {
     fn invalid_params_rejected() {
         assert!(OramParams::builder().z(0).build().is_err());
         assert!(OramParams::builder().a(0).build().is_err());
-        assert!(OramParams::builder().block_bytes(48).build().is_err());
         assert!(OramParams::builder().num_blocks(0).build().is_err());
     }
 
@@ -331,12 +296,12 @@ mod tests {
     #[test]
     fn hierarchy_shrinks_by_entries_per_block() {
         let h = HierarchyParams::paper_default().unwrap();
-        assert_eq!(h.entries_per_block(), 16);
+        assert_eq!(ENTRIES_PER_BLOCK, 16);
         assert_eq!(h.pos1.num_blocks, h.data.num_blocks / 16);
         assert_eq!(h.pos2.num_blocks, h.pos1.num_blocks / 16);
         // PosMap3 must fit in the 16 MB on-chip budget of Table III:
         // pos2 blocks * 4 B per entry.
-        let posmap3_bytes = h.pos2.num_blocks * u64::from(h.posmap_entry_bytes);
+        let posmap3_bytes = h.pos2.num_blocks * POSMAP_ENTRY_BYTES;
         assert!(posmap3_bytes <= 16 << 20, "PosMap3 = {posmap3_bytes} bytes");
         assert!(h.total_tree_bytes() > h.data.capacity_bytes());
     }
@@ -347,13 +312,6 @@ mod tests {
         assert_eq!(h.level(SubOram::Data).num_blocks, h.data.num_blocks);
         assert_eq!(h.level(SubOram::Pos1).num_blocks, h.pos1.num_blocks);
         assert_eq!(h.level(SubOram::Pos2).num_blocks, h.pos2.num_blocks);
-    }
-
-    #[test]
-    fn hierarchy_rejects_bad_entry_size() {
-        let data = OramParams::builder().build().unwrap();
-        assert!(HierarchyParams::derive(data, 0, 6).is_err());
-        assert!(HierarchyParams::derive(data, 7, 6).is_err());
     }
 
     #[test]

@@ -88,10 +88,7 @@ impl PathLevel {
         let group = block.map(|b| BlockId(b.0 / self.group_size));
         let (leaf, leaf_new) = self.core.leaves(group);
         let path = self.core.geometry.path(leaf);
-        let mut outcome = LevelOutcome {
-            leaf,
-            ..LevelOutcome::default()
-        };
+        let mut outcome = LevelOutcome::default();
 
         // ReadPath: the whole path, every real block into the stash.
         for &node in &path {
@@ -114,9 +111,6 @@ impl PathLevel {
             for member in members {
                 if let Some(e) = self.core.stash.get_mut(member) {
                     e.leaf = leaf_new;
-                }
-                if member != b {
-                    outcome.prefetched.push(member);
                 }
             }
             (outcome.value, outcome.found) = self.core.commit(b, op, payload, leaf_new);
@@ -293,11 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn grouped_access_reports_prefetched_members() {
+    fn grouped_access_retags_stashed_group_members() {
+        // Buckets that hold no real block keep every block in the stash.
         let mut oram = PathLevel::new(
             config(256),
             PathLevelOptions {
-                bucket_z: 4,
+                bucket_z: 0,
                 group_size: 4,
                 fat_tree: false,
             },
@@ -305,10 +300,14 @@ mod tests {
         for i in 0..4u64 {
             oram.access(Some(BlockId(i)), OramOp::Write, Some(Payload::from_u64(i)));
         }
-        let out = oram.access(Some(BlockId(0)), OramOp::Read, None);
-        // The other written members of group 0 should be reported.
-        assert!(out.prefetched.iter().all(|b| b.0 < 4 && b.0 != 0));
-        assert!(!out.prefetched.is_empty());
+        oram.access(Some(BlockId(0)), OramOp::Read, None);
+        // Every member of group 0 follows the group's fresh leaf.
+        let leaf = oram.core.posmap.get(BlockId(0));
+        assert!(leaf.is_some());
+        for i in 0..4u64 {
+            let entry = oram.core.stash.get(BlockId(i));
+            assert_eq!(entry.map(|e| e.leaf), leaf, "block {i}");
+        }
     }
 
     #[test]

@@ -55,10 +55,7 @@ impl RingLevel {
     ) -> LevelOutcome {
         let (leaf, leaf_new) = self.core.leaves(block);
         let path = self.core.geometry.path(leaf);
-        let mut outcome = LevelOutcome {
-            leaf,
-            ..LevelOutcome::default()
-        };
+        let mut outcome = LevelOutcome::default();
 
         // LoadMetadata: one metadata block per off-chip path node.
         for &node in &path {
@@ -138,10 +135,7 @@ impl RingLevel {
 
         // DRAM traffic: the fetch offsets are padded to Z reads and the whole
         // bucket (all Z + S slots) is re-encrypted and rewritten.
-        let mut ops = BucketOps {
-            node,
-            ..BucketOps::default()
-        };
+        let mut ops = BucketOps::default();
         if !core.is_onchip(node) {
             let params = core.config.params;
             core.push_slots(&mut ops.reads, node, u64::from(params.z));
@@ -157,10 +151,7 @@ impl RingLevel {
         let leaf = self.core.geometry.eviction_leaf(self.evict_counter);
         self.evict_counter += 1;
 
-        let mut aggregate = BucketOps {
-            node: self.core.geometry.leaf_node(leaf),
-            ..BucketOps::default()
-        };
+        let mut aggregate = BucketOps::default();
         // Reset deepest-first so blocks settle as close to the leaves as
         // possible, which is what keeps the stash bounded.
         for node in self.core.geometry.path(leaf).into_iter().rev() {

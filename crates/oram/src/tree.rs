@@ -69,11 +69,6 @@ impl TreeGeometry {
         NodeId(((1u64 << level) - 1) + idx_in_level)
     }
 
-    /// The leaf-level node corresponding to `leaf`.
-    pub fn leaf_node(&self, leaf: LeafId) -> NodeId {
-        self.node_on_path(leaf, self.levels - 1)
-    }
-
     /// The nodes on the path from the root to `leaf`, root first.
     pub fn path(&self, leaf: LeafId) -> Vec<NodeId> {
         (0..self.levels)

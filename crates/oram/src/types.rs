@@ -5,6 +5,7 @@
 //! identifiers, bucket slot indices) gets its own newtype so the protocol
 //! code cannot accidentally mix address spaces.
 
+use crate::params::BLOCK_BYTES;
 use std::fmt;
 
 /// A byte address in the *protected* (secure, logical) memory space.
@@ -16,7 +17,7 @@ use std::fmt;
 /// ```
 /// use palermo_oram::types::PhysAddr;
 /// let pa = PhysAddr::new(0x1040);
-/// assert_eq!(pa.cache_line(64).0, 0x41);
+/// assert_eq!(pa.cache_line().0, 0x41);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PhysAddr(pub u64);
@@ -28,13 +29,8 @@ impl PhysAddr {
     }
 
     /// Returns the logical cache-line / block index containing this address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is zero.
-    pub fn cache_line(self, block_bytes: u32) -> BlockId {
-        assert!(block_bytes > 0, "block size must be non-zero");
-        BlockId(self.0 / u64::from(block_bytes))
+    pub fn cache_line(self) -> BlockId {
+        BlockId(self.0 / BLOCK_BYTES)
     }
 }
 
@@ -166,16 +162,10 @@ mod tests {
 
     #[test]
     fn phys_addr_to_block() {
-        assert_eq!(PhysAddr::new(0).cache_line(64), BlockId(0));
-        assert_eq!(PhysAddr::new(63).cache_line(64), BlockId(0));
-        assert_eq!(PhysAddr::new(64).cache_line(64), BlockId(1));
-        assert_eq!(PhysAddr::new(0x1040).cache_line(64), BlockId(0x41));
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be non-zero")]
-    fn phys_addr_zero_block_size_panics() {
-        let _ = PhysAddr::new(0).cache_line(0);
+        assert_eq!(PhysAddr::new(0).cache_line(), BlockId(0));
+        assert_eq!(PhysAddr::new(63).cache_line(), BlockId(0));
+        assert_eq!(PhysAddr::new(64).cache_line(), BlockId(1));
+        assert_eq!(PhysAddr::new(0x1040).cache_line(), BlockId(0x41));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for the core ORAM data structures and
 //! protocol invariants.
 
-use palermo_oram::crypto::{BlockCipher, Payload};
+use palermo_oram::crypto::Payload;
 use palermo_oram::hierarchy::{HierarchicalOram, HierarchyConfig, PrefetchMode, ProtocolFlavor};
 use palermo_oram::params::{HierarchyParams, OramParams};
 use palermo_oram::tree::TreeGeometry;
@@ -17,7 +17,7 @@ fn small_hierarchy(flavor: ProtocolFlavor, blocks: u64, seed: u64) -> Hierarchic
         .num_blocks(blocks)
         .build()
         .unwrap();
-    let params = HierarchyParams::derive(data, 4, 1).unwrap();
+    let params = HierarchyParams::derive(data, 1).unwrap();
     let mut cfg = HierarchyConfig::paper_default(flavor).unwrap();
     cfg.params = params;
     cfg.seed = seed;
@@ -81,7 +81,7 @@ proptest! {
         prefetch in prop::sample::select(vec![1u32, 2, 4, 8]),
     ) {
         let data = OramParams::builder().z(8).s(10).a(6).num_blocks(4096).build().unwrap();
-        let params = HierarchyParams::derive(data, 4, 2).unwrap();
+        let params = HierarchyParams::derive(data, 2).unwrap();
         let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo).unwrap();
         cfg.params = params;
         cfg.prefetch = if prefetch > 1 { PrefetchMode::WideBlock { length: prefetch } } else { PrefetchMode::None };
@@ -143,25 +143,12 @@ proptest! {
         prop_assert!(p.num_leaves <= (num_blocks.div_ceil(u64::from(z))).next_power_of_two().max(1));
     }
 
-    /// The memory-path cipher round-trips and never maps two different
-    /// payloads to the same ciphertext under the same (addr, version).
-    #[test]
-    fn cipher_round_trip(key in any::<u64>(), addr in any::<u64>(), version in any::<u64>(), a in any::<u64>(), b in any::<u64>()) {
-        let cipher = BlockCipher::new(key);
-        let pa = Payload::from_u64(a);
-        let pb = Payload::from_u64(b);
-        prop_assert_eq!(cipher.decrypt(addr, version, &cipher.encrypt(addr, version, &pa)), pa);
-        if a != b {
-            prop_assert_ne!(cipher.encrypt(addr, version, &pa), cipher.encrypt(addr, version, &pb));
-        }
-    }
-
     /// Grouped prefetch reports exactly the other members of the group, and
     /// they are always adjacent cache lines of the accessed block.
     #[test]
     fn prefetched_lines_are_group_neighbours(block in 0u64..4096, length in prop::sample::select(vec![2u32, 4, 8])) {
         let data = OramParams::builder().z(8).s(10).a(6).num_blocks(4096).build().unwrap();
-        let params = HierarchyParams::derive(data, 4, 1).unwrap();
+        let params = HierarchyParams::derive(data, 1).unwrap();
         let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo).unwrap();
         cfg.params = params;
         cfg.prefetch = PrefetchMode::WideBlock { length };

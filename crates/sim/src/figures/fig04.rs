@@ -9,7 +9,6 @@ use crate::experiment::{CustomProtocol, Executor, Experiment, RunSpec};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, speedup, Table};
-use palermo_oram::baselines;
 use palermo_oram::error::OramResult;
 use palermo_workloads::Workload;
 
@@ -33,25 +32,14 @@ fn point_label(prefetch_length: u32, fat_tree: bool) -> String {
     format!("{variant}/pf={prefetch_length}")
 }
 
+/// [`Scheme::PrOram`] at `prefetch_length`, with the fat tree cleared for
+/// the slim variant.
 fn point_spec(config: &SystemConfig, prefetch_length: u32, fat_tree: bool) -> OramResult<RunSpec> {
-    let params = config.hierarchy_params()?;
-    // The Fig. 4 experiment models PrORAM with a 1024-entry stash.
-    let stash = 1024;
-    let hierarchy = baselines::pr_oram(
-        params,
-        config.seed,
-        prefetch_length,
-        fat_tree,
-        stash,
-        stash * 3 / 4,
-    )?;
+    let mut protocol = CustomProtocol::of_scheme(Scheme::PrOram, config, prefetch_length)?;
+    protocol.hierarchy.fat_tree = fat_tree;
     Ok(
         RunSpec::new(Scheme::PrOram, Workload::Streaming, config.clone())
-            .with_custom(CustomProtocol {
-                hierarchy,
-                controller: Scheme::PrOram.controller_config(config.pe_columns),
-                prefetch_length,
-            })
+            .with_custom(protocol)
             .with_label(point_label(prefetch_length, fat_tree)),
     )
 }
@@ -130,6 +118,25 @@ pub fn table(rows: &[Fig04Row]) -> Table {
 mod tests {
     use super::*;
     use crate::experiment::SerialExecutor;
+    use palermo_oram::hierarchy::HierarchyConfig;
+
+    #[test]
+    fn slim_and_fat_points_differ_only_in_the_fat_tree() {
+        let cfg = super::super::smoke_config();
+        let point = |fat_tree| point_spec(&cfg, 4, fat_tree).unwrap().custom.unwrap();
+        let (slim, fat) = (point(false), point(true));
+        let scheme = CustomProtocol::of_scheme(Scheme::PrOram, &cfg, 4).unwrap();
+        assert_eq!(fat.hierarchy, scheme.hierarchy);
+        assert_eq!(fat.hierarchy.stash_capacity, 1024);
+        assert!(!slim.hierarchy.fat_tree);
+        let slim_fattened = HierarchyConfig {
+            fat_tree: true,
+            ..slim.hierarchy
+        };
+        assert_eq!(slim_fattened, fat.hierarchy);
+        assert_eq!(slim.controller, fat.controller);
+        assert_eq!(slim.prefetch_length, fat.prefetch_length);
+    }
 
     #[test]
     fn grouping_increases_stash_pressure_and_dummy_ratio() {

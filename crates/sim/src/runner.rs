@@ -36,16 +36,13 @@ use crate::serving::ServingEngine;
 use crate::system::SystemConfig;
 use palermo_analysis::LatencyHistogram;
 use palermo_controller::{memory_energy, EnergyBreakdown, OramController, SYNC_STALL_QUEUE_DEPTH};
-use palermo_dram::{DramConfig, DramStats, DramSystem, EnergyCoefficients};
+use palermo_dram::{DramConfig, DramStats, DramSystem, EnergyCoefficients, CLOCK_HZ};
 use palermo_oram::crypto::Payload;
 use palermo_oram::error::{OramError, OramResult};
 use palermo_oram::hierarchy::HierarchicalOram;
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::types::{OramOp, PhysAddr};
 use palermo_workloads::{AccessStream, Llc, OpenLoopSpec, WorkloadSpec};
-
-/// Controller clock frequency in Hz (Table III: 1.6 GHz, shared with the
-/// DRAM command clock).
-pub const CLOCK_HZ: f64 = 1.6e9;
 
 /// Metrics attributed to one tenant of the workload stream over the
 /// measured window.
@@ -859,10 +856,10 @@ configuration; use run_workload_spec, which derives a configuration per shard"
 ///
 /// # Errors
 ///
-/// Propagates protocol-configuration errors, rejects a controller with no
-/// PE column or an issue width of 0, rejects an open-loop run whose
-/// admission queue has capacity 0 or whose arrivals all lie beyond the
-/// 64-bit cycle clock, rejects non-Table II streams whose footprint
+/// Propagates protocol-configuration errors, rejects an invalid DRAM or LLC
+/// configuration and a controller with no PE column, rejects an open-loop
+/// run whose admission queue has capacity 0 or whose arrivals all lie
+/// beyond the 64-bit cycle clock, rejects non-Table II streams whose footprint
 /// overruns the protected space, and returns [`OramError::Deadlock`] for a
 /// run that can never finish.
 #[allow(clippy::too_many_lines, reason = "the stepping order is one loop")]
@@ -881,14 +878,15 @@ pub(crate) fn run_core(
         .map_err(|e| OramError::InvalidParams {
             reason: format!("invalid DRAM configuration: {e}"),
         })?;
+    config
+        .llc
+        .validate()
+        .map_err(|e| OramError::InvalidParams {
+            reason: format!("invalid LLC configuration: {e}"),
+        })?;
     if protocol.controller.pe_columns == 0 {
         return Err(OramError::InvalidParams {
             reason: format!("pe_columns must be at least 1 for {scheme}'s controller"),
-        });
-    }
-    if protocol.controller.issue_width == 0 {
-        return Err(OramError::InvalidParams {
-            reason: format!("issue_width must be at least 1 for {scheme}'s controller"),
         });
     }
     if open.is_some() && config.serving_queue_capacity == 0 {
@@ -922,7 +920,7 @@ or raise protected_bytes)",
         }
     }
 
-    let protected_lines = config.protected_bytes / 64;
+    let protected_lines = config.protected_bytes / BLOCK_BYTES;
     let total_requests = config.total_requests();
     let warmup = config.warmup_requests;
     // Single-tenant streams tag everything as tenant 0 by contract, so the
@@ -1017,7 +1015,7 @@ or raise protected_bytes)",
                             (stream.next_access(), 0)
                         };
                         accesses_for_request += 1;
-                        let pa = PhysAddr::new(entry.addr.0 % (protected_lines * 64));
+                        let pa = PhysAddr::new(entry.addr.0 % (protected_lines * BLOCK_BYTES));
                         if !llc.access(pa) {
                             break (pa, entry.op, tenant);
                         }
@@ -1324,19 +1322,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_issue_width_is_a_typed_error() {
-        // Such a controller could issue nothing; its ticks never settle, so
-        // the run would step for ever.
-        let cfg = tiny();
-        let mut protocol = CustomProtocol::of_scheme(Scheme::Palermo, &cfg, 1).unwrap();
-        protocol.controller.issue_width = 0;
-        let spec = Workload::Random.into();
-        let err = run_protocol(Scheme::Palermo, protocol, &spec, &cfg, &CalendarStepper)
-            .expect_err("a zero-width controller must not run");
-        assert!(
-            matches!(&err, OramError::InvalidParams { reason } if reason.contains("issue_width")),
-            "{err}"
-        );
+    fn invalid_llc_geometry_is_a_typed_error() {
+        // 3 MiB over 16 ways of 64-byte lines is 3,072 sets, not a power of
+        // two; the LLC model would panic on it.
+        let mut cfg = tiny();
+        cfg.llc.capacity_bytes = 3 << 20;
+        for name in ["random", "shard:2:hash:random"] {
+            let spec = WorkloadSpec::from_name(name).expect("spec parses");
+            let err = run_workload_spec(Scheme::Palermo, &spec, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, OramError::InvalidParams { reason }
+                    if reason.starts_with("invalid LLC configuration") && reason.contains("3072")),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

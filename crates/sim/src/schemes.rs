@@ -1,29 +1,57 @@
 //! The ORAM designs compared in the evaluation (Fig. 10).
 
 use palermo_controller::{ControllerConfig, SchedulePolicy};
-use palermo_oram::baselines;
 use palermo_oram::error::OramResult;
-use palermo_oram::hierarchy::HierarchyConfig;
+use palermo_oram::hierarchy::{HierarchyConfig, PosmapBypass, PrefetchMode, ProtocolFlavor};
 use palermo_oram::params::HierarchyParams;
 
-/// One of the ORAM designs evaluated in the paper.
+/// One of the ORAM designs evaluated in the paper (§VII-B).
+///
+/// Where a baseline relies on a mechanism the simulator approximates rather
+/// than models in full, its variant says how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scheme {
-    /// PathORAM (Stefanov et al.) — the normalisation baseline of Fig. 10.
+    /// PathORAM (Stefanov et al.) with `Z = 4` buckets — the normalisation
+    /// baseline of Fig. 10.
     PathOram,
     /// RingORAM (Ren et al.).
     RingOram,
-    /// PageORAM (Rajat et al.).
+    /// PageORAM (Rajat et al., MICRO'22).
+    ///
+    /// Approximation: PageORAM's sibling-node accesses let it shrink tree
+    /// buckets while keeping DRAM page locality. The model is a PathORAM
+    /// with smaller buckets (`Z = 3`); the level-order bucket layout already
+    /// places siblings at adjacent DRAM addresses, which recovers the
+    /// row-buffer locality of the design.
     PageOram,
-    /// PrORAM with the fat-tree refinement, swept for the best prefetch length.
+    /// PrORAM (Yu et al., ISCA'15) with LAORAM's fat tree, the configuration
+    /// the paper quotes as PrORAM's best ("PrORAM w/ Fat Tree"), swept for
+    /// the best prefetch length.
+    ///
+    /// The prefetch length's consecutive cache lines share one leaf.
+    /// PrORAM's evaluation uses a larger stash, of at least 1024 entries, and
+    /// injects a background eviction (a dummy request) whenever the data
+    /// stash reaches 3/4 of it (§III-B).
     PrOram,
-    /// IR-ORAM (Raoufi et al.).
+    /// IR-ORAM (Raoufi et al., HPCA'22).
+    ///
+    /// Approximation: IR-ORAM tracks the tree-top cache's position-map
+    /// mappings in hardware, skips the recursive PosMap ORAM when the
+    /// tracked state suffices, and shrinks mid-tree buckets. The model
+    /// elides 20% of PosMap1 and 40% of PosMap2 accesses, calibrated rates
+    /// that reproduce the ~1.1× end-to-end gain the paper reports for this
+    /// class of design.
     IrOram,
-    /// The Palermo protocol executed with software-style synchronisation.
+    /// The Palermo protocol (Algorithm 2) executed with software-style
+    /// synchronisation.
     PalermoSw,
     /// The full Palermo protocol-hardware co-design.
     Palermo,
-    /// Palermo with block-widening prefetch matched to PrORAM's length.
+    /// Palermo with block-widening prefetch (§V-C) matched to PrORAM's
+    /// length: one data-tree block spans the prefetch length's cache lines.
+    /// Unlike PrORAM's same-leaf grouping this leaves leaf assignment
+    /// unchanged, so it adds no stash pressure and needs no background
+    /// eviction.
     PalermoPrefetch,
 }
 
@@ -66,21 +94,23 @@ impl Scheme {
     }
 
     /// The controller model each scheme runs on. Prior designs use the
-    /// serial multi-issue controller; Palermo-SW runs the new protocol with
-    /// software synchronisation; Palermo uses the PE mesh.
+    /// serial multi-issue controller, with one request in service and one
+    /// staged; Palermo-SW runs the new protocol with software
+    /// synchronisation; Palermo uses the PE mesh.
     pub fn controller_config(self, pe_columns: usize) -> ControllerConfig {
         match self {
             Scheme::Palermo | Scheme::PalermoPrefetch => ControllerConfig {
                 policy: SchedulePolicy::PalermoMesh,
                 pe_columns,
-                issue_width: 16,
             },
             Scheme::PalermoSw => ControllerConfig {
                 policy: SchedulePolicy::PalermoSoftware,
                 pe_columns,
-                issue_width: 16,
             },
-            _ => ControllerConfig::serial_default(),
+            _ => ControllerConfig {
+                policy: SchedulePolicy::Serial,
+                pe_columns: 2,
+            },
         }
     }
 
@@ -92,7 +122,10 @@ impl Scheme {
     ///
     /// # Errors
     ///
-    /// Propagates parameter-validation errors from the protocol layer.
+    /// None at present: [`HierarchicalOram::new`] validates the
+    /// configuration.
+    ///
+    /// [`HierarchicalOram::new`]: palermo_oram::hierarchy::HierarchicalOram::new
     pub fn hierarchy_config(
         self,
         params: HierarchyParams,
@@ -100,28 +133,48 @@ impl Scheme {
         prefetch_length: u32,
         stash_capacity: usize,
     ) -> OramResult<HierarchyConfig> {
-        let mut cfg = match self {
-            Scheme::PathOram => baselines::path_oram(params, seed)?,
-            Scheme::RingOram => baselines::ring_oram(params, seed)?,
-            Scheme::PageOram => baselines::page_oram(params, seed)?,
-            Scheme::PrOram => baselines::pr_oram(
-                params,
-                seed,
-                prefetch_length,
-                true,
-                // PrORAM's evaluation uses a larger (1024-entry) stash with a
-                // background-eviction threshold at 3/4 occupancy (§III-B).
-                stash_capacity.max(1024),
-                stash_capacity.max(1024) * 3 / 4,
-            )?,
-            Scheme::IrOram => baselines::ir_oram(params, seed)?,
-            Scheme::PalermoSw | Scheme::Palermo => baselines::palermo(params, seed)?,
-            Scheme::PalermoPrefetch => {
-                baselines::palermo_with_prefetch(params, seed, prefetch_length)?
+        let flavor = match self {
+            Scheme::RingOram => ProtocolFlavor::RingOram,
+            Scheme::PalermoSw | Scheme::Palermo | Scheme::PalermoPrefetch => {
+                ProtocolFlavor::Palermo
             }
+            _ => ProtocolFlavor::PathOram,
         };
-        if !matches!(self, Scheme::PrOram) {
-            cfg.stash_capacity = stash_capacity;
+        let mut cfg = HierarchyConfig {
+            params,
+            flavor,
+            seed,
+            stash_capacity,
+            prefetch: PrefetchMode::None,
+            path_bucket_z: 4,
+            fat_tree: false,
+            posmap_bypass: None,
+            background_evict_threshold: None,
+        };
+        match self {
+            Scheme::PageOram => cfg.path_bucket_z = 3,
+            Scheme::PrOram => {
+                if prefetch_length > 1 {
+                    cfg.prefetch = PrefetchMode::SameLeaf {
+                        length: prefetch_length,
+                    };
+                }
+                cfg.fat_tree = true;
+                cfg.stash_capacity = stash_capacity.max(1024);
+                cfg.background_evict_threshold = Some(cfg.stash_capacity * 3 / 4);
+            }
+            Scheme::IrOram => {
+                cfg.posmap_bypass = Some(PosmapBypass {
+                    pos1_rate: 0.2,
+                    pos2_rate: 0.4,
+                });
+            }
+            Scheme::PalermoPrefetch if prefetch_length > 1 => {
+                cfg.prefetch = PrefetchMode::WideBlock {
+                    length: prefetch_length,
+                };
+            }
+            _ => {}
         }
         Ok(cfg)
     }
@@ -136,7 +189,7 @@ impl std::fmt::Display for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palermo_oram::hierarchy::{HierarchicalOram, ProtocolFlavor};
+    use palermo_oram::hierarchy::HierarchicalOram;
     use palermo_oram::params::OramParams;
 
     fn params() -> HierarchyParams {
@@ -147,7 +200,13 @@ mod tests {
             .num_blocks(4096)
             .build()
             .unwrap();
-        HierarchyParams::derive(data, 4, 2).unwrap()
+        HierarchyParams::derive(data, 2).unwrap()
+    }
+
+    fn config(scheme: Scheme, prefetch_length: u32) -> HierarchyConfig {
+        scheme
+            .hierarchy_config(params(), 0, prefetch_length, 256)
+            .unwrap()
     }
 
     #[test]
@@ -160,9 +219,10 @@ mod tests {
 
     #[test]
     fn controller_policies_match_design() {
+        let mesh = Scheme::Palermo.controller_config(8);
         assert_eq!(
-            Scheme::Palermo.controller_config(8).policy,
-            SchedulePolicy::PalermoMesh
+            (mesh.policy, mesh.pe_columns),
+            (SchedulePolicy::PalermoMesh, 8)
         );
         assert_eq!(
             Scheme::PalermoSw.controller_config(8).policy,
@@ -174,27 +234,70 @@ mod tests {
             Scheme::PrOram,
             Scheme::IrOram,
         ] {
+            let serial = scheme.controller_config(8);
             assert_eq!(
-                scheme.controller_config(8).policy,
-                SchedulePolicy::Serial,
+                (serial.policy, serial.pe_columns),
+                (SchedulePolicy::Serial, 2),
                 "{scheme}"
             );
         }
     }
 
     #[test]
-    fn prefetch_flags_and_flavors() {
+    fn each_scheme_runs_its_protocol_flavor() {
+        use ProtocolFlavor::{Palermo, PathOram, RingOram};
+        let flavors = [
+            PathOram, RingOram, PathOram, PathOram, PathOram, Palermo, Palermo, Palermo,
+        ];
+        for (scheme, flavor) in Scheme::ALL.into_iter().zip(flavors) {
+            let cfg = config(scheme, 4);
+            assert_eq!(cfg.flavor, flavor, "{scheme}");
+            if scheme != Scheme::PrOram {
+                assert_eq!(cfg.stash_capacity, 256, "{scheme}");
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_knobs_follow_the_variant_docs() {
+        assert_eq!(config(Scheme::PathOram, 1).path_bucket_z, 4);
+        assert_eq!(config(Scheme::PageOram, 1).path_bucket_z, 3);
+        assert_eq!(
+            config(Scheme::IrOram, 1).posmap_bypass,
+            Some(PosmapBypass {
+                pos1_rate: 0.2,
+                pos2_rate: 0.4,
+            })
+        );
+
+        let pr = config(Scheme::PrOram, 4);
+        assert_eq!(pr.prefetch, PrefetchMode::SameLeaf { length: 4 });
+        assert!(pr.fat_tree);
+        assert_eq!(pr.stash_capacity, 1024);
+        assert_eq!(pr.background_evict_threshold, Some(768));
+        // A larger system stash is kept, with the threshold at 3/4 of it.
+        let big = Scheme::PrOram
+            .hierarchy_config(params(), 0, 4, 2048)
+            .unwrap();
+        assert_eq!(big.stash_capacity, 2048);
+        assert_eq!(big.background_evict_threshold, Some(1536));
+        // Prefetch length 1 degenerates to no prefetching.
+        assert_eq!(config(Scheme::PrOram, 1).prefetch, PrefetchMode::None);
+
+        let wide = config(Scheme::PalermoPrefetch, 8);
+        assert_eq!(wide.prefetch, PrefetchMode::WideBlock { length: 8 });
+        assert!(wide.background_evict_threshold.is_none());
+        assert_eq!(
+            config(Scheme::PalermoPrefetch, 1).prefetch,
+            PrefetchMode::None
+        );
+    }
+
+    #[test]
+    fn prefetch_flags() {
         assert!(Scheme::PrOram.uses_prefetch());
         assert!(Scheme::PalermoPrefetch.uses_prefetch());
         assert!(!Scheme::Palermo.uses_prefetch());
-        let cfg = Scheme::Palermo
-            .hierarchy_config(params(), 0, 1, 256)
-            .unwrap();
-        assert_eq!(cfg.flavor, ProtocolFlavor::Palermo);
-        let cfg = Scheme::RingOram
-            .hierarchy_config(params(), 0, 1, 256)
-            .unwrap();
-        assert_eq!(cfg.flavor, ProtocolFlavor::RingOram);
     }
 
     #[test]

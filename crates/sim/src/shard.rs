@@ -40,6 +40,7 @@ use crate::system::SystemConfig;
 use palermo_analysis::LatencyHistogram;
 use palermo_dram::DramStats;
 use palermo_oram::error::{OramError, OramResult};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::rng::SplitMix64;
 use palermo_workloads::{AccessStream, OpenLoopSpec, ShardRouter, ShardStream, WorkloadSpec};
 use std::num::NonZeroUsize;
@@ -107,7 +108,8 @@ impl ShardedSystem {
                 // (rounded up to whole cache lines so the line count stays
                 // exact).
                 let fp = router.shard_footprint_bytes(i);
-                c.protected_bytes = (config.protected_bytes / k).max(fp).div_ceil(64) * 64;
+                c.protected_bytes =
+                    (config.protected_bytes / k).max(fp).div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
                 // Split the request budget so the totals conserve exactly:
                 // shard i gets floor(n/K) plus one of the n mod K leftovers.
                 let i = u64::from(i);

@@ -110,7 +110,6 @@ impl SystemConfig {
             llc: LlcConfig {
                 capacity_bytes: 1 << 20,
                 ways: 16,
-                line_bytes: 64,
             },
             dram: DramConfig::ddr4_3200_quad_channel(),
             hardware: "ddr4-3200".to_string(),
@@ -169,7 +168,7 @@ impl SystemConfig {
             .a(self.a)
             .capacity_bytes(self.protected_bytes)
             .build()?;
-        HierarchyParams::derive(data, 4, self.treetop_levels)
+        HierarchyParams::derive(data, self.treetop_levels)
     }
 
     /// Total ORAM requests issued per run (warm-up plus measured).

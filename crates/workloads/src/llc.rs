@@ -6,17 +6,16 @@
 //! the simulator: lines they prefetch are inserted here, and subsequent
 //! accesses to them are filtered out exactly as in the paper's evaluation.
 
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::types::PhysAddr;
 
-/// LLC geometry.
+/// LLC geometry. Lines are [`BLOCK_BYTES`] long, the ORAM block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes (Table III: 8 MB shared L3).
     pub capacity_bytes: u64,
     /// Associativity (Table III: 16 ways).
     pub ways: u32,
-    /// Cache-line size in bytes.
-    pub line_bytes: u32,
 }
 
 impl Default for LlcConfig {
@@ -24,7 +23,6 @@ impl Default for LlcConfig {
         LlcConfig {
             capacity_bytes: 8 << 20,
             ways: 16,
-            line_bytes: 64,
         }
     }
 }
@@ -32,20 +30,20 @@ impl Default for LlcConfig {
 impl LlcConfig {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> u64 {
-        self.capacity_bytes / u64::from(self.ways) / u64::from(self.line_bytes)
+        self.capacity_bytes / u64::from(self.ways) / BLOCK_BYTES
     }
 
     /// Validates that the geometry is consistent: the capacity must divide
-    /// exactly into `ways × line_bytes` rows and imply a power-of-two set
+    /// exactly into `ways × BLOCK_BYTES` rows and imply a power-of-two set
     /// count.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ways == 0 || self.line_bytes == 0 {
-            return Err("ways and line size must be non-zero".into());
+        if self.ways == 0 {
+            return Err("ways must be non-zero".into());
         }
         // A capacity that is not a multiple of ways x line size used to be
         // accepted silently: integer division rounded the set count down,
         // modelling a smaller cache than configured.
-        let row_bytes = u64::from(self.ways) * u64::from(self.line_bytes);
+        let row_bytes = u64::from(self.ways) * BLOCK_BYTES;
         if !self.capacity_bytes.is_multiple_of(row_bytes) {
             return Err(format!(
                 "capacity {} B is not a multiple of ways x line size ({row_bytes} B); \
@@ -94,10 +92,6 @@ impl Llc {
         &self.config
     }
 
-    fn line_of(&self, addr: PhysAddr) -> u64 {
-        addr.0 / u64::from(self.config.line_bytes)
-    }
-
     fn set_of(&self, line: u64) -> usize {
         (line % self.sets()) as usize
     }
@@ -109,7 +103,7 @@ impl Llc {
     /// Performs a demand access. Returns `true` on a hit. Misses allocate
     /// the line (the ORAM fill is modelled by the caller's miss handling).
     pub fn access(&mut self, addr: PhysAddr) -> bool {
-        let line = self.line_of(addr);
+        let line = addr.cache_line().0;
         let set = self.set_of(line);
         let ways = self.config.ways as usize;
         let entries = &mut self.sets[set];
@@ -170,7 +164,6 @@ mod tests {
         Llc::new(LlcConfig {
             capacity_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         })
     }
 
@@ -226,7 +219,6 @@ mod tests {
         Llc::new(LlcConfig {
             capacity_bytes: 100,
             ways: 3,
-            line_bytes: 64,
         });
     }
 
@@ -239,7 +231,6 @@ mod tests {
         Llc::new(LlcConfig {
             capacity_bytes: 520,
             ways: 2,
-            line_bytes: 64,
         });
     }
 
@@ -248,7 +239,6 @@ mod tests {
         assert!(LlcConfig {
             capacity_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         }
         .validate()
         .is_ok());

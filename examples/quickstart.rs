@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .s(27)
         .a(20)
         .build()?;
-    let params = HierarchyParams::derive(data, 4, 4)?;
+    let params = HierarchyParams::derive(data, 4)?;
     let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo)?;
     cfg.params = params;
     let mut oram = HierarchicalOram::new(cfg)?;

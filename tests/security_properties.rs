@@ -22,7 +22,7 @@ fn small_oram(flavor: ProtocolFlavor) -> HierarchicalOram {
         .num_blocks(1 << 14)
         .build()
         .unwrap();
-    let params = HierarchyParams::derive(data, 4, 2).unwrap();
+    let params = HierarchyParams::derive(data, 2).unwrap();
     let mut cfg = HierarchyConfig::paper_default(flavor).unwrap();
     cfg.params = params;
     HierarchicalOram::new(cfg).unwrap()

@@ -3,6 +3,7 @@
 
 use palermo::controller::area_power::ControllerProvisioning;
 use palermo::dram::DramConfig;
+use palermo::oram::params::POSMAP_ENTRY_BYTES;
 use palermo::sim::system::SystemConfig;
 
 #[test]
@@ -46,7 +47,7 @@ fn hierarchy_sizes_follow_the_recursion_of_fig_2() {
     assert_eq!(params.data.num_blocks, 1 << 28);
     assert_eq!(params.pos1.num_blocks, 1 << 24);
     assert_eq!(params.pos2.num_blocks, 1 << 20);
-    let posmap3_bytes = params.pos2.num_blocks * u64::from(params.posmap_entry_bytes);
+    let posmap3_bytes = params.pos2.num_blocks * POSMAP_ENTRY_BYTES;
     assert!(posmap3_bytes <= 16 << 20);
     // Three levels of sub-ORAM trees, 25/21/17 levels deep respectively.
     assert_eq!(params.data.levels, 25);
