@@ -2,7 +2,9 @@
 # Same-host perf regression check. Builds perfbench twice, at the change and
 # at a base revision, then alternates `--workload all` runs of the two
 # builds on this host. Prints both sides' medians of every end-to-end metric
-# per workload. Fails when any run fails its correctness checks, or when a
+# per workload, then for sim_kreq_per_s the pairs the change won and the
+# base's quartiles, which perfbench/README.md's rule for claiming a gain
+# reads. Fails when any run fails its correctness checks, or when a
 # workload's median sim_kreq_per_s for the change is more than MAX_DROP
 # below the base's, or its median peak_rss_mb more than MAX_RSS_RISE above.
 #
@@ -101,4 +103,31 @@ done
 echo "Medians over $PAIRS runs a side at --seconds $RUN_SECONDS. A change regressed when its" \
   "sim_kreq_per_s is more than $MAX_DROP below the base's or its peak_rss_mb more than" \
   "$MAX_RSS_RISE above; setup_s is not gated."
+
+# What perfbench/README.md's rule for claiming a gain reads: the pairs whose
+# sim_kreq_per_s the change won, and the base's nearest-rank quartiles
+# (perfbench's stats::percentile) against the gap between the medians.
+echo
+printf '%-20s %9s %23s %12s\n' workload "pairs won" "base q1-q3" "median gap"
+for w in $(cat "$work"/*.metrics | awk '{ print $1 }' | sort -u); do
+  won=0
+  pairs=0
+  for pair in $(seq "$PAIRS"); do
+    read -r b c < <(awk -v w="$w" '$1 == w && $2 == "sim_kreq_per_s" { printf "%s ", $3 } END { print "" }' \
+      "$work/base-$pair.metrics" "$work/change-$pair.metrics")
+    if [[ -n ${c:-} ]]; then
+      pairs=$((pairs + 1))
+      won=$((won + $(awk -v b="$b" -v c="$c" 'BEGIN { print (c > b) }')))
+    fi
+  done
+  read -r q1 q3 < <(cat "$work"/base-*.metrics |
+    awk -v w="$w" '$1 == w && $2 == "sim_kreq_per_s" { print $3 }' | sort -g |
+    awk 'function at(p,  r) { r = int(NR * p); if (r < NR * p) r++; return v[r < 1 ? 1 : r] }
+      { v[NR] = $1 } END { print at(0.25), at(0.75) }')
+  gap=$(awk -v b="$(median base "$w" sim_kreq_per_s)" -v c="$(median change "$w" sim_kreq_per_s)" \
+    'BEGIN { print c - b }')
+  printf '%-20s %9s %11.6g-%-11.6g %12.6g\n' "$w" "$won/$pairs" "$q1" "$q3" "$gap"
+done
+echo "sim_kreq_per_s. A gain may be claimed only from ten or more pairs at the fixed run_seconds" \
+  "that the change wins nine in ten, with a median gap wider than the base's q1-q3."
 exit $status

@@ -99,16 +99,12 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// A configuration with the paper's Table III defaults for the given
-    /// flavor: 16 GiB protected space, `(Z, S, A) = (16, 27, 20)`,
-    /// 256-entry stashes, 6 tree-top levels on chip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-validation failures from [`HierarchyParams`].
-    pub fn paper_default(flavor: ProtocolFlavor) -> OramResult<Self> {
-        Ok(HierarchyConfig {
-            params: HierarchyParams::paper_default()?,
+    /// A configuration of `params` under `flavor` with the paper's Table III
+    /// defaults for the rest: 256-entry stashes, `Z = 4` PathORAM buckets,
+    /// no prefetch, fat tree, recursion bypass or background eviction.
+    pub fn new(params: HierarchyParams, flavor: ProtocolFlavor) -> Self {
+        HierarchyConfig {
+            params,
             flavor,
             seed: 0x9A1E_0A90_5EED,
             stash_capacity: 256,
@@ -117,7 +113,7 @@ impl HierarchyConfig {
             fat_tree: false,
             posmap_bypass: None,
             background_evict_threshold: None,
-        })
+        }
     }
 }
 
@@ -545,15 +541,8 @@ mod tests {
 
     fn tiny_config(flavor: ProtocolFlavor) -> HierarchyConfig {
         HierarchyConfig {
-            params: tiny_params(),
-            flavor,
             seed: 1,
-            stash_capacity: 256,
-            prefetch: PrefetchMode::None,
-            path_bucket_z: 4,
-            fat_tree: false,
-            posmap_bypass: None,
-            background_evict_threshold: None,
+            ..HierarchyConfig::new(tiny_params(), flavor)
         }
     }
 

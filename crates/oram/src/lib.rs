@@ -39,9 +39,7 @@
 //! // A small protected space so the example runs instantly.
 //! let data = OramParams::builder().num_blocks(4096).z(8).s(12).a(8).build()?;
 //! let params = HierarchyParams::derive(data, 2)?;
-//! let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo)?;
-//! cfg.params = params;
-//! let mut oram = HierarchicalOram::new(cfg)?;
+//! let mut oram = HierarchicalOram::new(HierarchyConfig::new(params, ProtocolFlavor::Palermo))?;
 //!
 //! let pa = PhysAddr::new(0x80);
 //! oram.access(pa, OramOp::Write, Some(Payload::from_u64(99)))?;

@@ -221,14 +221,6 @@ impl HierarchyParams {
         })
     }
 
-    /// Default hierarchy matching Table III: 16 GiB protected space,
-    /// `(Z, S, A) = (16, 27, 20)`, 4-byte position-map entries, and a
-    /// tree-top cache covering the top 6 levels of each sub-ORAM.
-    pub fn paper_default() -> OramResult<Self> {
-        let data = OramParams::builder().build()?;
-        HierarchyParams::derive(data, 6)
-    }
-
     /// The parameters of the given sub-ORAM level.
     pub fn level(&self, sub: crate::types::SubOram) -> &OramParams {
         match sub {
@@ -295,7 +287,7 @@ mod tests {
 
     #[test]
     fn hierarchy_shrinks_by_entries_per_block() {
-        let h = HierarchyParams::paper_default().unwrap();
+        let h = HierarchyParams::derive(OramParams::builder().build().unwrap(), 6).unwrap();
         assert_eq!(ENTRIES_PER_BLOCK, 16);
         assert_eq!(h.pos1.num_blocks, h.data.num_blocks / 16);
         assert_eq!(h.pos2.num_blocks, h.pos1.num_blocks / 16);
@@ -308,7 +300,7 @@ mod tests {
 
     #[test]
     fn hierarchy_level_lookup() {
-        let h = HierarchyParams::paper_default().unwrap();
+        let h = HierarchyParams::derive(OramParams::builder().build().unwrap(), 6).unwrap();
         assert_eq!(h.level(SubOram::Data).num_blocks, h.data.num_blocks);
         assert_eq!(h.level(SubOram::Pos1).num_blocks, h.pos1.num_blocks);
         assert_eq!(h.level(SubOram::Pos2).num_blocks, h.pos2.num_blocks);

@@ -76,16 +76,6 @@ impl TreeGeometry {
             .collect()
     }
 
-    /// The two children of `node`, or `None` for leaf-level nodes.
-    pub fn children(&self, node: NodeId) -> Option<(NodeId, NodeId)> {
-        let left = 2 * node.0 + 1;
-        if left >= self.num_nodes() {
-            None
-        } else {
-            Some((NodeId(left), NodeId(left + 1)))
-        }
-    }
-
     /// Returns `true` if `node` lies on the path from the root to `leaf`.
     pub fn is_on_path(&self, node: NodeId, leaf: LeafId) -> bool {
         let level = self.level_of(node);
@@ -191,12 +181,14 @@ mod tests {
     #[test]
     fn parent_child_consistency() {
         let g = geom(16);
+        // Level order: the children of node n are 2n + 1 and 2n + 2.
         for n in 0..g.num_nodes() {
-            let node = NodeId(n);
-            if let Some((l, r)) = g.children(node) {
-                assert_eq!((l.0 - 1) / 2, n);
-                assert_eq!((r.0 - 1) / 2, n);
-                assert_eq!(g.level_of(l), g.level_of(node) + 1);
+            let (l, r) = (2 * n + 1, 2 * n + 2);
+            if r < g.num_nodes() {
+                assert_eq!((l - 1) / 2, n);
+                assert_eq!((r - 1) / 2, n);
+                assert_eq!(g.level_of(NodeId(l)), g.level_of(NodeId(n)) + 1);
+                assert_eq!(g.level_of(NodeId(r)), g.level_of(NodeId(n)) + 1);
             }
         }
     }

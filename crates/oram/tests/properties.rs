@@ -18,10 +18,11 @@ fn small_hierarchy(flavor: ProtocolFlavor, blocks: u64, seed: u64) -> Hierarchic
         .build()
         .unwrap();
     let params = HierarchyParams::derive(data, 1).unwrap();
-    let mut cfg = HierarchyConfig::paper_default(flavor).unwrap();
-    cfg.params = params;
-    cfg.seed = seed;
-    HierarchicalOram::new(cfg).unwrap()
+    HierarchicalOram::new(HierarchyConfig {
+        seed,
+        ..HierarchyConfig::new(params, flavor)
+    })
+    .unwrap()
 }
 
 proptest! {
@@ -82,8 +83,7 @@ proptest! {
     ) {
         let data = OramParams::builder().z(8).s(10).a(6).num_blocks(4096).build().unwrap();
         let params = HierarchyParams::derive(data, 2).unwrap();
-        let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo).unwrap();
-        cfg.params = params;
+        let mut cfg = HierarchyConfig::new(params, ProtocolFlavor::Palermo);
         cfg.prefetch = if prefetch > 1 { PrefetchMode::WideBlock { length: prefetch } } else { PrefetchMode::None };
         let mut oram = HierarchicalOram::new(cfg).unwrap();
         let bound = oram.config().params.total_tree_bytes() * 8;
@@ -149,8 +149,7 @@ proptest! {
     fn prefetched_lines_are_group_neighbours(block in 0u64..4096, length in prop::sample::select(vec![2u32, 4, 8])) {
         let data = OramParams::builder().z(8).s(10).a(6).num_blocks(4096).build().unwrap();
         let params = HierarchyParams::derive(data, 1).unwrap();
-        let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo).unwrap();
-        cfg.params = params;
+        let mut cfg = HierarchyConfig::new(params, ProtocolFlavor::Palermo);
         cfg.prefetch = PrefetchMode::WideBlock { length };
         let mut oram = HierarchicalOram::new(cfg).unwrap();
         let res = oram.access(PhysAddr::new(block * 64), OramOp::Read, None).unwrap();

@@ -141,15 +141,9 @@ impl Scheme {
             _ => ProtocolFlavor::PathOram,
         };
         let mut cfg = HierarchyConfig {
-            params,
-            flavor,
             seed,
             stash_capacity,
-            prefetch: PrefetchMode::None,
-            path_bucket_z: 4,
-            fat_tree: false,
-            posmap_bypass: None,
-            background_evict_threshold: None,
+            ..HierarchyConfig::new(params, flavor)
         };
         match self {
             Scheme::PageOram => cfg.path_bucket_z = 3,

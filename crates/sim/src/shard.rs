@@ -24,8 +24,10 @@
 //!   seed, when the system is constructed. Every shard starts from its own
 //!   clone of that untouched stream and filters it through the router, so
 //!   the set of accesses a shard sees is independent of how the other
-//!   shards are scheduled. Clones share only immutable tables (a graph, a
-//!   replayed trace), never cursor or RNG state.
+//!   shards are scheduled. Clones share only immutable tables, never
+//!   cursor or RNG state: a replayed trace, or a graph's RNG checkpoints,
+//!   from which each clone draws the out-edges of the vertices it visits
+//!   (`palermo_workloads::graph`).
 //! * Per-shard protocol seeds are derived from the global seed by SplitMix64
 //!   expansion (the same idiom the multi-tenant mix uses per tenant), so
 //!   shard i's leaf randomness never depends on K's scheduling.

@@ -5,6 +5,7 @@
 use super::AccessBuffer;
 use crate::trace::{AccessStream, TraceEntry};
 use crate::zipf::{scramble, Zipf};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::rng::OramRng;
 
 /// Shared embedding-gather engine.
@@ -29,7 +30,7 @@ impl EmbeddingTables {
     fn gather(&mut self, buffer: &mut AccessBuffer) {
         let row = scramble(self.sampler.sample(&mut self.rng), self.rows);
         let addr = row * self.row_bytes;
-        buffer.push_span_read(addr, self.row_bytes.div_ceil(64));
+        buffer.push_span_read(addr, self.row_bytes.div_ceil(BLOCK_BYTES));
     }
 
     fn footprint(&self) -> u64 {
@@ -111,10 +112,10 @@ impl DlrmBalanced {
         // Dense-layer sweep: 32 sequential lines from the weight region,
         // which lives above the embedding tables.
         for i in 0..32u64 {
-            let addr = embedding_footprint + (self.mlp_cursor + i * 64) % self.mlp_bytes;
+            let addr = embedding_footprint + (self.mlp_cursor + i * BLOCK_BYTES) % self.mlp_bytes;
             self.buffer.push_read(addr);
         }
-        self.mlp_cursor = (self.mlp_cursor + 32 * 64) % self.mlp_bytes;
+        self.mlp_cursor = (self.mlp_cursor + 32 * BLOCK_BYTES) % self.mlp_bytes;
     }
 }
 

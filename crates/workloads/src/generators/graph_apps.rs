@@ -1,14 +1,20 @@
 //! Graph-analytics generators: PageRank (`pr`) and temporal motif mining
 //! (`motif`) over a synthetic power-law graph.
+//!
+//! The accesses address a CSR image of the graph (offsets, then edges, then
+//! two per-vertex rank arrays), but the graph itself is drawn on demand
+//! ([`SyntheticGraph`]): a generator asks for the out-edges of the vertex it
+//! visits, and only as many of them as it reads.
 
 use super::AccessBuffer;
-use crate::graph::CsrGraph;
+use crate::graph::SyntheticGraph;
 use crate::trace::{AccessStream, TraceEntry};
 use palermo_oram::rng::OramRng;
 use std::sync::Arc;
 
-/// Memory layout of the CSR graph and per-vertex state inside the protected
-/// address space.
+/// Memory layout of the graph's CSR image and per-vertex state inside the
+/// protected address space: 8-byte offsets (one per vertex plus a
+/// sentinel), 8-byte edge destinations, and two 8-byte rank arrays.
 #[derive(Debug, Clone, Copy)]
 struct GraphLayout {
     offsets_base: u64,
@@ -19,12 +25,12 @@ struct GraphLayout {
 }
 
 impl GraphLayout {
-    fn new(g: &CsrGraph) -> Self {
+    fn new(vertices: u64, edges: u64) -> Self {
         let offsets_base = 0;
-        let edges_base = offsets_base + (g.offsets.len() as u64) * 8;
-        let rank_base = edges_base + g.num_edges() * 8;
-        let next_rank_base = rank_base + g.num_vertices() * 8;
-        let footprint = next_rank_base + g.num_vertices() * 8;
+        let edges_base = offsets_base + (vertices + 1) * 8;
+        let rank_base = edges_base + edges * 8;
+        let next_rank_base = rank_base + vertices * 8;
+        let footprint = next_rank_base + vertices * 8;
         GraphLayout {
             offsets_base,
             edges_base,
@@ -54,26 +60,30 @@ impl GraphLayout {
 /// PageRank in pull direction: for each vertex, stream its edge list and
 /// gather the ranks of its (power-law-distributed) neighbours.
 ///
-/// The graph is shared: a clone copies only the cursor.
+/// Each visit draws all of the vertex's out-edges from the graph. The graph
+/// (its checkpoints) is shared: a clone copies only the cursor.
 #[derive(Debug, Clone)]
 pub struct PageRank {
-    graph: Arc<CsrGraph>,
+    graph: Arc<SyntheticGraph>,
     layout: GraphLayout,
     buffer: AccessBuffer,
     vertex: u64,
+    /// The visited vertex's out-neighbours.
+    neighbours: Vec<u64>,
 }
 
 impl PageRank {
     /// Builds the synthetic graph and the generator. `scale` controls the
     /// vertex count (`scale` vertices with average degree 8).
     pub fn new(scale: u64, seed: u64) -> Self {
-        let graph = Arc::new(CsrGraph::synthetic(scale.max(64), 8, 0.85, seed));
-        let layout = GraphLayout::new(&graph);
+        let graph = Arc::new(SyntheticGraph::new(scale.max(64), 8, 0.85, seed));
+        let layout = GraphLayout::new(graph.num_vertices(), graph.num_edges());
         PageRank {
             graph,
             layout,
             buffer: AccessBuffer::new(),
             vertex: 0,
+            neighbours: Vec::new(),
         }
     }
 
@@ -82,8 +92,8 @@ impl PageRank {
         self.vertex += 1;
         // Offsets are read sequentially (v and v+1 usually share a line).
         self.buffer.push_read(self.layout.offset_addr(v));
-        let start = self.graph.offsets[v as usize];
-        for (i, &n) in self.graph.neighbours(v).iter().enumerate() {
+        let start = self.graph.vertex(v, usize::MAX, &mut self.neighbours);
+        for (i, &n) in self.neighbours.iter().enumerate() {
             // The edge list streams sequentially; the neighbour rank gather
             // is effectively random (power-law destinations).
             self.buffer
@@ -113,33 +123,39 @@ impl AccessStream for PageRank {
 /// edge and explore the neighbourhoods of both endpoints — almost no
 /// spatial locality beyond the individual adjacency lists.
 ///
-/// The graph is shared: a clone copies only the cursor and RNG state.
+/// Each exploration draws from the graph only the neighbours it reads: 4
+/// of the picked vertex, then 3 of its first neighbour. The graph (its
+/// checkpoints) is shared: a clone copies only the cursor and RNG state.
 #[derive(Debug, Clone)]
 pub struct MotifMining {
-    graph: Arc<CsrGraph>,
+    graph: Arc<SyntheticGraph>,
     layout: GraphLayout,
     buffer: AccessBuffer,
     rng: OramRng,
+    /// The explored vertex's first neighbours.
+    neighbours: Vec<u64>,
 }
 
 impl MotifMining {
     /// Builds the synthetic graph and the generator.
     pub fn new(scale: u64, seed: u64) -> Self {
-        let graph = Arc::new(CsrGraph::synthetic(scale.max(64), 8, 0.9, seed ^ 0x6d6f));
-        let layout = GraphLayout::new(&graph);
+        let graph = Arc::new(SyntheticGraph::new(scale.max(64), 8, 0.9, seed ^ 0x6d6f));
+        let layout = GraphLayout::new(graph.num_vertices(), graph.num_edges());
         MotifMining {
             graph,
             layout,
             buffer: AccessBuffer::new(),
             rng: OramRng::new(seed),
+            neighbours: Vec::new(),
         }
     }
 
+    /// Reads `v`'s offset and its first `fanout` edges and neighbour
+    /// offsets; leaves those neighbours in `self.neighbours`.
     fn explore(&mut self, v: u64, fanout: usize) {
         self.buffer.push_read(self.layout.offset_addr(v));
-        let start = self.graph.offsets[v as usize];
-        let neighbours = self.graph.neighbours(v);
-        for (i, &n) in neighbours.iter().take(fanout).enumerate() {
+        let start = self.graph.vertex(v, fanout, &mut self.neighbours);
+        for (i, &n) in self.neighbours.iter().enumerate() {
             self.buffer
                 .push_read(self.layout.edge_addr(start + i as u64));
             self.buffer.push_read(self.layout.offset_addr(n));
@@ -149,7 +165,7 @@ impl MotifMining {
     fn refill(&mut self) {
         let v = self.rng.gen_range(self.graph.num_vertices());
         self.explore(v, 4);
-        if let Some(&first) = self.graph.neighbours(v).first() {
+        if let Some(&first) = self.neighbours.first() {
             self.explore(first, 3);
         }
     }

@@ -5,6 +5,7 @@
 use super::AccessBuffer;
 use crate::trace::{AccessStream, TraceEntry};
 use crate::zipf::{scramble, Zipf};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::rng::OramRng;
 
 /// `redis`: a Zipfian key-value store. Each operation touches the key's
@@ -39,10 +40,10 @@ impl RedisKv {
         self.buffer.push_read(index_addr);
         // Value area above the index.
         let value_base = self.keys * 16 + key * self.value_slot_bytes;
-        let lines = 1 + self.rng.gen_range(self.value_slot_bytes / 64);
+        let lines = 1 + self.rng.gen_range(self.value_slot_bytes / BLOCK_BYTES);
         if self.rng.chance(0.1) {
             for i in 0..lines {
-                self.buffer.push_write(value_base + i * 64);
+                self.buffer.push_write(value_base + i * BLOCK_BYTES);
             }
         } else {
             self.buffer.push_span_read(value_base, lines);
@@ -86,7 +87,7 @@ impl Streaming {
 impl AccessStream for Streaming {
     fn next_access(&mut self) -> TraceEntry {
         let entry = TraceEntry::read(self.cursor);
-        self.cursor = (self.cursor + 64) % self.footprint;
+        self.cursor = (self.cursor + BLOCK_BYTES) % self.footprint;
         entry
     }
 
@@ -115,8 +116,8 @@ impl UniformRandom {
 
 impl AccessStream for UniformRandom {
     fn next_access(&mut self) -> TraceEntry {
-        let line = self.rng.gen_range(self.footprint / 64);
-        let addr = line * 64;
+        let line = self.rng.gen_range(self.footprint / BLOCK_BYTES);
+        let addr = line * BLOCK_BYTES;
         if self.rng.chance(0.1) {
             TraceEntry::write(addr)
         } else {

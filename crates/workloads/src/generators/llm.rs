@@ -5,6 +5,7 @@
 use super::AccessBuffer;
 use crate::trace::{AccessStream, TraceEntry};
 use crate::zipf::{scramble, Zipf};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::rng::OramRng;
 
 /// The `llm` workload of Table II: the sensitive structure is the token
@@ -45,14 +46,15 @@ impl LlmInference {
         // One decoded token: read its embedding row...
         let token = scramble(self.sampler.sample(&mut self.rng), self.vocab);
         let row_addr = token * self.row_bytes;
-        self.buffer.push_span_read(row_addr, self.row_bytes / 64);
+        self.buffer
+            .push_span_read(row_addr, self.row_bytes / BLOCK_BYTES);
         // ...and append a KV-cache entry (sequential writes above the table).
         let kv_base = self.table_footprint();
         for i in 0..2u64 {
             self.buffer
-                .push_write(kv_base + (self.kv_cursor + i * 64) % self.kv_bytes);
+                .push_write(kv_base + (self.kv_cursor + i * BLOCK_BYTES) % self.kv_bytes);
         }
-        self.kv_cursor = (self.kv_cursor + 2 * 64) % self.kv_bytes;
+        self.kv_cursor = (self.kv_cursor + 2 * BLOCK_BYTES) % self.kv_bytes;
     }
 }
 

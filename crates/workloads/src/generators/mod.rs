@@ -19,6 +19,7 @@ pub mod llm;
 pub mod spec;
 
 use crate::trace::TraceEntry;
+use palermo_oram::params::BLOCK_BYTES;
 use std::collections::VecDeque;
 
 /// A small helper owned by most generators: a refillable queue of upcoming
@@ -48,7 +49,7 @@ impl AccessBuffer {
     /// Pushes `lines` consecutive cache-line reads starting at `addr`.
     pub(crate) fn push_span_read(&mut self, addr: u64, lines: u64) {
         for i in 0..lines {
-            self.push_read(addr + i * 64);
+            self.push_read(addr + i * BLOCK_BYTES);
         }
     }
 

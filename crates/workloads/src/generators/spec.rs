@@ -3,6 +3,7 @@
 
 use super::AccessBuffer;
 use crate::trace::{AccessStream, TraceEntry};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::rng::OramRng;
 
 /// `mcf`: network-simplex route planning. The memory behaviour is dominated
@@ -36,7 +37,7 @@ impl Mcf {
             let run = 4 + self.rng.gen_range(4);
             self.buffer
                 .push_span_read(self.cursor % self.footprint, run);
-            self.cursor = (self.cursor + run * 64) % self.footprint;
+            self.cursor = (self.cursor + run * BLOCK_BYTES) % self.footprint;
         }
         if self.rng.chance(0.15) {
             self.buffer.push_write(node);
@@ -86,7 +87,7 @@ impl Lbm {
         let src = self.cursor % half;
         self.buffer.push_span_read(src, 3);
         self.buffer.push_write(half + src);
-        self.cursor = (self.cursor + 3 * 64) % half;
+        self.cursor = (self.cursor + 3 * BLOCK_BYTES) % half;
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::trace::{AccessStream, TraceEntry};
 use palermo_oram::error::{OramError, OramResult};
+use palermo_oram::params::BLOCK_BYTES;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -38,9 +39,9 @@ impl TraceReplay {
                 reason: "trace replay needs at least one access".into(),
             });
         };
-        let footprint = (max_addr / 64)
+        let footprint = (max_addr / BLOCK_BYTES)
             .checked_add(1)
-            .and_then(|lines| lines.checked_mul(64))
+            .and_then(|lines| lines.checked_mul(BLOCK_BYTES))
             .ok_or_else(|| OramError::InvalidParams {
                 reason: format!("trace address {max_addr:#x} leaves no representable footprint"),
             })?;

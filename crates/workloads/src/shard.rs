@@ -26,6 +26,7 @@ use crate::spec::WorkloadSpec;
 use crate::trace::{AccessStream, TaggedEntry, TraceEntry};
 use crate::zipf::scramble;
 use palermo_oram::error::{OramError, OramResult};
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::types::PhysAddr;
 use std::fmt;
 
@@ -169,7 +170,8 @@ impl ShardSpec {
 pub struct ShardRouter {
     kind: ShardRouterKind,
     shards: u32,
-    /// Total cache lines in the global footprint (`footprint.div_ceil(64)`).
+    /// Total cache lines in the global footprint
+    /// (`footprint.div_ceil(BLOCK_BYTES)`).
     total_lines: u64,
     /// Range router only: `starts[i]` is the first global line of shard
     /// `i`; length `K + 1` with `starts[K] == total_lines`.
@@ -199,7 +201,7 @@ impl ShardRouter {
             return Err(invalid("shard router needs at least one shard".into()));
         }
         let footprint = stream.footprint_bytes();
-        let total_lines = footprint.div_ceil(64);
+        let total_lines = footprint.div_ceil(BLOCK_BYTES);
         let k = u64::from(shards);
         let mut router = ShardRouter {
             kind,
@@ -221,7 +223,7 @@ impl ShardRouter {
                 // below `total_lines`, so its local line space is exactly
                 // [0, L/K + (i < L % K)).
                 router.shard_footprints = (0..k)
-                    .map(|i| (total_lines / k + u64::from(i < total_lines % k)) * 64)
+                    .map(|i| (total_lines / k + u64::from(i < total_lines % k)) * BLOCK_BYTES)
                     .collect();
             }
             ShardRouterKind::Range => {
@@ -236,7 +238,7 @@ impl ShardRouter {
                 router.shard_footprints = router
                     .starts
                     .windows(2)
-                    .map(|w| (w[1] - w[0]) * 64)
+                    .map(|w| (w[1] - w[0]) * BLOCK_BYTES)
                     .collect();
             }
             ShardRouterKind::TenantAffine => {
@@ -309,19 +311,22 @@ impl ShardRouter {
     /// to exactly one shard, and distinct addresses on the same shard map
     /// to distinct local addresses.
     pub fn route(&self, addr: u64) -> (u32, u64) {
-        let line = addr / 64;
-        let offset = addr % 64;
+        let line = addr / BLOCK_BYTES;
+        let offset = addr % BLOCK_BYTES;
         match self.kind {
             ShardRouterKind::Hash => {
                 let s = scramble(line, self.total_lines);
                 let k = u64::from(self.shards);
-                ((s % k) as u32, (s / k) * 64 + offset)
+                ((s % k) as u32, (s / k) * BLOCK_BYTES + offset)
             }
             ShardRouterKind::Range => {
                 // First start strictly above `line`, minus one: shard ids
                 // are in 0..K because starts[0] == 0 and starts[K] == L.
                 let shard = self.starts.partition_point(|&s| s <= line) - 1;
-                (shard as u32, (line - self.starts[shard]) * 64 + offset)
+                (
+                    shard as u32,
+                    (line - self.starts[shard]) * BLOCK_BYTES + offset,
+                )
             }
             ShardRouterKind::TenantAffine => {
                 let t = self.tenant_bases.partition_point(|&(b, _)| b <= addr) - 1;

@@ -1,5 +1,6 @@
 //! Access traces and the generator interface.
 
+use palermo_oram::params::BLOCK_BYTES;
 use palermo_oram::types::{OramOp, PhysAddr};
 
 /// One memory access produced by a workload generator (post-L2, i.e. the
@@ -54,9 +55,9 @@ pub struct TaggedEntry {
 /// Every stream is cloneable, also behind `Box<dyn AccessStream>` (see
 /// [`CloneStream`]). A clone continues the *same* sequence from the point
 /// it was taken: the original and the clone emit identical accesses from
-/// there on. Generators keep large immutable tables (a graph's CSR arrays,
-/// a replayed trace) behind an `Arc`, so a clone shares them and copies
-/// only cursor and RNG state.
+/// there on. Generators keep large immutable tables (a graph's RNG
+/// checkpoints, a replayed trace) behind an `Arc`, so a clone shares them
+/// and copies only cursor and RNG state.
 pub trait AccessStream: CloneStream + Send + Sync {
     /// Produces the next access.
     fn next_access(&mut self) -> TraceEntry;
@@ -168,7 +169,7 @@ pub fn profile(stream: &mut dyn AccessStream, n: u64) -> TraceProfile {
     let mut prev_line: Option<u64> = None;
     for _ in 0..n {
         let e = stream.next_access();
-        let line = e.addr.0 / 64;
+        let line = e.addr.0 / BLOCK_BYTES;
         if e.op == OramOp::Write {
             writes += 1;
         }

@@ -81,6 +81,14 @@ impl Zipf {
         rank.min(self.n - 1)
     }
 
+    /// Advances `rng` exactly as [`Zipf::sample`] does, without computing
+    /// the sample: one draw when the population exceeds 1, none otherwise.
+    pub fn skip(&self, rng: &mut OramRng) {
+        if self.n > 1 {
+            rng.next_u64();
+        }
+    }
+
     /// The population size.
     pub fn population(&self) -> u64 {
         self.n
@@ -238,6 +246,19 @@ mod tests {
                     }
                 };
                 assert_eq!(z.sample(&mut a), inline, "n={n} theta={theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_advances_the_rng_like_sample() {
+        for n in [1u64, 2, 3, 1000, 1 << 20] {
+            let z = Zipf::new(n, 0.9);
+            let (mut sampled, mut skipped) = (OramRng::new(n), OramRng::new(n));
+            for _ in 0..100 {
+                z.sample(&mut sampled);
+                z.skip(&mut skipped);
+                assert_eq!(sampled, skipped, "n={n}");
             }
         }
     }

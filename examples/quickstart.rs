@@ -27,9 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .a(20)
         .build()?;
     let params = HierarchyParams::derive(data, 4)?;
-    let mut cfg = HierarchyConfig::paper_default(ProtocolFlavor::Palermo)?;
-    cfg.params = params;
-    let mut oram = HierarchicalOram::new(cfg)?;
+    let mut oram = HierarchicalOram::new(HierarchyConfig::new(params, ProtocolFlavor::Palermo))?;
 
     let secret_addr = PhysAddr::new(0x4_2040);
     oram.access(

@@ -31,8 +31,8 @@ use std::time::Instant;
 
 const SCHEMES: [Scheme; 2] = [Scheme::RingOram, Scheme::Palermo];
 const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
-/// `mcf` is cheap to build; `pr` owns a shared CSR graph that every shard
-/// of a run clones, concurrently under the pooled stepper.
+/// `mcf` is cheap to build; `pr` owns a shared graph (its RNG checkpoints)
+/// that every shard of a run clones, concurrently under the pooled stepper.
 const INNERS: [Workload; 2] = [Workload::Mcf, Workload::PageRank];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

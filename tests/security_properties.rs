@@ -23,9 +23,7 @@ fn small_oram(flavor: ProtocolFlavor) -> HierarchicalOram {
         .build()
         .unwrap();
     let params = HierarchyParams::derive(data, 2).unwrap();
-    let mut cfg = HierarchyConfig::paper_default(flavor).unwrap();
-    cfg.params = params;
-    HierarchicalOram::new(cfg).unwrap()
+    HierarchicalOram::new(HierarchyConfig::new(params, flavor)).unwrap()
 }
 
 #[test]
