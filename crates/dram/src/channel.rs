@@ -42,6 +42,27 @@
 //! that cycle every tick is a provable no-op, so the caller may replace the
 //! intervening ticks with one [`Channel::skip_cycles`] call that performs the
 //! identical per-cycle statistics accounting in bulk.
+//!
+//! The queue side of that prediction is kept per class: its floor, its
+//! earliest issue cycle (over the banks in its mask, the bank's ready cycle
+//! raised to its group's floor) and the lowest bank achieving that cycle.
+//! The invariant is that each value equals what a full scan of the command
+//! history and the class mask returns. One command changes one bank and at
+//! most one floor, so the state is updated only where its inputs change:
+//!
+//! - a column command recomputes the column floor and an activate the
+//!   activate floor; the precharge floor never moves;
+//! - an enqueue that creates a class candidate min-merges it into that
+//!   class;
+//! - after a command, the class whose floor moved and any class whose
+//!   recorded bank is the issued bank are walked afresh, and every other
+//!   class min-merges the issued bank's rebuilt candidate;
+//! - a read return changes nothing.
+//!
+//! A tick runs a class's pass only once that class's earliest cycle has
+//! come, so every pass it runs issues. The oracle is a fresh scan of every
+//! class: debug builds of [`crate::system::DramSystem`] compare each class's
+//! cached floor, cycle and bank with it after every enqueue and due tick.
 
 use crate::address::DramCoord;
 use crate::config::DramConfig;
@@ -107,7 +128,7 @@ impl BankState {
 /// A class's channel-global issue floor for the current bus state: `base`
 /// for every bank group, raised to `same` in `group`, the group of the
 /// class's last command (tCCD_L / tRRD_L). `same >= base` always.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Floor {
     base: u64,
     group: u32,
@@ -115,6 +136,14 @@ struct Floor {
 }
 
 impl Floor {
+    /// No floor at all: every class's with an empty command history, and
+    /// the precharge class's always.
+    const NONE: Floor = Floor {
+        base: 0,
+        group: u32::MAX,
+        same: 0,
+    };
+
     fn of(&self, group: u32) -> u64 {
         if group == self.group {
             self.same
@@ -122,6 +151,23 @@ impl Floor {
             self.base
         }
     }
+}
+
+/// A class's earliest issue cycle over the banks in its mask, and the
+/// lowest bank that achieves it. Ordered by cycle, then bank, so a
+/// min-merge keeps the lowest bank among ties, as a mask walk does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Earliest {
+    at: u64,
+    bank: u32,
+}
+
+impl Earliest {
+    /// An empty mask: no cycle, no bank.
+    const NONE: Earliest = Earliest {
+        at: u64::MAX,
+        bank: u32::MAX,
+    };
 }
 
 #[derive(Debug, Clone)]
@@ -209,11 +255,13 @@ pub struct Channel {
     in_flight_reads: VecDeque<MemCompletion>,
     completed: Vec<MemCompletion>,
     stats: ChannelStats,
-    /// Earliest cycle at which any *queued* request becomes actionable
-    /// (`u64::MAX` with none queued), kept exact: recomputed after every
-    /// scheduling pass, min-updated in O(1) by enqueues, and left untouched
-    /// by read returns, which change no bank or bus state.
-    queue_next: u64,
+    /// Per class, its floor: always equal to [`Channel::floor`] of the
+    /// command history, so recomputed only by a command of that class.
+    floors: [Floor; 3],
+    /// Per class, its earliest issue cycle and lowest bank achieving it:
+    /// always equal to [`Channel::scan`] of its mask under its floor (see
+    /// the module doc for the rules that keep it so).
+    earliest: [Earliest; 3],
 }
 
 impl Channel {
@@ -237,7 +285,8 @@ impl Channel {
             in_flight_reads: VecDeque::new(),
             completed: Vec::new(),
             stats: ChannelStats::default(),
-            queue_next: u64::MAX,
+            floors: [Floor::NONE; 3],
+            earliest: [Earliest::NONE; 3],
             config,
         }
     }
@@ -279,8 +328,8 @@ impl Channel {
         self.next_seq += 1;
         // The newest request is the youngest, so it becomes its class's
         // candidate only when its bank had none: an O(1) update. Enqueueing
-        // changes no bank or bus state, so only a new candidate can pull the
-        // cached queue-side prediction earlier, by an O(1) min-update.
+        // changes no bank or bus state, so only a new candidate can pull its
+        // class's earliest issue cycle earlier, by an O(1) min-merge.
         let b = entry.flat_bank;
         let class = Class::of(self.banks[b].open_row, entry.coord.row);
         if self.masks[class as usize] & (1 << b) == 0 {
@@ -289,8 +338,7 @@ impl Channel {
                 seq: entry.seq,
                 pos: self.bank_queues[b].len() as u32,
             };
-            let floor = self.floor(class).of(coord.bank_group);
-            self.queue_next = self.queue_next.min(self.banks[b].ready(class).max(floor));
+            self.merge(class, b);
         }
         self.bank_queues[b].push_back(entry);
         self.queue_len += 1;
@@ -320,7 +368,7 @@ impl Channel {
                 let rrd = self.last_activate.map_or(0, |(when, _)| when + cfg.t_rrd_s);
                 (faw.max(rrd), self.last_activate, cfg.t_rrd_l)
             }
-            Class::Precharge => (0, None, 0),
+            Class::Precharge => return Floor::NONE,
         };
         let (group, same) =
             last.map_or((u32::MAX, base), |(when, g)| (g, base.max(when + same_gap)));
@@ -395,22 +443,24 @@ impl Channel {
         );
     }
 
+    /// The cycle from which bank `b`'s `class` candidate may issue under
+    /// `floor`: its bank-local ready cycle raised to its group's floor.
+    fn issue_cycle(&self, class: Class, b: usize, floor: Floor) -> u64 {
+        self.banks[b].ready(class).max(floor.of(self.group_of(b)))
+    }
+
     /// The bank holding the oldest `class` candidate that may issue at
-    /// `cycle` (one FR-FCFS pass), with that candidate.
+    /// `cycle` (one FR-FCFS pass), with that candidate; `tick` runs it only
+    /// once the class's earliest issue cycle has come.
     fn pick(&self, class: Class, cycle: u64) -> Option<(usize, Cand)> {
-        let floor = self.floor(class);
-        // Every group's floor is at least the base one.
-        if floor.base > cycle {
-            return None;
-        }
+        let floor = self.floors[class as usize];
         let mut best: Option<(usize, Cand)> = None;
         let mut mask = self.masks[class as usize];
         while mask != 0 {
             let b = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let bank = &self.banks[b];
-            let cand = bank.cand[class as usize];
-            if bank.ready(class).max(floor.of(self.group_of(b))) <= cycle
+            let cand = self.banks[b].cand[class as usize];
+            if self.issue_cycle(class, b, floor) <= cycle
                 && best.is_none_or(|(_, c)| cand.seq < c.seq)
             {
                 best = Some((b, cand));
@@ -419,22 +469,65 @@ impl Channel {
         best
     }
 
-    /// Earliest cycle at which any queued request becomes actionable: per
-    /// class, the minimum over the banks in its mask of the bank-local
-    /// ready cycle raised to the bank group's floor.
-    fn compute_next_actionable(&self) -> u64 {
-        let mut next = u64::MAX;
-        for class in Class::ALL {
-            let floor = self.floor(class);
-            let mut mask = self.masks[class as usize];
-            while mask != 0 {
-                let b = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let at = self.banks[b].ready(class).max(floor.of(self.group_of(b)));
-                next = next.min(at);
+    /// `class`'s earliest issue cycle under `floor`, with the lowest bank
+    /// achieving it: one walk over the class mask.
+    fn scan(&self, class: Class, floor: Floor) -> Earliest {
+        let mut best = Earliest::NONE;
+        let mut mask = self.masks[class as usize];
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let at = self.issue_cycle(class, b, floor);
+            if at < best.at {
+                best = Earliest { at, bank: b as u32 };
             }
         }
-        next
+        best
+    }
+
+    /// Min-merges bank `b`'s `class` candidate, which must exist, into the
+    /// class's earliest issue cycle.
+    fn merge(&mut self, class: Class, b: usize) {
+        let at = self.issue_cycle(class, b, self.floors[class as usize]);
+        let earliest = &mut self.earliest[class as usize];
+        *earliest = (*earliest).min(Earliest { at, bank: b as u32 });
+    }
+
+    /// Brings the per-class state up to date after an `issued` command to
+    /// bank `b`, whose candidates [`Channel::refresh_bank`] has rebuilt.
+    /// The command changed bank `b` and its own class's floor (a precharge
+    /// has none to move), nothing else. So the issued class, when its floor
+    /// moved, and any class whose recorded bank is `b` are walked afresh;
+    /// every other class's earliest cycle still holds for the other banks,
+    /// and takes in `b`'s new candidate by a min-merge.
+    fn settle(&mut self, issued: Class, b: usize) {
+        let floor_moved = issued != Class::Precharge;
+        if floor_moved {
+            self.floors[issued as usize] = self.floor(issued);
+        }
+        for class in Class::ALL {
+            let c = class as usize;
+            if (floor_moved && class == issued) || self.earliest[c].bank == b as u32 {
+                self.earliest[c] = self.scan(class, self.floors[c]);
+            } else if self.masks[c] & (1 << b) != 0 {
+                self.merge(class, b);
+            }
+        }
+    }
+
+    /// The earliest cycle any queued request may issue (`u64::MAX` with none
+    /// queued): the soonest class's.
+    fn queue_next(&self) -> u64 {
+        let [column, activate, precharge] = self.earliest;
+        column.at.min(activate.at).min(precharge.at)
+    }
+
+    /// `class`'s state from scratch: its floor from the command history,
+    /// then its earliest issue cycle and bank from one walk of its mask.
+    /// The oracle the debug checks hold the cached state to.
+    fn compute_next_actionable(&self, class: Class) -> (Floor, Earliest) {
+        let floor = self.floor(class);
+        (floor, self.scan(class, floor))
     }
 
     /// Appends and clears the completions accumulated since the last call.
@@ -452,14 +545,13 @@ impl Channel {
 
     /// Advances the channel by one cycle, reporting what the tick did.
     ///
-    /// Before the cached queue-side prediction comes due no pass can
-    /// issue, so the scheduler runs only from that cycle on; a tick in
-    /// which nothing is due only adds to the queue-occupancy sum.
+    /// A class's pass runs only once its earliest issue cycle has come, and
+    /// then finds a candidate; a tick in which no class is due only adds to
+    /// the queue-occupancy sum.
     pub fn tick(&mut self, cycle: u64) -> ChannelTickResult {
         let mut result = ChannelTickResult::default();
         // Retire reads whose data has returned, oldest first. Retirement
-        // changes no bank or bus state, so the queue-side prediction
-        // survives it.
+        // changes no bank or bus state, so the per-class state survives it.
         while let Some(&read) = self.in_flight_reads.front() {
             if read.completed_at > cycle {
                 break;
@@ -470,24 +562,27 @@ impl Channel {
             result.completions = true;
         }
         self.stats.queue_occupancy_sum += self.queue_len as u64;
-        if self.queue_next <= cycle {
-            // FR-FCFS over the cached per-bank candidates (pass 1: oldest
-            // ready column; pass 2: oldest ready activate; pass 3: oldest
-            // ready precharge); then the class masks yield the earliest
-            // cycle at which any queued request could act.
-            result.issued = if let Some((b, cand)) = self.pick(Class::Column, cycle) {
-                result.completions |= self.issue_column(b, cand.pos, cycle);
-                true
-            } else if let Some((b, _)) = self.pick(Class::Activate, cycle) {
-                self.issue_activate(b, cycle);
-                true
-            } else if let Some((b, cand)) = self.pick(Class::Precharge, cycle) {
-                self.issue_precharge(b, cand.pos, cycle);
-                true
-            } else {
-                false
+        if self.queue_next() > cycle {
+            return result;
+        }
+        // FR-FCFS over the cached per-bank candidates: the oldest ready
+        // column command, else the oldest ready activate, else the oldest
+        // ready precharge.
+        for class in Class::ALL {
+            if self.earliest[class as usize].at > cycle {
+                continue;
+            }
+            let Some((b, cand)) = self.pick(class, cycle) else {
+                continue;
             };
-            self.queue_next = self.compute_next_actionable();
+            match class {
+                Class::Column => result.completions |= self.issue_column(b, cand.pos, cycle),
+                Class::Activate => self.issue_activate(b, cycle),
+                Class::Precharge => self.issue_precharge(b, cand.pos, cycle),
+            }
+            self.settle(class, b);
+            result.issued = true;
+            break;
         }
         result
     }
@@ -503,21 +598,23 @@ impl Channel {
     /// all queued requests and all three passes is the first cycle at which
     /// the reference per-cycle loop would have acted.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        self.earliest_event(self.queue_next, now)
-    }
-
-    /// The next event for a queue-side prediction `queue_next`: the earlier
-    /// of it and the oldest read's return, no earlier than `now`.
-    fn earliest_event(&self, queue_next: u64, now: u64) -> Option<u64> {
-        let at = queue_next.min(self.inflight_next());
+        let at = self.queue_next().min(self.inflight_next());
         (at != u64::MAX).then(|| at.max(now))
     }
 
-    /// [`Channel::next_event_cycle`] predicted afresh from the class masks
-    /// instead of the cached queue-side prediction; used only by debug
-    /// assertions guarding the caches.
+    /// [`Channel::next_event_cycle`], after asserting that every class's
+    /// cached floor, earliest cycle and bank equal one fresh scan's; used
+    /// only by debug assertions guarding the caches.
     pub(crate) fn debug_fresh_next_event(&self, now: u64) -> Option<u64> {
-        self.earliest_event(self.compute_next_actionable(), now)
+        for class in Class::ALL {
+            let c = class as usize;
+            assert_eq!(
+                (self.floors[c], self.earliest[c]),
+                self.compute_next_actionable(class),
+                "{class:?}: cached floor and earliest issue diverged from a fresh scan"
+            );
+        }
+        self.next_event_cycle(now)
     }
 
     /// Accounts `skipped` provably-idle cycles in bulk: exactly the state the
@@ -790,6 +887,29 @@ mod tests {
             assert!(cycle < 100_000, "did not converge");
         }
         assert_eq!(ch.outstanding(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Activate: cached floor and earliest issue diverged")]
+    fn the_oracle_checks_each_class_not_only_the_minimum() {
+        // Two closed banks may activate at cycle 0, the lower one recorded.
+        // Recording the other keeps the minimum at 0, which only the
+        // per-class comparison catches.
+        let (mut ch, m) = channel_and_mapper();
+        let cfg = DramConfig::ddr4_3200_single_channel();
+        let bank_stride = cfg.row_bytes * u64::from(cfg.channels);
+        let banks = [3, 7].map(|i| {
+            let (addr, coord) = (i * bank_stride, m.map(i * bank_stride));
+            assert!(ch.enqueue(MemRequest::read(i, addr), coord, 0));
+            coord.flat_bank(&cfg) as u32
+        });
+        let (low, high) = (banks[0].min(banks[1]), banks[0].max(banks[1]));
+        assert_ne!(low, high);
+        let activate = Class::Activate as usize;
+        assert_eq!(ch.earliest[activate], Earliest { at: 0, bank: low });
+        assert_eq!(ch.debug_fresh_next_event(0), Some(0));
+        ch.earliest[activate].bank = high;
+        ch.debug_fresh_next_event(0);
     }
 
     #[test]

@@ -17,6 +17,11 @@ pub const CLOCK_HZ: f64 = 1.6e9;
 /// scheduler keeps one bit per bank in a `u64` mask per command class.
 pub const MAX_ADDRESSED_BANKS: u64 = 64;
 
+/// The most channels a [`DramConfig`] may hold. A DRAM system builds every
+/// channel up front, so the bound keeps a hostile profile from asking for
+/// billions of them; the checked-in profiles use 4, 8 and 16.
+pub const MAX_CHANNELS: u64 = 64;
+
 /// The longest timing, in cycles, a [`DramConfig`] may hold: `u32::MAX`
 /// cycles (2.7 s at 1.6 GHz) keeps every sum of timings and cycle counts
 /// the channel forms far below `2^64`.
@@ -50,6 +55,11 @@ pub enum DramConfigError {
         row_bytes: u64,
         /// Configured burst size in bytes.
         burst_bytes: u64,
+    },
+    /// More than [`MAX_CHANNELS`] channels.
+    TooManyChannels {
+        /// The rejected channel count.
+        channels: u64,
     },
     /// The address map reaches more than [`MAX_ADDRESSED_BANKS`] banks per
     /// channel (`bank_groups * banks_per_group`, the value carried).
@@ -86,6 +96,10 @@ impl fmt::Display for DramConfigError {
             } => write!(
                 f,
                 "row_bytes ({row_bytes}) must be at least burst_bytes ({burst_bytes})"
+            ),
+            DramConfigError::TooManyChannels { channels } => write!(
+                f,
+                "channels ({channels}) exceeds the {MAX_CHANNELS} a DRAM system supports"
             ),
             DramConfigError::TooManyBanks { banks } => write!(
                 f,
@@ -226,8 +240,8 @@ impl DramConfig {
     }
 
     /// Validates internal consistency: non-zero geometry, power-of-two
-    /// interleaving fields, at most [`MAX_ADDRESSED_BANKS`] addressed banks
-    /// per channel, non-zero timings of at most [`MAX_TIMING_CYCLES`], and
+    /// interleaving fields, at most [`MAX_CHANNELS`] channels and
+    /// [`MAX_ADDRESSED_BANKS`] addressed banks per channel, non-zero timings of at most [`MAX_TIMING_CYCLES`], and
     /// timing cross-constraints (a four-activate window weaker than plain
     /// activate spacing, a row cycle shorter than open-plus-precharge, or
     /// long column/activate delays below their short variants are all
@@ -253,6 +267,10 @@ impl DramConfig {
             if value == 0 || !value.is_power_of_two() {
                 return Err(DramConfigError::NotPowerOfTwo { field, value });
             }
+        }
+        let channels = u64::from(self.channels);
+        if channels > MAX_CHANNELS {
+            return Err(DramConfigError::TooManyChannels { channels });
         }
         let non_zero = [
             ("ranks", u64::from(self.ranks)),
@@ -430,6 +448,23 @@ mod tests {
             .validate(),
             Err(DramConfigError::TooManyBanks { banks: 128 })
         );
+        for channels in [128, 1 << 31] {
+            assert_eq!(
+                DramConfig {
+                    channels,
+                    ..DramConfig::default()
+                }
+                .validate(),
+                Err(DramConfigError::TooManyChannels {
+                    channels: u64::from(channels)
+                })
+            );
+        }
+        let most = DramConfig {
+            channels: MAX_CHANNELS as u32,
+            ..DramConfig::default()
+        };
+        assert_eq!(most.validate(), Ok(()));
     }
 
     #[test]
@@ -643,6 +678,10 @@ mod tests {
         assert_eq!(
             DramConfigError::TooManyBanks { banks: 128 }.to_string(),
             "bank_groups * banks_per_group (128) exceeds the 64 banks a channel supports"
+        );
+        assert_eq!(
+            DramConfigError::TooManyChannels { channels: 128 }.to_string(),
+            "channels (128) exceeds the 64 a DRAM system supports"
         );
     }
 

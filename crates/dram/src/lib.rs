@@ -13,7 +13,7 @@
 //!   visits only the banks with a candidate; reads in flight return in
 //!   issue order from a FIFO (see [`channel`]);
 //! * channel/bank-group/bank address interleaving over a power-of-two
-//!   geometry of at most 64 banks per channel
+//!   geometry of at most 64 channels and 64 banks per channel
 //!   ([`config::DramConfig::validate`] rejects any other), so an address
 //!   maps with shifts and masks;
 //! * an exact next-event cycle per channel, so a caller can skip cycles in

@@ -17,7 +17,8 @@
 //! timings and queue capacities that pass [`DramConfig::validate`], once
 //! per cycle and once by jumping to [`Channel::next_event_cycle`] with
 //! [`Channel::skip_cycles`] between events. Both runs must return exactly
-//! the reference's completions, in order, and its [`ChannelStats`].
+//! the reference's completions, in order, and its [`ChannelStats`], and in
+//! the second every tick at a predicted event must act.
 
 use palermo_dram::address::DramCoord;
 use palermo_dram::channel::{Channel, ChannelStats, ChannelTickResult};
@@ -363,19 +364,27 @@ fn run_per_cycle(
 
 /// Drives the channel the way the event-driven core does: tick at each
 /// predicted event or enqueue opportunity, and account the cycles between
-/// in one [`Channel::skip_cycles`] call.
+/// in one [`Channel::skip_cycles`] call. A tick at a predicted event must
+/// act, so a prediction too early fails here as one too late fails the
+/// comparison with the per-cycle run.
 fn run_by_events(cfg: DramConfig, stream: &[Arrival]) -> (Vec<MemCompletion>, ChannelStats, u64) {
     let mut channel = Channel::new(cfg);
     let mut next = 0;
     let mut done = Vec::new();
     let mut cycle = 0;
+    let mut predicted = None;
     loop {
         offer(stream, &mut next, cycle, |r, c| {
             channel.enqueue(r, c, cycle)
         });
-        channel.tick(cycle);
+        let acted = channel.tick(cycle).any();
+        assert!(
+            acted || predicted != Some(cycle),
+            "the channel predicted an event at cycle {cycle}, and its tick did nothing"
+        );
         channel.drain_completed_into(&mut done);
         let event = channel.next_event_cycle(cycle + 1);
+        predicted = event;
         let arrival = stream
             .get(next)
             .filter(|_| channel.can_accept())

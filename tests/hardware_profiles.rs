@@ -258,3 +258,23 @@ fn a_profile_with_more_than_64_banks_per_channel_is_a_typed_error() {
         "{err}"
     );
 }
+
+/// A DRAM system builds every channel up front, so a profile asking for
+/// 2^31 channels (about 1 TiB of channel state) is a typed parse error; no
+/// DRAM system is ever built from it.
+#[test]
+fn a_profile_with_more_than_64_channels_is_a_typed_error() {
+    let text = HardwareProfile::ddr4_3200()
+        .to_file_string()
+        .replace("channels = 4", "channels = 2147483648");
+    let err = HardwareProfile::parse(&text).expect_err("2^31 channels must not parse");
+    assert!(
+        matches!(
+            err,
+            ProfileError::Config(DramConfigError::TooManyChannels {
+                channels: 2_147_483_648
+            })
+        ),
+        "{err}"
+    );
+}
